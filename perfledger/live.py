@@ -43,9 +43,13 @@ REFERENCE_MINUTES = 12
 CAPACITY_CLIENTS = 64
 CAPACITY_SCALE = 3840.0
 CAPACITY_MINUTES = 24
+#: Completions per timed chunk of a closed-loop rung (tens of ms each).
+CHUNK_REQUESTS = 64
 #: A rung whose client lateness p99 exceeds this share of its latency p99
 #: measured the client, not the gateway: it is reported as invalid.
 MAX_LATENESS_SHARE = 1 / 3
+#: Distance between the stream seeds of a run's reference rungs.
+REFERENCE_SEED_STRIDE = 100_003
 
 
 @dataclass
@@ -63,12 +67,18 @@ class Rung:
     errored: int = 0
     wall_s: float = 0.0
     cpu_s: float = 0.0
+    #: Closed loop: wall seconds from the start to the CHUNK_REQUESTS-th
+    #: completion, from there to the next CHUNK_REQUESTS-th, and so on; the
+    #: tail after the last whole chunk, with fewer clients busy, is left out.
+    chunks_s: list = field(default_factory=list, repr=False)
     #: Per-request wall seconds from due time to response.
     latency_s: list = field(default_factory=list, repr=False)
     #: Per-request wall seconds from due time to the call into the gateway.
     lateness_s: list = field(default_factory=list, repr=False)
     #: Per-request handle() wall time minus the modelled service time.
     overhead_s: list = field(default_factory=list, repr=False)
+    #: Model-time latency of each served request, as its response gives it.
+    model_latency_s: list = field(default_factory=list, repr=False)
     summary: dict = field(default_factory=dict, repr=False)
     #: Layer counters read off the gateway (see perfledger.sim.layer_state).
     state: dict = field(default_factory=dict, repr=False)
@@ -161,17 +171,20 @@ async def _replay(seed: int, time_scale: float, minutes: int, clients, tracer) -
     count = len(schedule)
     latency, lateness = [0.0] * count, [0.0] * count
     statuses = [0] * count
+    finished: list[float] = []
 
     async def send(index: int, due: float, body: bytes) -> None:
         called = loop.time()
         lateness[index] = called - due
         status, _, payload = await gateway.handle("POST", "/v1/generate", body)
         done = loop.time()
+        finished.append(done)
         latency[index] = done - due
         statuses[index] = status
         if status == 200:
-            service_s = json.loads(payload)["service_time_s"]
-            rung.overhead_s.append((done - called) - service_s / time_scale)
+            served = json.loads(payload)
+            rung.overhead_s.append((done - called) - served["service_time_s"] / time_scale)
+            rung.model_latency_s.append(served["latency_s"])
 
     try:
         if tracer is not None:
@@ -197,6 +210,9 @@ async def _replay(seed: int, time_scale: float, minutes: int, clients, tracer) -
         outcomes = await asyncio.gather(*tasks, return_exceptions=True)
         rung.wall_s = loop.time() - origin
         rung.cpu_s = time.process_time() - cpu
+        if clients is not None:
+            marks = [origin] + finished[CHUNK_REQUESTS - 1 :: CHUNK_REQUESTS]
+            rung.chunks_s = [end - start for start, end in zip(marks, marks[1:])]
         if tracer is not None:
             tracer.phase = "report"
         report = gateway.report_dict(

@@ -2,8 +2,8 @@
 
 Usage (from the repository root)::
 
-    python3 perfledger/run.py --workload diurnal --seed 1 --seconds 25 --trace 0
-    python3 perfledger/run.py --workload all --seed 1 --seconds 25 --trace 1
+    python3 perfledger/run.py --workload diurnal --seed 1 --seconds 30 --trace 0
+    python3 perfledger/run.py --workload all --seed 1 --seconds 30 --trace 1
 
 ``--trace 0`` reports the end-to-end metrics, ``--trace 1`` the per-layer
 ones.  The last line of standard output is one JSON object with the keys

@@ -1,15 +1,18 @@
-"""The three simulated workloads and one measured repetition of each.
+"""The two simulated workloads and one measured repetition of each.
 
-Each repetition builds everything from scratch through the public entry
-points (``build_config``, ``build_stream``, ``build_system``,
-``ExperimentRunner.run``), so set-up is measured on every repetition, and a
-repetition's inputs depend only on the seed.
+A repetition is built from scratch through the public entry points
+(``build_config``, ``build_stream``, ``build_system``), which is the
+workload's set-up, and then served through ``ExperimentRunner.run``; its
+inputs depend only on the seed.  A repetition may instead serve a deep copy
+of an earlier build taken before that build ran (see ``copy_built``).
 """
 
 from __future__ import annotations
 
+import copy
 import gc
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -21,7 +24,12 @@ from repro.scenarios.contracts import verify_report
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.runtime import ScenarioRun, _collect_extras, build_config, build_stream
 from repro.scenarios.spec import Preset, Scenario
+from repro.simulation.engine import SimulationEngine
 from repro.workloads.traces import WorkloadTrace
+
+#: Engine events per timed chunk of a repetition's run (tens of ms each).
+CHUNK_EVENTS = 32
+
 
 @dataclass(frozen=True)
 class SimWorkload:
@@ -31,13 +39,6 @@ class SimWorkload:
     trace: Callable[[Scenario, Preset, int], WorkloadTrace]
     #: Every benchmark workload runs its scenario's full preset.
     preset: str = "full"
-
-
-def _diurnal_trace(scenario: Scenario, preset: Preset, seed: int) -> WorkloadTrace:
-    # One whole trough-peak-trough cycle of the full preset's load range,
-    # compressed from 24 h to 1 h so that a run holds several repetitions.
-    params = {**preset.trace_params, "duration_minutes": 60, "period_minutes": 60}
-    return scenario.trace.build(seed=seed, **params)
 
 
 def _fleet_trace(scenario: Scenario, preset: Preset, seed: int) -> WorkloadTrace:
@@ -51,7 +52,6 @@ def _preset_trace(scenario: Scenario, preset: Preset, seed: int) -> WorkloadTrac
 
 
 WORKLOADS = {
-    "diurnal": SimWorkload("diurnal", "diurnal-24h", _diurnal_trace),
     "fleet-288": SimWorkload("fleet-288", "fig16-xl", _fleet_trace),
     "tenant-churn": SimWorkload("tenant-churn", "chaos-eviction-storm", _preset_trace),
 }
@@ -61,8 +61,12 @@ WORKLOADS = {
 class SimRep:
     """One repetition's measurements and outputs."""
 
-    setup_s: float
+    #: None when the repetition ran a copy (see copy_built).
+    setup_s: float | None
     run_s: float
+    #: Wall seconds of each CHUNK_EVENTS-event chunk of the run, in order;
+    #: the last chunk ends with the summary.  They add up to ``run_s``.
+    chunks_s: list[float]
     offered: int
     summary: dict
     digest: str
@@ -100,8 +104,49 @@ def check_report(report: dict, contracts) -> list[str]:
     return problems
 
 
-def run_rep(workload: SimWorkload, seed: int, tracer=None) -> SimRep:
-    """Build and run one repetition; ``tracer`` only relabels its phase."""
+def _chunked_run(runner, system, trace, stream):
+    """``runner.run`` with a wall-clock mark every CHUNK_EVENTS engine events.
+
+    Repetitions of one seed process the same events in the same order, so
+    their chunks line up one for one.  Returns the result and the chunk
+    durations.
+    """
+    original = vars(SimulationEngine)["step"]
+    clock = time.perf_counter
+    counter = itertools.count(1)
+    marks = [clock()]
+
+    def step(engine):
+        more = original(engine)
+        if next(counter) % CHUNK_EVENTS == 0:
+            marks.append(clock())
+        return more
+
+    SimulationEngine.step = step
+    try:
+        result = runner.run(system, trace, stream=stream)
+    finally:
+        SimulationEngine.step = original
+    marks.append(clock())
+    return result, [end - start for start, end in zip(marks, marks[1:])]
+
+
+@dataclass
+class Built:
+    """One repetition's inputs and system, built from its seed, not yet run."""
+
+    scenario: Scenario
+    config: object
+    trace: WorkloadTrace
+    system: object
+    runner: ExperimentRunner
+    stream: object
+    #: Wall seconds the build took; None for a copy.
+    setup_s: float | None
+
+
+def build(workload: SimWorkload, seed: int) -> Built:
+    """Build a repetition from scratch, timing it as the workload's set-up."""
     gc.collect()
     start = time.perf_counter()
     scenario = get_scenario(workload.scenario)
@@ -116,13 +161,31 @@ def run_rep(workload: SimWorkload, seed: int, tracer=None) -> SimRep:
     system = build_system(scenario.system, config=config)
     runner = ExperimentRunner(seed=seed, dataset_size=preset.dataset_size, drain_s=preset.drain_s)
     stream = build_stream(scenario, preset, config, trace, seed)
-    setup_s = time.perf_counter() - start
+    return Built(scenario, config, trace, system, runner, stream, time.perf_counter() - start)
 
+
+def copy_built(built: Built) -> Built | None:
+    """A deep copy of a repetition that has not run, to run in its place
+    (a tenth of the build's time); None when something in it cannot be
+    copied.  A copy must produce the same summary digest as its original."""
+    try:
+        clone = copy.deepcopy(built)
+    except (TypeError, copy.Error, RecursionError):
+        return None
+    clone.setup_s = None
+    return clone
+
+
+def run_rep(workload: SimWorkload, seed: int, tracer=None, built: Built | None = None) -> SimRep:
+    """Run one repetition, built now unless ``built`` is given; ``tracer``
+    only relabels its phase."""
+    if built is None:
+        built = build(workload, seed)
+    gc.collect()
+    scenario, system = built.scenario, built.system
     if tracer is not None:
         tracer.phase = "serve"
-    start = time.perf_counter()
-    result = runner.run(system, trace, stream=stream)
-    run_s = time.perf_counter() - start
+    result, chunks_s = _chunked_run(built.runner, system, built.trace, built.stream)
     if tracer is not None:
         tracer.phase = "report"
 
@@ -130,8 +193,8 @@ def run_rep(workload: SimWorkload, seed: int, tracer=None) -> SimRep:
         scenario=scenario,
         preset_name=workload.preset,
         seed=seed,
-        trace=trace,
-        config=config,
+        trace=built.trace,
+        config=built.config,
         system=system,
         result=result,
         extras=_collect_extras(system, result),
@@ -139,8 +202,9 @@ def run_rep(workload: SimWorkload, seed: int, tracer=None) -> SimRep:
     report = run.report().to_dict()
     summary = report["summary"]
     return SimRep(
-        setup_s=setup_s,
-        run_s=run_s,
+        setup_s=built.setup_s,
+        run_s=sum(chunks_s),
+        chunks_s=chunks_s,
         offered=summary["total_arrivals"],
         summary=summary,
         digest=summary_digest(summary),

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from perfledger import layers, trace
-from perfledger.sim import SimWorkload, _preset_trace, run_rep, summary_digest
+from perfledger.bench import fastest_chunks
+from perfledger.sim import SimWorkload, _preset_trace, build, copy_built, run_rep, summary_digest
 from perfledger.trace import Tracer, install, snapshot_targets
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -137,6 +138,13 @@ def test_install_rejects_a_missing_target_and_leaves_nothing_behind():
     assert snapshot_targets() == before
 
 
+def test_fastest_chunks_takes_each_chunks_fastest_repetition():
+    # Two repetitions of three chunks, each slowed in a different chunk.
+    assert fastest_chunks([[1.0, 2.0, 9.0], [5.0, 2.5, 3.0]]) == pytest.approx(6.0)
+    with pytest.raises(ValueError):
+        fastest_chunks([[1.0, 2.0], [1.0]])
+
+
 def _small_workload() -> SimWorkload:
     return SimWorkload("steady-small", "steady-baseline", _preset_trace, preset="small")
 
@@ -144,6 +152,9 @@ def _small_workload() -> SimWorkload:
 def test_wiring_matches_run_scenario_and_tracing_changes_nothing():
     from repro.scenarios.runtime import run_scenario
 
+    from repro.simulation.engine import SimulationEngine
+
+    original_step = SimulationEngine.step
     reference = run_scenario("steady-baseline", preset="small", seed=3)
     expected = summary_digest(reference.summary.as_dict())
     untraced = run_rep(_small_workload(), 3)
@@ -157,11 +168,26 @@ def test_wiring_matches_run_scenario_and_tracing_changes_nothing():
     assert untraced.problems == []
     assert untraced.digest == expected
     assert traced.digest == expected
+    # Same events, same chunks; and the chunk timer leaves the engine as it was.
+    assert len(untraced.chunks_s) == len(traced.chunks_s) > 1
+    assert sum(untraced.chunks_s) == pytest.approx(untraced.run_s)
+    assert SimulationEngine.step is original_step
     assert tracer.open_spans == 0
     assert tracer.calls("workloads.arrival") == untraced.offered
     metrics = layers.layer_metrics(tracer, traced.summary, traced.state)
     assert set(metrics) == set(layers.PER_LAYER) - {"trace.overhead_ratio"}
     assert metrics["core.admission.offers"] == 0
+
+
+def test_a_copied_build_serves_like_the_build_it_copies():
+    built = build(_small_workload(), 3)
+    clone = copy_built(built)
+    assert clone is not None and clone.setup_s is None
+    original = run_rep(_small_workload(), 3, built=built)
+    copied = run_rep(_small_workload(), 3, built=clone)
+    assert original.problems == copied.problems == []
+    assert copied.digest == original.digest
+    assert len(copied.chunks_s) == len(original.chunks_s)
 
 
 def test_benchmark_json_lists_the_metrics_the_code_reports():
