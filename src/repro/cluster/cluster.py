@@ -10,11 +10,16 @@ out on scale-in without dropping their in-flight batch.  A fleet log records
 every rotation change so experiments can report fleet-size minute series,
 GPU-hours and dollar cost.  With a homogeneous reference-GPU fleet and no
 scaling events the behaviour is bit-for-bit the original fixed pool.
+Workers report their changes to a :class:`FleetIndex`, so fleet queries and
+Eq. 3 worker selection cost O(1) and O(log W) rather than a fleet scan.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from repro.cache.approximate import ApproximateCache
@@ -44,6 +49,109 @@ class FleetMinute:
     minute: int
     mean_workers: float
     by_gpu: dict[str, float] = field(default_factory=dict)
+
+
+_worker_id = attrgetter("worker_id")
+
+
+class FleetIndex:
+    """The workers in rotation, kept current by the workers themselves.
+
+    Each worker reports every change to its rotation membership, level,
+    speed or queue/batch contents through :meth:`update`, so fleet queries
+    read maintained state instead of scanning the fleet.  Per rank, a
+    min-heap of ``(estimated_backlog_s, worker_id, version)`` entries yields
+    the Eq. 3 choice in O(log W): an update supersedes a worker's previous
+    entry by bumping its version, superseded entries are dropped when they
+    surface and the heap is rebuilt from live entries once they outnumber
+    the live ones.
+    """
+
+    #: Superseded heap entries tolerated beyond one per live member.
+    _STALE_SLACK = 16
+
+    def __init__(self) -> None:
+        #: Workers in rotation, in id order (replaced, never mutated).
+        self.active: tuple[Worker, ...] = ()
+        #: Rank -> {worker id: worker} for ranks with workers in rotation.
+        self.members: dict[int, dict[int, Worker]] = {}
+        #: Requests waiting in the queues of workers in rotation.
+        self.queued = 0
+        self._heaps: dict[int, list[tuple[float, int, int]]] = {}
+        self._workers: list[Worker] = []
+        #: Per worker id: (rank, backlog) of its live heap entry, None when
+        #: out of rotation; the entry's version; its counted queue length.
+        self._entry: list[tuple[int, float] | None] = []
+        self._version: list[int] = []
+        self._queued: list[int] = []
+
+    def add(self, worker: Worker) -> None:
+        """Index a new worker; ids are dense, in creation order."""
+        if worker.worker_id != len(self._workers):
+            raise ValueError(f"worker {worker.worker_id} added out of id order")
+        self._workers.append(worker)
+        self._entry.append(None)
+        self._version.append(0)
+        self._queued.append(0)
+        worker._fleet = self
+        self.update(worker)
+
+    def update(self, worker: Worker) -> None:
+        """Bring the worker's index position in line with its state."""
+        wid = worker.worker_id
+        entry = self._entry[wid]
+        if not worker.is_active:
+            if entry is not None:
+                self._entry[wid] = None
+                self._version[wid] += 1
+                self.queued -= self._queued[wid]
+                self._queued[wid] = 0
+                self._leave_rank(wid, entry[0])
+                self.active = tuple(w for w in self.active if w is not worker)
+            return
+        queued = worker.queue_length
+        self.queued += queued - self._queued[wid]
+        self._queued[wid] = queued
+        rank = worker.level.rank
+        backlog = worker.estimated_backlog_s()
+        if entry is None:
+            at = bisect(self.active, wid, key=_worker_id)
+            self.active = (*self.active[:at], worker, *self.active[at:])
+        elif entry[0] != rank:
+            self._leave_rank(wid, entry[0])
+        elif entry[1] == backlog:
+            return
+        members = self.members.get(rank)
+        if members is None:
+            members = self.members[rank] = {}
+            self._heaps[rank] = []
+        members[wid] = worker
+        version = self._version[wid] + 1
+        self._version[wid] = version
+        self._entry[wid] = (rank, backlog)
+        heap = self._heaps[rank]
+        heappush(heap, (backlog, wid, version))
+        if len(heap) > 2 * len(members) + self._STALE_SLACK:
+            live = self._version
+            heap[:] = [item for item in heap if live[item[1]] == item[2]]
+            heapify(heap)
+
+    def _leave_rank(self, wid: int, rank: int) -> None:
+        members = self.members[rank]
+        del members[wid]
+        if not members:
+            del self.members[rank]
+            del self._heaps[rank]
+
+    def least_backlogged(self, rank: int) -> Worker:
+        """The worker in rotation at ``rank`` minimising
+        ``(estimated_backlog_s, worker_id)`` (Eq. 3); ``rank`` must be one
+        of :attr:`members`."""
+        heap = self._heaps[rank]
+        version = self._version
+        while version[heap[0][1]] != heap[0][2]:
+            heappop(heap)
+        return self._workers[heap[0][1]]
 
 
 class GpuCluster:
@@ -85,15 +193,16 @@ class GpuCluster:
         self._tenant_weights = dict(tenant_weights) if tenant_weights else None
         level = initial_level or zoo.exact_level(Strategy.AC)
         self._initial_level = level
-        self.workers: list[Worker] = [
+        #: The workers in rotation, indexed for O(1) fleet queries and
+        #: O(log W) Eq. 3 selection.
+        self.fleet_index = FleetIndex()
+        self.workers: list[Worker] = []
+        for i in range(num_workers):
             self._make_worker(
-                worker_id=i,
                 level=level,
                 gpu=gpu_types[i] if gpu_types is not None else None,
                 provisioning=False,
             )
-            for i in range(num_workers)
-        ]
         #: Scale events observed (provisioned workers entering rotation /
         #: workers drained out); failures do not count as scaling.
         self.workers_added = 0
@@ -105,13 +214,13 @@ class GpuCluster:
 
     def _make_worker(
         self,
-        worker_id: int,
         level: ApproximationLevel,
         gpu: GpuSpec | str | None,
         provisioning: bool,
     ) -> Worker:
-        return Worker(
-            worker_id=worker_id,
+        """Create the next worker and add it to the fleet and its index."""
+        worker = Worker(
+            worker_id=len(self.workers),
             engine=self.engine,
             zoo=self.zoo,
             level=level,
@@ -127,6 +236,9 @@ class GpuCluster:
             queue_policy=self._queue_policy,
             tenant_weights=self._tenant_weights,
         )
+        self.workers.append(worker)
+        self.fleet_index.add(worker)
+        return worker
 
     # ------------------------------------------------------------------ #
     # Topology queries
@@ -140,9 +252,9 @@ class GpuCluster:
         return len(self.workers)
 
     @property
-    def healthy_workers(self) -> list[Worker]:
-        """Workers currently in rotation and able to serve."""
-        return [w for w in self.workers if w.is_active]
+    def healthy_workers(self) -> tuple[Worker, ...]:
+        """Workers currently in rotation and able to serve, in id order."""
+        return self.fleet_index.active
 
     @property
     def provisioning_workers(self) -> list[Worker]:
@@ -152,7 +264,7 @@ class GpuCluster:
     @property
     def fleet_size(self) -> int:
         """Number of workers currently in rotation."""
-        return len(self.healthy_workers)
+        return len(self.fleet_index.active)
 
     def total_speed_factor(self, include_provisioning: bool = False) -> float:
         """Sum of relative GPU speeds over the active fleet (Eq. 1 units).
@@ -179,13 +291,13 @@ class GpuCluster:
         return peak * self.total_speed_factor(include_provisioning)
 
     def workers_at_level(self, rank: int, strategy: Strategy | str | None = None) -> list[Worker]:
-        """Healthy workers serving at approximation rank ``rank``."""
+        """Healthy workers serving at approximation rank ``rank``, in id order."""
         strategy = Strategy(strategy) if strategy is not None else None
-        return [
-            w
-            for w in self.healthy_workers
-            if w.level.rank == rank and (strategy is None or w.strategy == strategy)
-        ]
+        members = self.fleet_index.members.get(rank, {}).values()
+        return sorted(
+            (w for w in members if strategy is None or w.strategy == strategy),
+            key=_worker_id,
+        )
 
     def all_at_fastest_level(self, strategy: Strategy | str) -> bool:
         """The §6 saturation signal: every healthy worker already serves at
@@ -215,7 +327,7 @@ class GpuCluster:
         worker legitimately holds up to ``max_batch_size`` requests in
         service, so counting those as backlog would misread steady state.
         """
-        return sum(w.queue_length for w in self.healthy_workers)
+        return self.fleet_index.queued
 
     def backlog_slack(self, per_worker: float = 1.0) -> float:
         """Queued requests the cluster holds in normal operation.
@@ -224,7 +336,7 @@ class GpuCluster:
         pass, so the slack scales with the batch limit; control loops treat
         only queue depth beyond this as backlog.
         """
-        return per_worker * len(self.healthy_workers) * max(1, self.max_batch_size)
+        return per_worker * len(self.fleet_index.active) * max(1, self.max_batch_size)
 
     # ------------------------------------------------------------------ #
     # Placement
@@ -274,13 +386,7 @@ class GpuCluster:
         if provision_delay_s < 0:
             raise ValueError("provision_delay_s must be non-negative")
         level = level or self._initial_level
-        worker = self._make_worker(
-            worker_id=len(self.workers),
-            level=level,
-            gpu=gpu,
-            provisioning=True,
-        )
-        self.workers.append(worker)
+        worker = self._make_worker(level=level, gpu=gpu, provisioning=True)
         warmup_s = worker.load_time_for_level(level)
 
         def enroll() -> None:

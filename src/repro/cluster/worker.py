@@ -202,6 +202,19 @@ class Worker:
         #: Set by the cluster when the provision timer elapsed while this
         #: worker was failed; invoked on recovery to enroll it then.
         self._deferred_enroll: Callable[[], None] | None = None
+        #: The owning cluster's fleet index (None for a standalone worker).
+        #: Every change to rotation membership, level, speed or queue/batch
+        #: contents is reported to it through :meth:`_changed`.
+        self._fleet = None
+
+    def _changed(self) -> None:
+        """Report a change that can move this worker's routing position.
+
+        Called before any callback that may route, so the index is current
+        whenever a router reads it.
+        """
+        if self._fleet is not None:
+            self._fleet.update(self)
 
     # ------------------------------------------------------------------ #
     # Level / strategy management
@@ -236,6 +249,7 @@ class Worker:
         if self.memory.is_resident(target_model):
             self._level = level
             self._pending_level = None
+            self._changed()
             return 0.0
         if (
             self._pending_level is not None
@@ -298,6 +312,7 @@ class Worker:
         new_model = new_level.model_name
         if old_model != new_model:
             self.memory.unload(old_model)
+        self._changed()
         if self.blocking_load:
             self._start_next()
 
@@ -374,6 +389,7 @@ class Worker:
         self._queue.append(request)
         if not self._batch:
             self._start_next()
+        self._changed()
 
     # ------------------------------------------------------------------ #
     # Serving
@@ -426,6 +442,7 @@ class Worker:
         batch = [self._queue.popleft() for _ in range(batch_size)]
         self._batch = batch
         self.state = WorkerState.BUSY
+        self._changed()
         start = self.engine.now
         record_level = self._level
         profiles = [self._service_profile(request) for request in batch]
@@ -512,6 +529,7 @@ class Worker:
         if self.state in (WorkerState.FAILED, WorkerState.RETIRED):
             return
         self._batch = []
+        self._changed()
         batch_size = len(batch)
         self.stats.requests_served += batch_size
         self.stats.busy_time_s += batch_time
@@ -563,6 +581,7 @@ class Worker:
             return
         self.state = WorkerState.IDLE
         self.enrolled_at_s = self.engine.now
+        self._changed()
 
     def begin_drain(self) -> list[Request]:
         """Leave the rotation gracefully (scale-in).
@@ -578,13 +597,17 @@ class Worker:
         orphans = list(self._queue)
         self._queue.clear()
         self._cancel_forming()
+        # Leave the rotation before handing the orphans back, as fail()
+        # does: a router would otherwise send them straight back here,
+        # where retirement strands them.
+        if self._batch:
+            self.state = WorkerState.DRAINING
+            self._changed()
+        else:
+            self._retire()
         if self.on_requeue is not None:
             for request in orphans:
                 self.on_requeue(request)
-        if self._batch:
-            self.state = WorkerState.DRAINING
-        else:
-            self._retire()
         return orphans
 
     def _retire(self) -> None:
@@ -599,6 +622,7 @@ class Worker:
         if self._serve_event is not None:
             self._serve_event.cancel()
             self._serve_event = None
+        self._changed()
 
     # ------------------------------------------------------------------ #
     # Failures
@@ -631,6 +655,7 @@ class Worker:
         if self.enrolled_at_s is not None:
             self._failed_at_s = self.engine.now
         self._pending_level = None
+        self._changed()
         if self.on_requeue is not None:
             for request in orphans:
                 self.on_requeue(request)
@@ -660,6 +685,7 @@ class Worker:
             raise ValueError("degrade factor must be in (0, 1)")
         self._degrade_factor = float(factor)
         self.speed_factor = self._base_speed_factor * self._degrade_factor
+        self._changed()
 
     def restore_speed(self) -> None:
         """End a gray failure, returning the worker to full speed."""
@@ -667,6 +693,7 @@ class Worker:
             return
         self._degrade_factor = None
         self.speed_factor = self._base_speed_factor
+        self._changed()
 
     def recover(self, level: ApproximationLevel | None = None) -> None:
         """Bring a failed worker back, optionally at a new level."""
@@ -690,6 +717,7 @@ class Worker:
                 enroll()
             return
         self.state = WorkerState.IDLE
+        self._changed()
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -9,6 +9,7 @@ level with the smallest expected wait (queue length x per-request latency).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -38,11 +39,13 @@ class WorkerSelector:
     queue over the Fig. 14 speed-up of its level, so at equal queue depth a
     batching worker is cheaper than a batch-size-1 one.  With batching
     disabled the estimate reduces to ``outstanding * level.latency_s``.
+    The scheduler reads the plain Eq. 3 choice from the cluster's fleet
+    index and scans candidates here only for a cache-affinity preference.
     """
 
     def select(
         self,
-        candidates: list[Worker],
+        candidates: Sequence[Worker],
         prefer=None,
         tolerance_s: float = 0.0,
     ) -> Worker:
@@ -77,13 +80,11 @@ class PromptScheduler:
         cluster: GpuCluster,
         num_levels: int,
         rng: np.random.Generator | None = None,
-        selector: WorkerSelector | None = None,
         slo_budget_s: float | None = None,
     ) -> None:
         self.cluster = cluster
         self.num_levels = int(num_levels)
         self.rng = rng or np.random.default_rng(0)
-        self.selector = selector or WorkerSelector()
         #: Latency budget used for tail-latency protection (§4.7): when the
         #: chosen worker's expected wait would blow the SLO, the prompt is
         #: escalated to a faster level that still has headroom.  None
@@ -232,19 +233,6 @@ class PromptScheduler:
             strategy=worker.strategy,
         )
 
-    def _eligible_workers(self, max_rank: int | None) -> list[Worker]:
-        """Healthy workers at levels a tenant's quality floor allows.
-
-        Falls back to the full healthy set when no allowed-level worker
-        exists: serving above the contracted level beats dropping the
-        request outright (the breach is counted in ``floor_breaches``).
-        """
-        healthy = self.cluster.healthy_workers
-        if max_rank is None:
-            return healthy
-        allowed = [w for w in healthy if w.level.rank <= max_rank]
-        return allowed or healthy
-
     def _find_worker(
         self, target_rank: int, max_rank: int | None = None, prefer=None
     ) -> Worker | None:
@@ -253,21 +241,29 @@ class PromptScheduler:
         Nearest is measured in rank distance with preference for slower
         (lower-rank, higher-quality) levels on ties — shifting down never
         hurts quality.  ``max_rank`` restricts candidates to a tenant's
-        allowed levels when possible.
+        allowed levels when any are in rotation; otherwise serving above the
+        contracted level beats dropping the request outright (the breach is
+        counted in ``floor_breaches``).  Within the rank, Eq. 3 picks the
+        worker from the cluster's backlog index; only a cache-affinity
+        preference scans that rank's members.
         """
-        healthy = self._eligible_workers(max_rank)
-        if not healthy:
+        fleet = self.cluster.fleet_index
+        ranks = fleet.members.keys()
+        if not ranks:
             return None
-        tolerance = self._cache_affinity_tolerance_s
-        exact = [w for w in healthy if w.level.rank == target_rank]
-        if exact:
-            return self.selector.select(exact, prefer=prefer, tolerance_s=tolerance)
-        by_distance = sorted(
-            healthy, key=lambda w: (abs(w.level.rank - target_rank), w.level.rank)
+        if max_rank is not None:
+            ranks = [rank for rank in ranks if rank <= max_rank] or ranks
+        if target_rank in ranks:
+            rank = target_rank
+        else:
+            rank = min(ranks, key=lambda r: (abs(r - target_rank), r))
+        if prefer is None:
+            return fleet.least_backlogged(rank)
+        return WorkerSelector().select(
+            self.cluster.workers_at_level(rank),
+            prefer=prefer,
+            tolerance_s=self._cache_affinity_tolerance_s,
         )
-        nearest_rank = by_distance[0].level.rank
-        candidates = [w for w in healthy if w.level.rank == nearest_rank]
-        return self.selector.select(candidates, prefer=prefer, tolerance_s=tolerance)
 
     def _protect_slo(
         self,
@@ -295,9 +291,11 @@ class PromptScheduler:
         budget = 0.85 * budget_s
         if worker.expected_wait_s() <= budget:
             return worker
-        healthy = self._eligible_workers(max_rank)
+        healthy = self.cluster.healthy_workers
         if not healthy:
             return worker
+        if max_rank is not None:
+            healthy = [w for w in healthy if w.level.rank <= max_rank] or healthy
         fitting = [w for w in healthy if w.expected_wait_s() <= budget]
         if fitting:
             # Among workers that meet the budget, keep as much quality as

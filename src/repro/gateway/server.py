@@ -62,6 +62,7 @@ from repro.prompts.dataset import PromptDataset
 from repro.prompts.generator import Prompt
 from repro.quality.pickscore import PickScoreModel
 from repro.runtime.wall import WallClockRuntime
+from repro.simulation.randomness import stable_hash
 from repro.workloads.tenants import build_runtimes
 
 #: Added model-seconds when a retrieval attempt hits a network outage
@@ -79,7 +80,7 @@ def prompt_from_payload(payload: Mapping) -> Prompt:
     data = dict(payload.get("prompt", payload))
     if "text" in data and "prompt_id" not in data:
         return Prompt(
-            prompt_id=abs(hash(data["text"])) % (1 << 31),
+            prompt_id=stable_hash(data["text"], bits=31),
             text=str(data["text"]),
             num_entities=int(data.get("num_entities", 1)),
             num_attributes=int(data.get("num_attributes", 0)),

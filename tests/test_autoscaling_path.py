@@ -220,6 +220,30 @@ class TestElasticLifecycle:
         assert worker.is_retired
         assert cluster.workers_retired == 1
 
+    def test_drain_requeues_only_after_leaving_rotation(self, engine, zoo, prompts):
+        # An Eq. 3 router sees the draining worker's short in-flight backlog;
+        # were it still in rotation, the orphans would go straight back to
+        # it and still be queued there when it retires, never served.
+        completed = []
+        cluster = GpuCluster(
+            engine, zoo, num_workers=2,
+            initial_level=zoo.exact_level(Strategy.SM),
+            on_complete=completed.append,
+        )
+
+        def reroute(request):
+            worker = WorkerSelector().select(cluster.healthy_workers)
+            cluster.dispatch(request, worker.worker_id)
+
+        for worker in cluster.workers:
+            worker.on_requeue = reroute
+        for i in range(6):
+            cluster.dispatch(make_request(prompts[i], request_id=i), i // 3)
+        cluster.drain_worker(1)
+        engine.run()
+        assert sorted(c.request.request_id for c in completed) == list(range(6))
+        assert cluster.workers[1].is_retired
+
     def test_drain_idle_worker_retires_immediately(self, engine, zoo):
         cluster = GpuCluster(engine, zoo, num_workers=2)
         cluster.drain_worker(1)

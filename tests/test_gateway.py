@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,9 @@ from repro.prompts.dataset import PromptDataset
 from repro.prompts.generator import Prompt
 from repro.runtime.wall import WallClockRuntime
 from repro.scenarios import get_scenario, verify_report, violations
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _prompt(tenant: str = "") -> Prompt:
@@ -83,6 +90,27 @@ def test_prompt_from_payload_round_trips_and_accepts_text_shorthand():
     assert nested == original
     shorthand = prompt_from_payload({"text": "a cat", "tenant": "gold"})
     assert shorthand.text == "a cat" and shorthand.tenant == "gold"
+
+
+def test_text_shorthand_prompt_id_is_stable_across_processes():
+    # The built-in hash() is salted per process; the id (and so the cache
+    # key) of a curl prompt must not change with the server's start.
+    script = (
+        "from repro.gateway.server import prompt_from_payload; "
+        "print(prompt_from_payload({'text': 'a cat'}).prompt_id)"
+    )
+    ids = {
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": SRC},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        ).stdout.strip()
+        for hash_seed in ("1", "2")
+    }
+    assert ids == {str(prompt_from_payload({"text": "a cat"}).prompt_id)}
 
 
 # --------------------------------------------------------------------- #

@@ -8,14 +8,18 @@ the seed-faithful references preserved in :mod:`benchmarks.perf.legacy`.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
 from benchmarks.perf import legacy
 from repro.cache.network import NetworkCondition, NetworkModel
 from repro.cache.vectordb import VectorDatabase
+from repro.cluster.cluster import FleetIndex, GpuCluster
 from repro.cluster.requests import CompletedRequest, Request
 from repro.core.oda import ShiftMap
+from repro.core.scheduler import PromptScheduler
 from repro.core.solver import AllocationSolver
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.report import summarize
@@ -481,3 +485,179 @@ class TestScoringEquivalence:
         ]
         assert draws_new == draws_old
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def _scan_route(cluster, target_rank: int, max_rank: int | None):
+    """The O(W) scan the fleet index replaced: the workers in rotation a
+    tenant floor allows (all of them when it allows none), the target rank
+    or else the nearest one (ties to the lower rank), then Eq. 3's least
+    backlog with ties to the lowest id."""
+    healthy = [w for w in cluster.workers if w.is_active]
+    if max_rank is not None:
+        healthy = [w for w in healthy if w.level.rank <= max_rank] or healthy
+    if not healthy:
+        return None
+    at_rank = [w for w in healthy if w.level.rank == target_rank]
+    if not at_rank:
+        nearest = min(healthy, key=lambda w: (abs(w.level.rank - target_rank), w.level.rank))
+        at_rank = [w for w in healthy if w.level.rank == nearest.level.rank]
+    return min(at_rank, key=lambda w: (w.estimated_backlog_s(), w.worker_id))
+
+
+def _assert_index_matches_scan(cluster, scheduler) -> None:
+    active = tuple(w for w in cluster.workers if w.is_active)
+    assert cluster.healthy_workers == active
+    assert cluster.fleet_size == len(active)
+    assert cluster.total_queued_requests() == sum(w.queue_length for w in active)
+    assert cluster.backlog_slack(2.0) == 2.0 * len(active) * cluster.max_batch_size
+    for max_rank in (None, 0, 2, 4):
+        for target in range(6):
+            chosen = scheduler._find_worker(target, max_rank=max_rank)
+            assert chosen is _scan_route(cluster, target, max_rank)
+
+
+class TestFleetIndexEquivalence:
+    """The incrementally maintained fleet index routes exactly as the O(W)
+    scan it replaced, through every kind of worker change."""
+
+    GPUS = ("A100", "V100", "A10G")
+    #: Drawn uniformly, so queue traffic and engine steps come three times
+    #: as often as each lifecycle change.
+    OPS = ("enqueue", "step") * 3 + (
+        "set_level",
+        "degrade",
+        "restore",
+        "fail",
+        "recover",
+        "provision",
+        "drain",
+    )
+
+    def _build(self, zoo, seed: int):
+        engine = SimulationEngine(seed=seed)
+        prompts = PromptGenerator(seed=seed).generate(50)
+        requests = iter(range(10**6))
+
+        def make_request(prompt):
+            return Request(
+                request_id=next(requests),
+                prompt=prompt,
+                arrival_time_s=engine.now,
+                strategy=Strategy.AC,
+                predicted_rank=0,
+                assigned_rank=0,
+            )
+
+        def on_complete(_completed) -> None:
+            # Completion callbacks may route: the index is already current.
+            _assert_index_matches_scan(cluster, scheduler)
+
+        def on_requeue(request) -> None:
+            _assert_index_matches_scan(cluster, scheduler)
+            worker = scheduler._find_worker(request.assigned_rank)
+            if worker is not None:
+                cluster.dispatch(request, worker.worker_id)
+
+        cluster = GpuCluster(
+            engine,
+            zoo,
+            num_workers=6,
+            gpu_types=[self.GPUS[i % len(self.GPUS)] for i in range(6)],
+            max_batch_size=3,
+            batch_timeout_s=0.4,
+            on_complete=on_complete,
+            on_requeue=on_requeue,
+        )
+        scheduler = PromptScheduler(cluster, num_levels=6, rng=np.random.default_rng(seed))
+        return engine, cluster, scheduler, prompts, make_request
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_operations_route_as_the_scan(self, zoo, seed):
+        engine, cluster, scheduler, prompts, make_request = self._build(zoo, seed)
+        rng = np.random.default_rng(100 + seed)
+        # Three ranks with a gap: ranks share members, and targets 1, 4
+        # and 5 fall back to the nearest rank (1 ties between 0 and 2).
+        levels = [
+            level
+            for level in zoo.levels(Strategy.AC) + zoo.levels(Strategy.SM)
+            if level.rank in (0, 2, 3)
+        ]
+        floors = (None, None, 0, 1, 2, 3, 4, 5)
+        for step in range(400):
+            op = self.OPS[rng.integers(len(self.OPS))]
+            pick = cluster.workers[rng.integers(len(cluster.workers))]
+            if op in ("restore", "recover"):
+                # Undo a gray or full failure, when there is one to undo.
+                undoable = [w for w in cluster.workers if w.is_degraded or w.is_failed]
+                pick = undoable[rng.integers(len(undoable))] if undoable else pick
+            level = levels[rng.integers(len(levels))]
+            if op == "enqueue":
+                # A burst, partly routed by Eq. 3 and partly to random
+                # workers, so that queues build up unevenly.
+                for _ in range(rng.integers(1, 6)):
+                    max_rank = floors[rng.integers(len(floors))]
+                    worker = scheduler._find_worker(int(rng.integers(6)), max_rank=max_rank)
+                    if worker is None:
+                        break
+                    if rng.random() < 0.4:
+                        active = cluster.healthy_workers
+                        worker = active[rng.integers(len(active))]
+                    prompt = prompts[rng.integers(len(prompts))]
+                    cluster.dispatch(make_request(prompt), worker.worker_id)
+            elif op == "step":
+                for _ in range(rng.integers(1, 8)):
+                    if not engine.step():
+                        break
+            elif op == "set_level":
+                if not (pick.is_failed or pick.is_retired):
+                    pick.set_level(level)
+            elif op == "degrade":
+                cluster.degrade_worker(pick.worker_id, float(rng.uniform(0.2, 0.9)))
+            elif op == "restore":
+                cluster.restore_worker(pick.worker_id)
+            elif op == "fail":
+                cluster.fail_worker(pick.worker_id)
+            elif op == "recover":
+                cluster.recover_worker(pick.worker_id, level if rng.random() < 0.5 else None)
+            elif op == "provision":
+                if len(cluster.workers) < 12:
+                    cluster.provision_worker(
+                        gpu=self.GPUS[rng.integers(len(self.GPUS))],
+                        level=level,
+                        provision_delay_s=float(rng.uniform(0.0, 2.0)),
+                    )
+            elif cluster.fleet_size > 1:
+                cluster.drain_worker(pick.worker_id)
+            _assert_index_matches_scan(cluster, scheduler)
+            if step % 100 == 99:
+                self._assert_copy_is_independent(cluster, scheduler, prompts, make_request)
+        assert cluster.total_requests_served() > 0
+        assert cluster.workers_retired > 0 and cluster.workers_added > 0
+
+    def _assert_copy_is_independent(self, cluster, scheduler, prompts, make_request):
+        twin_cluster, twin_scheduler = copy.deepcopy((cluster, scheduler))
+        _assert_index_matches_scan(twin_cluster, twin_scheduler)
+        # The copy's workers report to the copy's index, not the original's.
+        for worker in twin_cluster.healthy_workers[:3]:
+            twin_cluster.dispatch(make_request(prompts[0]), worker.worker_id)
+        _assert_index_matches_scan(twin_cluster, twin_scheduler)
+        _assert_index_matches_scan(cluster, scheduler)
+
+    def test_stale_heap_entries_are_compacted(self, zoo):
+        engine = SimulationEngine(seed=0)
+        cluster = GpuCluster(engine, zoo, num_workers=2, max_batch_size=4)
+        prompt = PromptGenerator(seed=0).generate(1)[0]
+        for i in range(500):
+            request = Request(
+                request_id=i,
+                prompt=prompt,
+                arrival_time_s=0.0,
+                strategy=Strategy.AC,
+                predicted_rank=0,
+                assigned_rank=0,
+            )
+            cluster.dispatch(request, worker_id=0)
+        (heap,) = cluster.fleet_index._heaps.values()
+        assert len(heap) <= 2 * cluster.fleet_size + FleetIndex._STALE_SLACK
+        assert cluster.fleet_index.least_backlogged(0) is cluster.workers[1]
+        assert cluster.total_queued_requests() == 499
