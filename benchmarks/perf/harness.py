@@ -34,7 +34,6 @@ class Preset:
     name: str
     vdb_entries: int
     vdb_queries: int
-    hnsw_entries: int
     collector_completions: int
     solver_rounds: int
     engine_events: int
@@ -49,7 +48,6 @@ PRESETS = {
         name="small",
         vdb_entries=20_000,
         vdb_queries=50,
-        hnsw_entries=5_000,
         collector_completions=20_000,
         solver_rounds=60,
         engine_events=100_000,
@@ -62,7 +60,6 @@ PRESETS = {
         name="full",
         vdb_entries=100_000,
         vdb_queries=100,
-        hnsw_entries=50_000,
         collector_completions=100_000,
         solver_rounds=200,
         engine_events=1_000_000,
@@ -103,7 +100,7 @@ def bench_vectordb(preset: Preset) -> dict:
     dim = 64
     vectors = _clustered_vectors(preset.vdb_entries, dim, clusters=24, seed=1)
     queries = _clustered_vectors(preset.vdb_queries, dim, clusters=24, seed=2)
-    db = VectorDatabase(dim=dim, index_type="flat")
+    db = VectorDatabase(dim=dim)
     for vector in vectors:
         db.upsert(vector)
     # Prime the legacy norms cache outside the timed region (the seed kept
@@ -132,41 +129,6 @@ def bench_vectordb(preset: Preset) -> dict:
         "optimized_s": optimized_s,
         "speedup": legacy_s / optimized_s,
         "top1_agreement": agree / preset.vdb_queries,
-    }
-
-
-def bench_hnsw(preset: Preset) -> dict:
-    """HNSW vs flat: recall@1 / query-latency trade-off at one scale."""
-    dim = 64
-    n = preset.hnsw_entries
-    vectors = _clustered_vectors(n, dim, clusters=24, seed=3)
-    queries = _clustered_vectors(200, dim, clusters=24, seed=4)
-    flat = VectorDatabase(dim=dim, index_type="flat")
-    hnsw = VectorDatabase(dim=dim, index_type="hnsw")
-    for vector in vectors:
-        flat.upsert(vector)
-    build_start = time.perf_counter()
-    for vector in vectors:
-        hnsw.upsert(vector)
-    build_s = time.perf_counter() - build_start
-
-    flat_s = _timed(lambda: [flat.search(q, top_k=1) for q in queries], repeats=2)
-    hnsw_s = _timed(lambda: [hnsw.search(q, top_k=1) for q in queries], repeats=2)
-    recall = sum(
-        1 for q in queries if hnsw.search(q, top_k=1)[0].key == flat.search(q, top_k=1)[0].key
-    ) / len(queries)
-    # Flat cost grows linearly with entries while the graph search is
-    # ~flat in n, so the break-even index size extrapolates directly.
-    crossover = int(n * hnsw_s / flat_s) if hnsw_s > flat_s else n
-    return {
-        "entries": n,
-        "queries": len(queries),
-        "flat_query_ms": 1e3 * flat_s / len(queries),
-        "hnsw_query_ms": 1e3 * hnsw_s / len(queries),
-        "hnsw_build_s": build_s,
-        "recall_at_1_vs_flat": recall,
-        "speedup_vs_flat": flat_s / hnsw_s,
-        "estimated_crossover_entries": crossover,
     }
 
 
@@ -515,7 +477,6 @@ def bench_end_to_end(preset: Preset) -> dict:
 
 ALL_BENCHMARKS = {
     "vectordb_flat_search": bench_vectordb,
-    "vectordb_hnsw_tradeoff": bench_hnsw,
     "metrics_summary": bench_collector,
     "solver_recalibration": bench_solver,
     "engine_events": bench_engine,

@@ -99,7 +99,9 @@ class LegacyMinuteStats:
 class LegacyMetricsCollector:
     """The seed per-request object-list collector (pre-columnar)."""
 
-    def __init__(self, slo: SloPolicy | None = None) -> None:
+    def __init__(self, slo: SloPolicy | None = None, retain_completed: bool = True) -> None:
+        # ``retain_completed`` is accepted for interface parity: the seed
+        # collector always keeps every sample.
         self.slo = slo or SloPolicy()
         self.samples: list[ServedSample] = []
         self._minutes: dict[int, LegacyMinuteStats] = {}
@@ -188,6 +190,34 @@ class LegacyMetricsCollector:
 # --------------------------------------------------------------------------- #
 
 
+def enumerate_best_counts_scalar(target_qpm, quality, num_workers, capacity_fn) -> list[int]:
+    """Scalar form of the solver's composition search: one Python fill pass
+    per composition, in ``combinations_with_replacement`` order.
+
+    The equivalence tests check ``AllocationSolver._best_counts_enumerated``
+    (one vectorized pass over all compositions) against it.
+    """
+    num_levels = len(quality)
+    best_counts: list[int] | None = None
+    best_key: tuple[float, float] | None = None
+    for combo in itertools.combinations_with_replacement(range(num_levels), num_workers):
+        counts = [0] * num_levels
+        for level in combo:
+            counts[level] += 1
+        qpm_per_level, feasible = AllocationSolver._fill_capacity(
+            target_qpm, quality, capacity_fn(counts)
+        )
+        expected_quality = AllocationSolver._expected_quality(quality, qpm_per_level)
+        served = sum(qpm_per_level)
+        # Prefer plans that serve the target; among those, highest quality.
+        key = (served if not feasible else target_qpm, expected_quality)
+        if best_key is None or key > best_key:
+            best_key = key
+            best_counts = counts
+    assert best_counts is not None
+    return best_counts
+
+
 class LegacySolver(AllocationSolver):
     """Seed solver: per-composition Python fill loop, no plan cache."""
 
@@ -196,7 +226,7 @@ class LegacySolver(AllocationSolver):
 
     def _best_counts_enumerated(self, target_qpm, quality, peak_qpm, num_workers):
         num_levels = len(quality)
-        return self._enumerate_best_counts_scalar(
+        return enumerate_best_counts_scalar(
             target_qpm,
             quality,
             num_workers,

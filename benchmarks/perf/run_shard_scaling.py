@@ -14,18 +14,15 @@ removed*, not parallel slack: each shard's join-shortest-expected-wait route
 scan covers only its fleet partition (W/N workers instead of W), which is
 the O(W) term sharding exists to split.
 
-Three control-plane benchmarks ride along:
+Two control-plane benchmarks ride along:
 
 * ``shard_autoscale`` — the ``sharded-autoscale`` scenario under per-shard
   autoscalers and the coordinator budget broker, checked for repeat
   determinism, sync-window invariance, and the global worker budget
-  holding at every barrier;
+  holding at every barrier; and
 * ``tenant_partition`` — coordinator-side tenant stream slicing vs the old
   per-shard full-stream filter walk (the O(shards x stream) term the
-  partitioner removes), checked for identical per-shard slices; and
-* ``shard_stealing`` — the skewed ``sharded-steal`` scenario with cross-
-  shard work stealing off vs on; the "speedup" is the hot tenant's p99
-  ratio, checked for conserved arrivals and an actual p99 drop.
+  partitioner removes), checked for identical per-shard slices.
 
 Usage::
 
@@ -52,8 +49,9 @@ import time
 
 import numpy as np
 
-from repro.scenarios.registry import get_scenario
+from repro.scenarios.registry import SMALL_FLEET
 from repro.scenarios.runtime import build_config, build_stream, run_scenario
+from repro.scenarios.spec import Preset, Scenario, TraceSpec
 from repro.simulation.shard import (
     _partition_arrivals,
     _tenant_sliced_stream,
@@ -64,6 +62,27 @@ from repro.simulation.shard import (
 #: Shard counts per preset.  The small preset rides the 4-worker SMALL_FLEET,
 #: so it stops at 4; the full preset is the checked-in fig16-xl sweep.
 SHARD_COUNTS = {"small": (1, 2, 4), "full": (1, 2, 4, 8)}
+
+#: The twitter-trace stream the tenant-partition microbenchmark slices: 8
+#: minutes at 24-36 qpm (small) or 60 minutes at 96-144 qpm (full).  Its
+#: tenants and shard count are set by the benchmark itself.
+_PARTITION_SCENARIO = Scenario(
+    name="tenant-partition",
+    description="tenant stream-slicing microbenchmark input",
+    trace=TraceSpec(source="library", name="twitter"),
+    presets={
+        "small": Preset(
+            dataset_size=600,
+            trace_params={"duration_minutes": 8, "base_qpm": 24.0, "peak_qpm": 36.0},
+            config={**SMALL_FLEET, "num_workers": 6},
+        ),
+        "full": Preset(
+            dataset_size=3000,
+            trace_params={"duration_minutes": 60, "base_qpm": 96.0, "peak_qpm": 144.0},
+            config={"num_workers": 24},
+        ),
+    },
+)
 
 
 def _digest(run) -> str:
@@ -168,10 +187,10 @@ def _bench_autoscale(preset: str, seed: int) -> dict:
 
 def _bench_tenant_partition(preset: str, seed: int, repeats: int = 3) -> dict:
     """Coordinator tenant-stream slicing vs the per-shard full-stream walk."""
-    scenario = get_scenario("sharded-steal")
+    scenario = _PARTITION_SCENARIO
     preset_spec = scenario.preset(preset)
     # Four single-tenant shards make the removed O(shards x stream) term
-    # visible; the checked-in two-tenant scenario would cap the sweep at 2.
+    # visible.
     tenants = [
         {"name": f"t{i}", "traffic_share": 0.25, "extra_qpm": [60.0] * 8}
         for i in range(4)
@@ -216,49 +235,6 @@ def _bench_tenant_partition(preset: str, seed: int, repeats: int = 3) -> dict:
         "speedup": legacy_s / sliced_s,
         "results_match": not failures,
     }
-
-
-def _bench_stealing(preset: str, seed: int) -> dict:
-    """Cross-shard work stealing off vs on: hot-tenant p99 ratio."""
-    scenario = get_scenario("sharded-steal")
-    on, on_wall = _timed_sharded(scenario, preset, seed, shards=2)
-    # The registry scenario ships with stealing on; the off leg disables it.
-    off_run, off_wall = _timed_sharded(
-        _with_config(scenario, {"shard_work_stealing": False}), preset, seed, shards=2
-    )
-
-    def _hot(run):
-        return next(t for t in run.summary.tenants if t.name == "hot")
-
-    failures: list[str] = []
-    stealing = on.extras["sharding"].get("stealing", {})
-    if not stealing.get("stolen_total"):
-        failures.append("stealing-on run migrated no work")
-    if on.summary.total_arrivals != off_run.summary.total_arrivals:
-        failures.append("arrival totals differ between stealing legs")
-    p99_off = _hot(off_run).p99_latency_s
-    p99_on = _hot(on).p99_latency_s
-    if not p99_on < p99_off:
-        failures.append(f"hot p99 did not drop: off={p99_off:.1f}s on={p99_on:.1f}s")
-    return {
-        "shards": 2,
-        "hot_p99_off_s": p99_off,
-        "hot_p99_on_s": p99_on,
-        "stolen_total": stealing.get("stolen_total", 0),
-        "steal_events": len(stealing.get("events", ())),
-        "wall_off_s": off_wall,
-        "wall_on_s": on_wall,
-        "checks_failed": failures,
-        "speedup": p99_off / p99_on if p99_on else 0.0,
-        "results_match": not failures,
-    }
-
-
-def _with_config(scenario, overrides: dict):
-    """A copy of ``scenario`` with extra ArgusConfig overrides."""
-    payload = scenario.to_dict()
-    payload["config"] = {**payload.get("config", {}), **overrides}
-    return type(scenario).from_dict(payload)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -333,13 +309,6 @@ def main(argv: list[str] | None = None) -> int:
         f"sliced {partition['sliced_s']:.3f}s = {partition['speedup']:.2f}x",
         flush=True,
     )
-    print("[shard_stealing] skewed two-tenant off/on ...", flush=True)
-    stealing = _bench_stealing(args.preset, args.seed)
-    print(
-        f"[shard_stealing] done: hot p99 {stealing['hot_p99_off_s']:.1f}s -> "
-        f"{stealing['hot_p99_on_s']:.1f}s ({stealing['stolen_total']} stolen)",
-        flush=True,
-    )
 
     claims = {}
     by_count = {leg["shards"]: leg for leg in legs}
@@ -347,7 +316,6 @@ def main(argv: list[str] | None = None) -> int:
         if shards > 1:
             claims[f"shard_scaling_speedup_{shards}"] = leg["speedup_vs_sequential"]
     claims["tenant_partition_speedup"] = partition["speedup"]
-    claims["stealing_hot_p99_ratio"] = stealing["speedup"]
 
     # `speedup` and `results_match` make each entry legible to
     # check_regression.py's standard ratio/consistency gate.
@@ -360,7 +328,6 @@ def main(argv: list[str] | None = None) -> int:
         },
         "shard_autoscale": autoscale,
         "tenant_partition": partition,
-        "shard_stealing": stealing,
     }
     payload = {
         "meta": {

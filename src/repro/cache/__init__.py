@@ -8,7 +8,7 @@ the network between the GPU workers and both services — including the
 congestion and outage scenarios that trigger Argus's AC→SM switch.
 
 Two cache implementations share one surface: the in-process
-:class:`ApproximateCache` (one flat/HNSW index per tenant) and the
+:class:`ApproximateCache` (one flat index per tenant) and the
 distributed :class:`CacheTier` (consistent-hash sharded, replicated, with
 per-node network conditions).  :func:`build_cache` picks between them from
 config so every caller — workers, gateway interceptor, scenario runtime —
@@ -28,7 +28,7 @@ def build_cache(config, network=None, on_lookup=None):
     ``cache_shards=1`` with replication off constructs a plain
     :class:`ApproximateCache` — not a one-node tier — so the default
     configuration is bit-identical to the pre-tier behavior (the same
-    knob-gating discipline as heterogeneous fleets and HNSW).
+    knob-gating discipline as heterogeneous fleets).
     """
     if not config.cache_tier_enabled:
         return ApproximateCache(network=network, tenants=config.tenants)

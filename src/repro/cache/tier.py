@@ -1,7 +1,7 @@
 """Distributed cache tier: consistent-hash sharded, replicated vector index.
 
 The single-process :class:`~repro.cache.approximate.ApproximateCache` keeps
-one flat index per tenant; BENCH_PR3 puts its HNSW/flat crossover at ~105k
+one flat index per tenant, whose search cost grows linearly with its
 entries, so million-user caches need *sharding*, not a faster flat scan.
 :class:`CacheTier` turns the cache into a service with placement semantics:
 

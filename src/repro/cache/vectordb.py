@@ -1,26 +1,15 @@
 """In-memory vector database (the Qdrant stand-in).
 
 Stores prompt embeddings and answers nearest-neighbour queries by cosine
-similarity.  Three index types are provided, the same latency/recall ladder
-a production VDB exposes:
-
-* ``flat`` — exact brute force.  Rows are stored unit-normalised so a
-  search is a single zero-copy ``matrix[:count] @ query`` (no per-query
-  matrix copy, no norm division) followed by an ``argpartition`` top-k.
-* ``ivf`` — inverted-file clustering that probes only the ``nprobe``
-  closest centroids.  Centroid (re)builds are batched off the insert path:
-  inserts are O(1) appends and the index refreshes lazily at search time.
-* ``hnsw`` — a hierarchical navigable-small-world graph for sub-linear
-  search at large entry counts, trading a little recall for latency.
-  Deletes are tombstoned (the node keeps routing the graph) and the index
-  compacts itself once tombstones outnumber live entries.
+similarity with one exact flat index.  Rows are stored unit-normalised so a
+search is a single zero-copy ``matrix[:count] @ query`` (no per-query
+matrix copy, no norm division) followed by an ``argpartition`` top-k.
+Inserts append a row; deletes swap the last row into the freed slot, so
+both are O(1).
 """
 
 from __future__ import annotations
 
-import math
-import heapq
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,32 +25,12 @@ class SearchResult:
 
 
 class VectorDatabase:
-    """Cosine-similarity vector index with IVF / HNSW acceleration."""
+    """Exact cosine-similarity vector index."""
 
-    #: Inserts between lazy IVF centroid rebuilds.
-    IVF_REBUILD_INTERVAL = 256
-
-    def __init__(
-        self,
-        dim: int,
-        index_type: str = "flat",
-        num_clusters: int = 16,
-        nprobe: int = 4,
-        seed: int = 0,
-        hnsw_m: int = 16,
-        hnsw_ef_construction: int = 120,
-        hnsw_ef_search: int = 128,
-    ) -> None:
+    def __init__(self, dim: int) -> None:
         if dim <= 0:
             raise ValueError("dim must be positive")
-        if index_type not in ("flat", "ivf", "hnsw"):
-            raise ValueError("index_type must be 'flat', 'ivf' or 'hnsw'")
         self.dim = int(dim)
-        self.index_type = index_type
-        self.num_clusters = int(num_clusters)
-        self.nprobe = int(nprobe)
-        self.seed = int(seed)
-        self._rng = np.random.default_rng(seed)
         self._capacity = 1024
         #: Unit-normalised row storage; cosine similarity is a plain dot.
         self._matrix = np.zeros((self._capacity, self.dim), dtype=np.float64)
@@ -73,22 +42,6 @@ class VectorDatabase:
         #: of the stored vectors, so callers may memoise them against this
         #: counter (the approximate cache's nearest-match memo does).
         self.mutations = 0
-        # IVF state: assignments are valid for rows [0, _assigned_count).
-        self._assignments = np.zeros(self._capacity, dtype=np.int64)
-        self._centroids: np.ndarray | None = None
-        self._assigned_count = 0
-        self._inserts_since_rebuild = 0
-        # HNSW state.
-        self._hnsw: _HnswGraph | None = None
-        self._tombstones: set[int] = set()
-        if index_type == "hnsw":
-            self._hnsw = _HnswGraph(
-                self,
-                m=int(hnsw_m),
-                ef_construction=int(hnsw_ef_construction),
-                ef_search=int(hnsw_ef_search),
-                seed=self.seed,
-            )
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -96,29 +49,21 @@ class VectorDatabase:
     def __len__(self) -> int:
         return len(self._key_index)
 
-    @property
-    def _count(self) -> int:
-        """Number of occupied rows (live + tombstoned)."""
-        return len(self._keys)
-
     def _grow_if_needed(self) -> None:
-        if self._count < self._capacity:
+        count = len(self._keys)
+        if count < self._capacity:
             return
         self._capacity *= 2
         matrix = np.zeros((self._capacity, self.dim), dtype=np.float64)
-        matrix[: self._count] = self._matrix[: self._count]
+        matrix[:count] = self._matrix[:count]
         self._matrix = matrix
-        assignments = np.zeros(self._capacity, dtype=np.int64)
-        assignments[: self._count] = self._assignments[: self._count]
-        self._assignments = assignments
 
     def upsert(self, vector: np.ndarray, payload: dict | None = None) -> int:
-        """Insert a vector, returning its key.  O(1): index maintenance
-        (IVF centroids, HNSW links beyond the node itself) is deferred."""
+        """Insert a vector, returning its key.  O(1) amortised."""
         vector = self._check_vector(vector)
         self._grow_if_needed()
         self.mutations += 1
-        index = self._count
+        index = len(self._keys)
         key = self._next_key
         self._next_key += 1
         self._keys.append(key)
@@ -126,46 +71,26 @@ class VectorDatabase:
         self._matrix[index] = vector / norm
         self._key_index[key] = index
         self._payloads[key] = dict(payload or {})
-        self._inserts_since_rebuild += 1
-        if self._hnsw is not None:
-            self._hnsw.insert(index)
         return key
 
     def delete(self, key: int) -> bool:
         """Delete a vector by key; returns False if the key was unknown.
 
-        O(1) via the key→row map: flat/IVF swap the last row into the freed
-        slot; HNSW tombstones the node (it keeps routing the graph) and
-        compacts once tombstones outnumber live entries.
+        O(1) via the key→row map: the last row is swapped into the freed
+        slot.
         """
         index = self._key_index.pop(key, None)
         if index is None:
             return False
         self.mutations += 1
         del self._payloads[key]
-        if self._hnsw is not None:
-            self._tombstones.add(index)
-            if len(self._tombstones) > len(self._key_index):
-                self._compact_hnsw()
-            return True
-        last = self._count - 1
+        last = len(self._keys) - 1
         if index != last:
             moved_key = self._keys[last]
             self._keys[index] = moved_key
             self._key_index[moved_key] = index
             self._matrix[index] = self._matrix[last]
-            if index < self._assigned_count:
-                if last < self._assigned_count:
-                    self._assignments[index] = self._assignments[last]
-                else:
-                    # The moved row had no assignment yet; derive one so the
-                    # assigned prefix stays dense.
-                    assert self._centroids is not None
-                    self._assignments[index] = int(
-                        np.argmax(self._centroids @ self._matrix[index])
-                    )
         self._keys.pop()
-        self._assigned_count = min(self._assigned_count, self._count)
         return True
 
     def payload(self, key: int) -> dict:
@@ -179,7 +104,7 @@ class VectorDatabase:
         """Return the ``top_k`` most similar stored vectors.
 
         Ties are broken deterministically: higher similarity first, then
-        lower insertion index.
+        lower row index.
         """
         query = self._check_vector(query)
         if not self._key_index:
@@ -187,25 +112,11 @@ class VectorDatabase:
         # sqrt(q @ q) is np.linalg.norm without the errstate/dispatch
         # overhead (bit-identical for real 1-D input).
         query = query / max(float(np.sqrt(query @ query)), 1e-12)
-        count = self._count
-        if self._hnsw is not None:
-            hits = self._hnsw.search(query, top_k)
-            return [self._result(index, sim) for index, sim in hits]
-        if self.index_type == "ivf":
-            self._refresh_ivf(count)
-            candidates = self._candidate_indices(query, count)
-        else:
-            candidates = None
-        if candidates is None:
-            sims = self._matrix[:count] @ query
-        else:
-            sims = self._matrix[candidates] @ query
-        positions = _top_k_positions(sims, top_k)
-        results = []
-        for position in positions:
-            idx = int(position) if candidates is None else int(candidates[int(position)])
-            results.append(self._result(idx, float(sims[int(position)])))
-        return results
+        sims = self._matrix[: len(self._keys)] @ query
+        return [
+            self._result(int(position), float(sims[int(position)]))
+            for position in _top_k_positions(sims, top_k)
+        ]
 
     def nearest(self, query: np.ndarray) -> SearchResult | None:
         """Most similar stored vector, or None when the index is empty."""
@@ -217,91 +128,6 @@ class VectorDatabase:
         return SearchResult(key=key, similarity=float(similarity), payload=self._payloads[key])
 
     # ------------------------------------------------------------------ #
-    # IVF internals
-    # ------------------------------------------------------------------ #
-    def _refresh_ivf(self, count: int) -> None:
-        """Bring centroids / assignments up to date (lazily, off inserts).
-
-        The rebuild trigger counts inserts since the last rebuild rather
-        than net growth, so delete/insert churn at a steady size still
-        refreshes the centroids as the data turns over.
-        """
-        if (
-            self._centroids is None
-            or self._inserts_since_rebuild >= self.IVF_REBUILD_INTERVAL
-        ):
-            self._rebuild_centroids()
-            return
-        if self._assigned_count < count:
-            fresh = self._matrix[self._assigned_count : count]
-            self._assignments[self._assigned_count : count] = np.argmax(
-                fresh @ self._centroids.T, axis=1
-            )
-            self._assigned_count = count
-
-    def _rebuild_centroids(self) -> None:
-        count = self._count
-        if count == 0:
-            self._centroids = self._normalize_rows(
-                self._rng.normal(size=(self.num_clusters, self.dim))
-            )
-            self._inserts_since_rebuild = 0
-            self._assigned_count = 0
-            return
-        data = self._matrix[:count]
-        sample_size = min(count, 64 * self.num_clusters)
-        sample_idx = self._rng.choice(count, size=sample_size, replace=False)
-        sample = data[sample_idx]
-        seed_count = min(self.num_clusters, len(sample))
-        centroids = sample[self._rng.choice(len(sample), size=seed_count, replace=False)]
-        if len(centroids) < self.num_clusters:
-            extra = self._rng.normal(size=(self.num_clusters - len(centroids), self.dim))
-            centroids = np.vstack([centroids, extra])
-        for _ in range(5):
-            assignments = np.argmax(sample @ centroids.T, axis=1)
-            for cluster in range(self.num_clusters):
-                members = sample[assignments == cluster]
-                if len(members):
-                    centroids[cluster] = members.mean(axis=0)
-        self._centroids = self._normalize_rows(centroids)
-        self._assignments[:count] = np.argmax(data @ self._centroids.T, axis=1)
-        self._assigned_count = count
-        self._inserts_since_rebuild = 0
-
-    def _candidate_indices(self, query: np.ndarray, count: int) -> np.ndarray | None:
-        """Row indices to scan; None means scan everything (flat fallback)."""
-        if self._centroids is None:
-            return None
-        sims = self._centroids @ query
-        probe_clusters = np.argpartition(-sims, min(self.nprobe, len(sims)) - 1)[
-            : self.nprobe
-        ]
-        mask = np.isin(self._assignments[:count], probe_clusters)
-        candidates = np.nonzero(mask)[0]
-        if len(candidates) == 0:
-            return None
-        return candidates
-
-    # ------------------------------------------------------------------ #
-    # HNSW internals
-    # ------------------------------------------------------------------ #
-    def _compact_hnsw(self) -> None:
-        """Drop tombstoned rows and rebuild the graph over live entries."""
-        assert self._hnsw is not None
-        live = [index for index in range(self._count) if index not in self._tombstones]
-        keys = [self._keys[index] for index in live]
-        rows = self._matrix[live].copy()
-        self._keys = []
-        self._key_index = {}
-        self._tombstones = set()
-        self._matrix[: len(live)] = rows
-        self._hnsw.reset()
-        for new_index, key in enumerate(keys):
-            self._keys.append(key)
-            self._key_index[key] = new_index
-            self._hnsw.insert(new_index)
-
-    # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
     def _check_vector(self, vector: np.ndarray) -> np.ndarray:
@@ -309,12 +135,6 @@ class VectorDatabase:
         if vector.shape[0] != self.dim:
             raise ValueError(f"expected dim {self.dim}, got {vector.shape[0]}")
         return vector
-
-    @staticmethod
-    def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
-        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        return matrix / norms
 
 
 def _top_k_positions(sims: np.ndarray, top_k: int) -> np.ndarray:
@@ -338,169 +158,3 @@ def _top_k_positions(sims: np.ndarray, top_k: int) -> np.ndarray:
         order = candidates[np.lexsort((candidates, -sims[candidates]))]
         return order[:top_k]
     return np.lexsort((np.arange(n), -sims))
-
-
-class _HnswGraph:
-    """Hierarchical navigable-small-world graph over the database's rows.
-
-    Similarity-based (cosine on unit rows = dot product), deterministic
-    (seeded level sampling), with tombstone-aware search: deleted nodes keep
-    routing the graph but never appear in results.
-    """
-
-    def __init__(
-        self,
-        db: VectorDatabase,
-        m: int = 16,
-        ef_construction: int = 120,
-        ef_search: int = 128,
-        seed: int = 0,
-    ) -> None:
-        if m < 2:
-            raise ValueError("hnsw_m must be at least 2")
-        self._db = db
-        self.m = int(m)
-        self.m0 = 2 * int(m)
-        self.ef_construction = int(ef_construction)
-        self.ef_search = int(ef_search)
-        self._seed = int(seed)
-        self._level_mult = 1.0 / math.log(m)
-        self.reset()
-
-    def reset(self) -> None:
-        self._rand = random.Random(self._seed)
-        #: Per node: list of per-layer neighbour id lists.
-        self._links: list[list[list[int]]] = []
-        self._entry = -1
-        self._max_level = -1
-
-    # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
-    def insert(self, index: int) -> None:
-        assert index == len(self._links), "HNSW nodes must be appended in row order"
-        level = int(-math.log(max(self._rand.random(), 1e-12)) * self._level_mult)
-        self._links.append([[] for _ in range(level + 1)])
-        if self._entry < 0:
-            self._entry = index
-            self._max_level = level
-            return
-        query = self._db._matrix[index]
-        ep = self._entry
-        for layer in range(self._max_level, level, -1):
-            ep = self._greedy_closest(query, ep, layer)
-        for layer in range(min(level, self._max_level), -1, -1):
-            candidates = self._search_layer(query, [ep], self.ef_construction, layer)
-            m_max = self.m0 if layer == 0 else self.m
-            neighbours = self._select_neighbours(query, candidates, self.m)
-            self._links[index][layer] = list(neighbours)
-            for neighbour in neighbours:
-                links = self._links[neighbour][layer]
-                links.append(index)
-                if len(links) > m_max:
-                    self._links[neighbour][layer] = self._prune(neighbour, links, m_max)
-            if candidates:
-                ep = max(candidates)[1]
-        if level > self._max_level:
-            self._entry = index
-            self._max_level = level
-
-    def _select_neighbours(
-        self, query: np.ndarray, candidates: list[tuple[float, int]], m: int
-    ) -> list[int]:
-        """Diversity-heuristic neighbour selection (HNSW Algorithm 4).
-
-        A candidate joins only if it is closer to the new node than to any
-        already-selected neighbour; plain top-M links collapse into one
-        dense clique per cluster and leave the graph un-navigable between
-        clusters (recall@1 drops by half on clustered prompt workloads).
-        """
-        matrix = self._db._matrix
-        selected: list[int] = []
-        selected_rows: list[np.ndarray] = []
-        for sim, node in sorted(candidates, key=lambda item: (-item[0], item[1])):
-            if len(selected) >= m:
-                break
-            row = matrix[node]
-            if selected_rows and float(np.max(np.asarray(selected_rows) @ row)) >= sim:
-                continue
-            selected.append(node)
-            selected_rows.append(row)
-        if not selected and candidates:
-            selected = [max(candidates)[1]]
-        return selected
-
-    def _prune(self, node: int, links: list[int], m_max: int) -> list[int]:
-        """Re-select ``node``'s neighbours with the diversity heuristic."""
-        rows = self._db._matrix[np.asarray(links, dtype=np.int64)]
-        sims = rows @ self._db._matrix[node]
-        return self._select_neighbours(
-            self._db._matrix[node], list(zip(sims.tolist(), links)), m_max
-        )
-
-    # ------------------------------------------------------------------ #
-    # Search
-    # ------------------------------------------------------------------ #
-    def search(self, query: np.ndarray, top_k: int) -> list[tuple[int, float]]:
-        """(row index, similarity) of the top-k live nodes, best first."""
-        if self._entry < 0:
-            return []
-        ep = self._entry
-        for layer in range(self._max_level, 0, -1):
-            ep = self._greedy_closest(query, ep, layer)
-        ef = max(self.ef_search, top_k)
-        candidates = self._search_layer(query, [ep], ef, 0)
-        tombstones = self._db._tombstones
-        live = [(sim, node) for sim, node in candidates if node not in tombstones]
-        live.sort(key=lambda item: (-item[0], item[1]))
-        return [(node, sim) for sim, node in live[:top_k]]
-
-    def _greedy_closest(self, query: np.ndarray, start: int, layer: int) -> int:
-        best = start
-        best_sim = float(self._db._matrix[best] @ query)
-        improved = True
-        while improved:
-            improved = False
-            links = self._links[best][layer] if layer < len(self._links[best]) else []
-            if not links:
-                break
-            rows = self._db._matrix[np.asarray(links, dtype=np.int64)]
-            sims = rows @ query
-            position = int(np.argmax(sims))
-            if float(sims[position]) > best_sim:
-                best = links[position]
-                best_sim = float(sims[position])
-                improved = True
-        return best
-
-    def _search_layer(
-        self, query: np.ndarray, entry_points: list[int], ef: int, layer: int
-    ) -> list[tuple[float, int]]:
-        """Best-first beam search; returns (similarity, node) pairs."""
-        matrix = self._db._matrix
-        visited = set(entry_points)
-        results: list[tuple[float, int]] = []  # min-heap of size <= ef
-        frontier: list[tuple[float, int]] = []  # max-heap via negated sims
-        for point in entry_points:
-            sim = float(matrix[point] @ query)
-            heapq.heappush(results, (sim, point))
-            heapq.heappush(frontier, (-sim, point))
-        while frontier:
-            neg_sim, node = heapq.heappop(frontier)
-            if len(results) >= ef and -neg_sim < results[0][0]:
-                break
-            links = self._links[node][layer] if layer < len(self._links[node]) else []
-            fresh = [n for n in links if n not in visited]
-            if not fresh:
-                continue
-            visited.update(fresh)
-            sims = matrix[np.asarray(fresh, dtype=np.int64)] @ query
-            for position, neighbour in enumerate(fresh):
-                sim = float(sims[position])
-                if len(results) < ef:
-                    heapq.heappush(results, (sim, neighbour))
-                    heapq.heappush(frontier, (-sim, neighbour))
-                elif sim > results[0][0]:
-                    heapq.heapreplace(results, (sim, neighbour))
-                    heapq.heappush(frontier, (-sim, neighbour))
-        return results

@@ -14,6 +14,10 @@ admitting at line rate; when the crowd is alone, it gets the whole fleet.
 Admission delay is charged to the delayed request: its recorded arrival
 time is the original offer time, so time spent in the admission queue
 counts against the offending tenant's own latency SLO, not anyone else's.
+
+Drain pumps are scheduled on a :class:`~repro.runtime.base.Runtime`: the
+simulator passes a ``SimRuntime`` and the live gateway a
+``WallClockRuntime``, and both run the same logic.
 """
 
 from __future__ import annotations
@@ -23,8 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.prompts.generator import Prompt
-from repro.runtime.base import Runtime, as_runtime
-from repro.simulation.engine import SimulationEngine
+from repro.runtime.base import Runtime
 from repro.workloads.tenants import TenantSpec
 
 
@@ -37,9 +40,6 @@ class TenantAdmissionStats:
     admitted_after_wait: int = 0
     total_wait_s: float = 0.0
     max_wait_s: float = 0.0
-    #: Queued requests migrated to another shard by cross-shard work
-    #: stealing (they complete elsewhere, so offered > admitted here).
-    stolen: int = 0
 
     @property
     def admitted(self) -> int:
@@ -79,17 +79,17 @@ class FairShareAdmission:
 
     def __init__(
         self,
-        engine: SimulationEngine | None = None,
-        tenants: tuple[TenantSpec, ...] = (),
-        capacity_qps: Callable[[], float] | None = None,
-        admit: Callable[[Prompt, float], None] | None = None,
+        runtime: Runtime,
+        tenants: tuple[TenantSpec, ...],
+        capacity_qps: Callable[[], float],
+        admit: Callable[[Prompt, float], None],
         rate_factor: float = 1.0,
         burst_s: float = 2.0,
-        runtime: Runtime | None = None,
     ) -> None:
         """Args:
-        engine: simulation engine used for drain scheduling (legacy spelling
-            of ``runtime=SimRuntime(engine)``; give exactly one of the two).
+        runtime: clock-agnostic scheduler for drain pumps; on a
+            :class:`~repro.runtime.wall.WallClockRuntime` the same DRR logic
+            gates the live gateway.
         tenants: the tenant contracts (weights drive rates and quanta).
         capacity_qps: live fleet throughput ceiling in requests/second;
             re-read on every refill so autoscaling moves admission rates.
@@ -98,18 +98,10 @@ class FairShareAdmission:
             admission delay counts into the request's latency.
         rate_factor: aggregate admission rate as a multiple of capacity.
         burst_s: per-tenant bucket depth in seconds of its guaranteed rate.
-        runtime: clock-agnostic scheduler for drain pumps; on a
-            :class:`~repro.runtime.wall.WallClockRuntime` the same DRR logic
-            gates the live gateway.
         """
         if len(tenants) < 2:
             raise ValueError("fair-share admission needs at least two tenants")
-        if capacity_qps is None or admit is None:
-            raise TypeError("capacity_qps and admit are required")
-        if (engine is None) == (runtime is None):
-            raise TypeError("give exactly one of engine= or runtime=")
-        self.engine = engine
-        self.runtime = runtime if runtime is not None else as_runtime(engine)
+        self.runtime = runtime
         self.capacity_qps = capacity_qps
         self.admit = admit
         self.rate_factor = float(rate_factor)
@@ -171,30 +163,6 @@ class FairShareAdmission:
         if tenant is not None:
             return len(self._tenants[tenant].queue)
         return sum(len(state.queue) for state in self._tenants.values())
-
-    def steal_tail(self, count: int) -> list[tuple[str, float, Prompt]]:
-        """Pop up to ``count`` queued entries off the backs of the longest
-        tenant queues, for cross-shard migration.
-
-        Repeatedly takes from the longest queue (ties broken by tenant
-        order), newest entries first — the tail is the work least likely to
-        admit soon, so draining it preserves each queue's FIFO head.
-        Returns ``(tenant, offer_time_s, prompt)`` tuples sorted oldest
-        first (stable migration order for the destination).  The entries'
-        ``offered`` accounting stays here at the source; the per-tenant
-        ``stolen`` counter records the migration.
-        """
-        stolen: list[tuple[str, float, Prompt]] = []
-        while len(stolen) < count:
-            name = max(self._order, key=lambda n: len(self._tenants[n].queue))
-            state = self._tenants[name]
-            if not state.queue:
-                break
-            offered_at, prompt = state.queue.pop()
-            self.stats[name].stolen += 1
-            stolen.append((name, offered_at, prompt))
-        stolen.sort(key=lambda entry: (entry[1], entry[0]))
-        return stolen
 
     def offer(self, now: float, prompt: Prompt) -> bool:
         """Offer one request; returns True when admitted immediately.

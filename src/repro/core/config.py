@@ -153,19 +153,6 @@ class ArgusConfig:
     #: barrier-window-invariant: grants always apply at the same simulated
     #: instants no matter how wide the barrier windows are.
     autoscale_epoch_s: float = 60.0
-    #: Cross-shard work stealing for skewed tenant bin-packs: at each
-    #: barrier the coordinator may migrate admission-queue tails from the
-    #: most-backlogged shard to idle shards.  Off by default; disabled runs
-    #: exchange zero stealing messages and are bit-identical to PR-6
-    #: sharding.  Requires tenant-mode sharding with fair-share admission
-    #: (the admission queues are what gets stolen).
-    shard_work_stealing: bool = False
-    #: Smallest admission backlog (queued requests) at which a shard
-    #: becomes a stealing source.
-    steal_backlog_threshold: int = 8
-    #: Largest fraction of the source shard's admission backlog migrated at
-    #: one barrier (whole-queue tails; in-flight batches never move).
-    steal_max_fraction: float = 0.5
     #: Keep a Python object per completed request in the metrics collector.
     #: Summaries and minute series come from the columnar store either way;
     #: disable for very long runs (e.g. the 10M-request fig16-xl trace)
@@ -292,8 +279,6 @@ class ArgusConfig:
             raise ValueError("sync_window_s must be positive")
         if self.autoscale_epoch_s <= 0:
             raise ValueError("autoscale_epoch_s must be positive")
-        if self.steal_backlog_threshold < 1:
-            raise ValueError("steal_backlog_threshold must be >= 1")
         if self.cache_shards < 1:
             raise ValueError("cache_shards must be >= 1")
         if not 0 <= self.cache_replication < self.cache_shards:
@@ -310,18 +295,10 @@ class ArgusConfig:
             raise ValueError("cache_hot_shard_threshold must be >= 1")
         if self.cache_affinity_tolerance_s < 0:
             raise ValueError("cache_affinity_tolerance_s must be non-negative")
-        if not 0.0 < self.steal_max_fraction <= 1.0:
-            raise ValueError("steal_max_fraction must be in (0, 1]")
         if self.shards > 1:
             # Knobs that cannot partition are rejected loudly: silently
             # running them on N independent fleets would mis-simulate the
             # global control loop they model.
-            if self.shard_work_stealing and not self.admission_enabled:
-                raise ValueError(
-                    "shard_work_stealing migrates admission-queue tails, so "
-                    "it needs tenant-mode sharding with fair-share admission "
-                    "(two or more tenants and fair_share_admission=True)"
-                )
             if self.shards > self.num_workers:
                 raise ValueError(
                     f"shards={self.shards} exceeds num_workers="

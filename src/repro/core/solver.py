@@ -478,39 +478,6 @@ class AllocationSolver:
                 best_row = int(row)
         return best_row
 
-    def _enumerate_best_counts_scalar(
-        self,
-        target_qpm: float,
-        quality: np.ndarray,
-        num_workers: int,
-        capacity_fn,
-    ) -> list[int]:
-        """Reference scalar form of the composition search.
-
-        Kept (unused on the hot path) so the equivalence tests and the perf
-        harness can check and time the vectorized search against the
-        original per-composition loop.
-        """
-        num_levels = len(quality)
-        best_counts: list[int] | None = None
-        best_key: tuple[float, float] | None = None
-        for combo in combinations_with_replacement(range(num_levels), num_workers):
-            counts = [0] * num_levels
-            for level in combo:
-                counts[level] += 1
-            qpm_per_level, feasible = self._fill_capacity(
-                target_qpm, quality, capacity_fn(counts)
-            )
-            expected_quality = self._expected_quality(quality, qpm_per_level)
-            served = sum(qpm_per_level)
-            # Prefer plans that serve the target; among those, highest quality.
-            key = (served if not feasible else target_qpm, expected_quality)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_counts = counts
-        assert best_counts is not None
-        return best_counts
-
     def _best_counts_greedy(
         self,
         target_qpm: float,

@@ -75,8 +75,11 @@ def prompt_from_payload(payload: Mapping) -> Prompt:
 
     Accepts the full field dict (``dataclasses.asdict(prompt)``, possibly
     nested under ``"prompt"``) or a ``{"text": ...}`` shorthand for manual
-    curls, which synthesises neutral feature values.
+    curls, which synthesises neutral feature values.  Raises ``TypeError``
+    or ``ValueError`` on a malformed body.
     """
+    if not isinstance(payload, Mapping):
+        raise TypeError(f"expected a JSON object, got {type(payload).__name__}")
     data = dict(payload.get("prompt", payload))
     if "text" in data and "prompt_id" not in data:
         return Prompt(
@@ -475,14 +478,19 @@ class Gateway:
             return _json_response(200, self.config.to_dict())
         if method == "GET" and path == "/report":
             duration = params.get("duration_minutes")
+            try:
+                seed = int(params["seed"]) if "seed" in params else None
+                duration_minutes = float(duration) if duration else None
+            except ValueError as exc:
+                return _json_response(400, {"error": f"bad report parameter: {exc}"})
             return _json_response(
                 200,
                 self.report_dict(
                     scenario=params.get("scenario", "live"),
                     preset=params.get("preset", "live"),
-                    seed=int(params["seed"]) if "seed" in params else None,
+                    seed=seed,
                     workload=params.get("workload", "live"),
-                    duration_minutes=float(duration) if duration else None,
+                    duration_minutes=duration_minutes,
                 ),
             )
         if method == "POST" and path == "/v1/generate":
@@ -544,12 +552,23 @@ class Gateway:
                         break
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
-                body = b""
-                length = int(headers.get("content-length", 0) or 0)
-                if length:
-                    body = await reader.readexactly(length)
-                status, content_type, payload = await self.handle(method.upper(), target, body)
-                close = headers.get("connection", "").lower() == "close"
+                try:
+                    length = int(headers.get("content-length", 0) or 0)
+                except ValueError:
+                    length = -1
+                if length < 0:
+                    # The body cannot be framed, so the connection cannot
+                    # carry another request after this answer.
+                    status, content_type, payload = _json_response(
+                        400, {"error": "invalid Content-Length header"}
+                    )
+                    close = True
+                else:
+                    body = await reader.readexactly(length) if length else b""
+                    status, content_type, payload = await self.handle(
+                        method.upper(), target, body
+                    )
+                    close = headers.get("connection", "").lower() == "close"
                 writer.write(
                     (
                         f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"

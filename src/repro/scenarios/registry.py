@@ -530,67 +530,6 @@ register(
 
 register(
     Scenario(
-        name="sharded-steal",
-        description=(
-            "A skewed two-tenant workload for cross-shard work stealing: the "
-            "hot tenant's mid-run burst transiently overwhelms its shard at "
-            "~3x the planned rate while the cold tenant's shard keeps "
-            "headroom.  With `--shards 2` the coordinator migrates admission-"
-            "queue tails from the backlogged shard onto the idle one each "
-            "barrier; sequential runs serve the same workload unstolen."
-        ),
-        exercises=("sharded execution", "work stealing", "multi-tenancy", "burst absorption"),
-        contracts=("conservation", "cache-quota"),
-        trace=TraceSpec(source="library", name="twitter"),
-        config={
-            "shard_work_stealing": True,
-            "steal_backlog_threshold": 4,
-            "steal_max_fraction": 1.0,
-            "sync_window_s": 15.0,
-            "tenants": [
-                {
-                    "name": "hot",
-                    "traffic_share": 0.2,
-                    "extra_qpm": [0.0, 0.0, 150.0, 150.0, 150.0, 0.0, 0.0, 0.0],
-                },
-                {"name": "cold", "traffic_share": 0.8},
-            ],
-        },
-        presets={
-            "small": Preset(
-                dataset_size=600,
-                trace_params={
-                    "duration_minutes": 8,
-                    "base_qpm": 24.0,
-                    "peak_qpm": 36.0,
-                },
-                config={**SMALL_FLEET, "num_workers": 6},
-            ),
-            "full": Preset(
-                dataset_size=3000,
-                trace_params={
-                    "duration_minutes": 60,
-                    "base_qpm": 96.0,
-                    "peak_qpm": 144.0,
-                },
-                config={
-                    "num_workers": 24,
-                    "tenants": [
-                        {
-                            "name": "hot",
-                            "traffic_share": 0.2,
-                            "extra_qpm": [0.0] * 15 + [600.0] * 15 + [0.0] * 30,
-                        },
-                        {"name": "cold", "traffic_share": 0.8},
-                    ],
-                },
-            ),
-        },
-    )
-)
-
-register(
-    Scenario(
         name="fig16-xl",
         description=(
             "The Fig. 16 twitter-trace experiment scaled out to a ten-"

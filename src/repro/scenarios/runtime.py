@@ -283,9 +283,6 @@ def _collect_extras(system: BaseServingSystem, result: ExperimentResult) -> dict
                     "delayed": stats.delayed,
                     "mean_wait_s": stats.mean_wait_s,
                     "max_wait_s": stats.max_wait_s,
-                    # Always 0 sequentially; sharded runs report migrations
-                    # here, so the report shape is uniform across modes.
-                    "stolen": stats.stolen,
                 }
                 for name, stats in admission.stats.items()
             }

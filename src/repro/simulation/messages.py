@@ -5,11 +5,10 @@ graph between the coordinator and each shard's serving system with explicit
 messages: control messages drive the conservative time-window barrier
 (``RunWindow`` down, ``BarrierReached`` up), ``ScaleRequest``/``ScaleOutcomes``
 carry the budget-brokered autoscaling exchange at epoch boundaries,
-``StealRequest``/``StolenWork``/``WorkTransfer`` migrate admission-queue
-tails between shards, ``Finalize``/``ShardResult`` close a run, and the
-data-plane records (``DispatchMessage``, ``CompletionMessage``,
-``RequeueMessage``) describe every request movement when a shard runs with
-message recording on (the parity and conservation tests drive that mode).
+``Finalize``/``ShardResult`` close a run, and the data-plane records
+(``DispatchMessage``, ``CompletionMessage``, ``RequeueMessage``) describe
+every request movement when a shard runs with message recording on (the
+parity and conservation tests drive that mode).
 
 Every message round-trips through a plain ``dict`` via :func:`encode` /
 :func:`decode` — a ``kind``-tagged registry, no pickle-only payloads except
@@ -229,10 +228,6 @@ class BarrierReached(Message):
     fleet: FleetDelta
     #: Pending autoscaler asks, shipped only at epoch boundaries.
     scale_requests: tuple = ()
-    #: Requests queued (not yet admitted) at fair-share admission.
-    admission_backlog: int = 0
-    #: Requests waiting in worker queues (in-flight batches excluded).
-    worker_backlog: int = 0
     #: Scale-in grants the shard skipped at apply time since the last
     #: barrier (drain candidate failed meanwhile); the coordinator adds the
     #: count back to the broker's committed ledger.
@@ -317,87 +312,6 @@ class RequeueMessage(Message):
     request_id: int
     time_s: float
     tenant: str
-
-
-# --------------------------------------------------------------------------- #
-# Cross-shard work stealing (admission-queue tail migration)
-# --------------------------------------------------------------------------- #
-
-
-@_register
-@dataclass(frozen=True)
-class StealRequest(Message):
-    """Coordinator -> source shard: give up to ``count`` queued requests.
-
-    Only admission-queue tails move — requests already dispatched to worker
-    queues or in flight in a batch stay where they are.
-    """
-
-    kind = "steal_request"
-    window_end_s: float
-    count: int
-
-
-@_register
-@dataclass(frozen=True)
-class StolenWork(Message):
-    """Source shard -> coordinator: the migrated admission-queue entries.
-
-    Each entry is ``{"tenant", "offer_time_s", "prompt": {...Prompt fields}}``
-    — the prompt travels as its plain field dict, so the message is fully
-    JSON round-trippable.
-    """
-
-    kind = "stolen_work"
-    shard_id: int
-    window_end_s: float
-    entries: tuple = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-
-    def _payload(self) -> dict:
-        return {
-            "shard_id": self.shard_id,
-            "window_end_s": self.window_end_s,
-            "entries": [dict(entry) for entry in self.entries],
-        }
-
-    @classmethod
-    def _from_payload(cls, payload: dict) -> "StolenWork":
-        data = dict(payload)
-        data["entries"] = tuple(dict(entry) for entry in data.get("entries", ()))
-        return cls(**data)
-
-
-@_register
-@dataclass(frozen=True)
-class WorkTransfer(Message):
-    """Coordinator -> destination shard: dispatch these stolen entries.
-
-    The destination injects each prompt at the barrier time with the entry's
-    original offer time as its arrival, so the cross-shard wait stays charged
-    to the request's own latency.  Entries share :class:`StolenWork`'s shape.
-    """
-
-    kind = "work_transfer"
-    window_end_s: float
-    entries: tuple = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-
-    def _payload(self) -> dict:
-        return {
-            "window_end_s": self.window_end_s,
-            "entries": [dict(entry) for entry in self.entries],
-        }
-
-    @classmethod
-    def _from_payload(cls, payload: dict) -> "WorkTransfer":
-        data = dict(payload)
-        data["entries"] = tuple(dict(entry) for entry in data.get("entries", ()))
-        return cls(**data)
 
 
 # --------------------------------------------------------------------------- #

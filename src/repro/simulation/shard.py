@@ -34,12 +34,8 @@ Control plane
     The exchange happens only on the fixed ``autoscale_epoch_s`` grid (the
     barrier boundaries are the union of the sync-window and epoch grids),
     which is what keeps autoscaled runs invariant under ``sync_window_s``.
-
-    With ``shard_work_stealing`` on (tenant mode only), shards also report
-    admission/worker backlog at each barrier and the coordinator migrates
-    admission-queue tails — never in-flight batches — from the most
-    backlogged shard to idle shards as serializable messages.  Stealing is
-    off by default and a pinned no-op when disabled (zero extra messages).
+    No other control message crosses a barrier, so every N-shard run is
+    invariant under the sync window.
 
 Merging
     Each shard ships a :class:`~repro.simulation.messages.ShardResult`
@@ -57,14 +53,14 @@ which is what pins bit-identity between the two modes.
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.report import TenantSummary, summarize
 from repro.simulation import messages
-from repro.workloads.tenants import build_runtimes, resolve_shares
+from repro.workloads.tenants import resolve_shares
 
 
 @dataclass(frozen=True)
@@ -268,15 +264,10 @@ def _build_shard_system(payload: dict):
     stream = build_stream(scenario, preset_spec, full_config, trace, seed)
 
     extra: dict = {"num_workers": spec.num_workers, "shards": 1}
-    if spec.tenant_names is not None and not payload.get("stealing"):
+    if spec.tenant_names is not None:
         extra["tenants"] = tuple(
             t for t in full_config.tenants if t.name in set(spec.tenant_names)
         )
-    # With work stealing on, every shard keeps the *full* tenant table (its
-    # arrival slice still only carries its own tenants): migrated requests
-    # from any tenant then land on known scheduler/cache/admission state,
-    # and fair-share admission stays enabled even on single-tenant shards —
-    # the admission queue is the steal source.
     if full_config.autoscale_enabled:
         # The shard autoscaler sizes asks over its partition with the full
         # global headroom; the coordinator's budget broker is what enforces
@@ -505,17 +496,12 @@ def _partition_arrivals(stream, plan: ShardPlan):
 def _shard_main(payload: dict, conn) -> None:
     """Shard process entry point: barrier loop over the connection.
 
-    Beyond the PR-6 window/finalize protocol the loop answers three control
-    messages between windows: :class:`~repro.simulation.messages.
-    ScaleOutcomes` applies budget-broker grants at exactly the epoch time
-    (the clock sits at the window end), :class:`~repro.simulation.messages.
-    StealRequest` hands back admission-queue tails as ``StolenWork``, and
-    :class:`~repro.simulation.messages.WorkTransfer` injects stolen entries
-    with their original offer time as the arrival — the cross-shard wait
-    stays charged to the request's own latency.
+    ``RunWindow`` advances the shard to the window end and answers with
+    ``BarrierReached``; between windows,
+    :class:`~repro.simulation.messages.ScaleOutcomes` applies budget-broker
+    grants at exactly the epoch time (the clock sits at the window end);
+    ``Finalize`` answers with the shard's ``ShardResult`` and ends the loop.
     """
-    from repro.prompts.generator import Prompt
-
     serving, spec, trace = _build_shard_system(payload)
     recorder = (
         _MessageRecorder(serving, spec.shard_id) if payload.get("record_messages") else None
@@ -572,10 +558,6 @@ def _shard_main(payload: dict, conn) -> None:
                         failed_workers=sum(1 for w in cluster.workers if w.is_failed),
                     ),
                     scale_requests=scale_requests,
-                    admission_backlog=(
-                        serving.admission.backlog() if serving.admission is not None else 0
-                    ),
-                    worker_backlog=cluster.total_queued_requests(),
                     unapplied_scale_ins=unapplied_scale_ins,
                 )
                 last = now
@@ -583,35 +565,6 @@ def _shard_main(payload: dict, conn) -> None:
             elif isinstance(message, messages.ScaleOutcomes):
                 if autoscaler is not None:
                     autoscaler.apply_outcomes(message.window_end_s, message.outcomes)
-            elif isinstance(message, messages.StealRequest):
-                entries = []
-                if serving.admission is not None:
-                    for tenant, offered_at, prompt in serving.admission.steal_tail(
-                        message.count
-                    ):
-                        entries.append(
-                            {
-                                "tenant": tenant,
-                                "offer_time_s": offered_at,
-                                "prompt": asdict(prompt),
-                            }
-                        )
-                conn.send(
-                    messages.StolenWork(
-                        shard_id=spec.shard_id,
-                        window_end_s=message.window_end_s,
-                        entries=tuple(entries),
-                    ).encode()
-                )
-            elif isinstance(message, messages.WorkTransfer):
-                # The migration *is* the admission decision: stolen work
-                # bypasses this shard's fair-share front door (its arrival
-                # was already recorded and admission-counted at the source).
-                for entry in message.entries:
-                    serving._dispatch_prompt(
-                        Prompt(**entry["prompt"]),
-                        arrival_time_s=float(entry["offer_time_s"]),
-                    )
             elif isinstance(message, messages.Finalize):
                 # Sent as the typed object: the pipe pickles numpy columns
                 # directly instead of round-tripping them through lists.
@@ -666,7 +619,6 @@ def _finalize(serving, spec: ShardSpec, trace, recorder) -> messages.ShardResult
                     "delayed": stats.delayed,
                     "mean_wait_s": stats.mean_wait_s,
                     "max_wait_s": stats.max_wait_s,
-                    "stolen": stats.stolen,
                 }
         if serving.cache is not None:
             # Per-shard quota accounting: each shard's cache enforces the
@@ -869,74 +821,6 @@ def _map_faults(faults, plan: ShardPlan, num_workers: int) -> dict[int, list]:
     return per_shard
 
 
-#: A destination may hold this many batches per active worker in its worker
-#: queues after a transfer.  Topping idle shards up to a shallow queue depth
-#: every barrier beats dumping the whole budget at once: the destination
-#: keeps serving at line rate, stays eligible next window, and the migration
-#: rate self-limits to the spare capacity it can actually absorb.
-_STEAL_DEPTH_FACTOR = 4
-
-
-def _coordinate_steal(config, conns, replies, window_end_s: float) -> dict | None:
-    """One barrier's work-stealing pass; returns a log entry or None.
-
-    Source: the shard with the largest admission backlog (ties: lowest
-    shard id), if it clears ``steal_backlog_threshold``.  Destinations:
-    every other shard with no admission backlog of its own and spare worker
-    queue depth (``_STEAL_DEPTH_FACTOR`` batches per active worker),
-    least-loaded first; each takes only enough to top its queues up to that
-    depth.  The coordinator asks the source for up to ``steal_max_fraction``
-    of its backlog — capped by what the destinations can absorb — and
-    forwards contiguous chunks (whole admission-queue tails; in-flight work
-    never moves).  Stealing reacts to backlog sampled at barrier
-    boundaries, so unlike the autoscale exchange it is *not* sync-window
-    invariant — one reason the knob defaults off.
-    """
-    source = max(replies, key=lambda r: (r.admission_backlog, -r.shard_id))
-    if source.admission_backlog < config.steal_backlog_threshold:
-        return None
-    batch = max(1, config.max_batch_size)
-    takes: list[tuple[int, int]] = []
-    for reply in sorted(replies, key=lambda r: (r.worker_backlog, r.shard_id)):
-        if reply.shard_id == source.shard_id or reply.admission_backlog > 0:
-            continue
-        depth = reply.fleet.active_workers * batch * _STEAL_DEPTH_FACTOR
-        spare = depth - reply.worker_backlog
-        if spare > 0:
-            takes.append((reply.shard_id, spare))
-    budget = min(
-        int(source.admission_backlog * config.steal_max_fraction),
-        sum(spare for _, spare in takes),
-    )
-    if not takes or budget < 1:
-        return None
-    conns[source.shard_id].send(
-        messages.StealRequest(window_end_s=window_end_s, count=budget).encode()
-    )
-    stolen = messages.decode(conns[source.shard_id].recv())
-    entries = list(stolen.entries)
-    moved: dict[int, int] = {}
-    cursor = 0
-    for shard_id, spare in takes:
-        if cursor >= len(entries):
-            break
-        chunk = entries[cursor : cursor + min(spare, len(entries) - cursor)]
-        conns[shard_id].send(
-            messages.WorkTransfer(
-                window_end_s=window_end_s, entries=tuple(chunk)
-            ).encode()
-        )
-        moved[shard_id] = len(chunk)
-        cursor += len(chunk)
-    return {
-        "window_end_s": window_end_s,
-        "source": source.shard_id,
-        "requested": budget,
-        "stolen": len(entries),
-        "moved": moved,
-    }
-
-
 def _merge_fleet_minutes(results) -> tuple[list, dict]:
     """Sum per-shard fleet minute series into a fleet-wide series."""
     from repro.cluster.cluster import FleetMinute
@@ -1019,7 +903,6 @@ def run_scenario_sharded(
     plan = plan_shards(config, trace=trace)
     fault_map = _map_faults(faults, plan, config.num_workers) if faults else None
     autoscale = bool(config.autoscale_enabled)
-    stealing = bool(config.shard_work_stealing) and plan.mode == "tenant"
     scenario_dict = scenario.to_dict()
     arrival_split = _partition_arrivals(
         build_stream(scenario, preset_spec, config, trace, seed), plan
@@ -1047,7 +930,6 @@ def run_scenario_sharded(
                 "arrivals": (
                     arrival_split[spec.shard_id] if arrival_split is not None else None
                 ),
-                "stealing": stealing,
                 "faults": fault_map[spec.shard_id] if fault_map is not None else [],
             }
             process = ctx.Process(
@@ -1066,7 +948,6 @@ def run_scenario_sharded(
         )
         broker = _BudgetBroker(config, plan) if autoscale else None
         barrier_log: list[dict] = []
-        steal_log: list[dict] = []
         for end, epoch in boundaries:
             window = messages.RunWindow(window_end_s=end, epoch_boundary=epoch).encode()
             for conn in conns:
@@ -1099,10 +980,6 @@ def run_scenario_sharded(
                     for spec, conn in zip(plan.shards, conns):
                         conn.send(outcome_map[spec.shard_id].encode())
                 entry["committed_workers"] = broker.total_committed
-            if stealing:
-                steal_entry = _coordinate_steal(config, conns, replies, end)
-                if steal_entry is not None:
-                    steal_log.append(steal_entry)
             barrier_log.append(entry)
         finalize = messages.Finalize().encode()
         for conn in conns:
@@ -1140,39 +1017,14 @@ def run_scenario_sharded(
     total_workers = sum(r.num_workers for r in results)
     total_batches = sum(r.batches_served for r in results)
     total_served = sum(r.requests_served for r in results)
-    # With stealing on, every shard carries the full tenant table; ownership
-    # (the plan's tenant placement) decides whose per-tenant rows count.
-    owner: dict[str, int] = {}
-    for spec in plan.shards:
-        for name in spec.tenant_names or ():
-            owner[name] = spec.shard_id
     tenants: tuple[TenantSummary, ...] = ()
     if config.tenants:
-        rows = {}
-        for result in results:
-            for name, entry in result.tenant_extras.items():
-                if "summary" not in entry:
-                    continue
-                if owner.get(name, result.shard_id) != result.shard_id:
-                    continue
-                rows[name] = TenantSummary(**entry["summary"])
-        if stealing:
-            # Stolen requests complete on other shards, so each tenant's
-            # outcome columns are recomputed from the merged collector (the
-            # same data summarize() reads); owner-shard-scoped fields —
-            # cache hit rate, admission accounting — stay with the row.
-            runtimes = build_runtimes(config.tenants, config.slo)
-            for name, row in rows.items():
-                stats = merged.tenant_stats(name, runtimes[name].budget_s)
-                rows[name] = replace(
-                    row,
-                    arrivals=stats["arrivals"],
-                    completions=stats["completions"],
-                    dropped=stats["dropped"],
-                    slo_violation_ratio=stats["violation_ratio"],
-                    mean_relative_quality=stats["mean_relative_quality"],
-                    p99_latency_s=stats["p99_latency_s"],
-                )
+        rows = {
+            name: TenantSummary(**entry["summary"])
+            for result in results
+            for name, entry in result.tenant_extras.items()
+            if "summary" in entry
+        }
         tenants = tuple(rows[spec.name] for spec in config.tenants if spec.name in rows)
 
     summary = summarize(
@@ -1249,14 +1101,12 @@ def run_scenario_sharded(
         extras["retraining_events"] = sum(s or 0 for s in retrains)
     if config.tenants:
         extras["fair_share_index"] = summary.fair_share_index
-        admission = {}
-        for result in results:
-            for name, entry in result.tenant_extras.items():
-                if "admission" not in entry:
-                    continue
-                if owner.get(name, result.shard_id) != result.shard_id:
-                    continue
-                admission[name] = entry["admission"]
+        admission = {
+            name: entry["admission"]
+            for result in results
+            for name, entry in result.tenant_extras.items()
+            if "admission" in entry
+        }
         if admission:
             extras["admission"] = admission
     extras["sharding"] = {
@@ -1306,13 +1156,6 @@ def run_scenario_sharded(
             "events": {
                 r.shard_id: r.extras.get("autoscale_events", []) for r in results
             },
-        }
-    if stealing:
-        extras["sharding"]["stealing"] = {
-            "backlog_threshold": config.steal_backlog_threshold,
-            "max_fraction": config.steal_max_fraction,
-            "events": steal_log,
-            "stolen_total": sum(e["stolen"] for e in steal_log),
         }
     if record_messages:
         extras["sharding"]["messages"] = {r.shard_id: list(r.messages) for r in results}

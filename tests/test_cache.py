@@ -73,24 +73,6 @@ class TestVectorDatabase:
         with pytest.raises(ValueError):
             db.upsert(np.ones(9))
 
-    def test_invalid_index_type(self):
-        with pytest.raises(ValueError):
-            VectorDatabase(dim=8, index_type="annoy")
-
-    def test_ivf_recall_close_to_flat(self):
-        vectors = self._random_vectors(600, dim=24, seed=3)
-        flat = VectorDatabase(dim=24, index_type="flat")
-        ivf = VectorDatabase(dim=24, index_type="ivf", num_clusters=8, nprobe=4)
-        for vector in vectors:
-            flat.upsert(vector)
-            ivf.upsert(vector)
-        rng = np.random.default_rng(5)
-        queries = vectors[rng.choice(len(vectors), size=40, replace=False)]
-        agree = sum(
-            1 for q in queries if flat.nearest(q).key == ivf.nearest(q).key
-        )
-        assert agree >= 30  # IVF trades a little recall for speed.
-
 
 class TestNoiseStateStore:
     def test_put_and_get(self):

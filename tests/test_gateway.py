@@ -190,6 +190,54 @@ def test_gateway_rejects_unknown_route_and_bad_json():
     assert b"invalid JSON" in body
 
 
+def _handle(method: str, target: str, body: bytes = b"") -> tuple[int, dict]:
+    async def scenario():
+        gateway = Gateway(config=ArgusConfig(num_workers=1), time_scale=200.0)
+        await gateway.start()
+        try:
+            status, _, payload = await gateway.handle(method, target, body)
+        finally:
+            await gateway.stop()
+        return status, json.loads(payload)
+
+    return asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("body", [b"[1, 2]", b'"hello"'], ids=["array", "string"])
+def test_gateway_rejects_non_object_json_body(body):
+    status, payload = _handle("POST", "/v1/generate", body)
+    assert status == 400
+    assert "JSON object" in payload["error"]
+
+
+@pytest.mark.parametrize("query", ["seed=abc", "duration_minutes=abc"])
+def test_gateway_rejects_non_numeric_report_parameters(query):
+    status, payload = _handle("GET", f"/report?{query}")
+    assert status == 400
+    assert "abc" in payload["error"]
+
+
+def test_gateway_answers_bad_content_length_over_socket():
+    async def scenario():
+        gateway = Gateway(config=ArgusConfig(num_workers=1), time_scale=200.0)
+        await gateway.start()
+        try:
+            reader, writer = await asyncio.open_connection(gateway.host, gateway.port)
+            writer.write(b"POST /v1/generate HTTP/1.1\r\nContent-Length: abc\r\n\r\n{}")
+            await writer.drain()
+            raw = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+        finally:
+            await gateway.stop()
+        return raw
+
+    head, _, body = asyncio.run(scenario()).partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"Connection: close" in head
+    assert "Content-Length" in json.loads(body)["error"]
+
+
 def test_gateway_report_passes_verify_report_dict_shape():
     async def scenario():
         gateway = Gateway(config=ArgusConfig(num_workers=2), time_scale=500.0)

@@ -30,6 +30,7 @@ from repro.metrics.report import TenantSummary, fair_share_index
 from repro.metrics.slo import SloPolicy
 from repro.prompts.dataset import PromptDataset
 from repro.prompts.generator import Prompt
+from repro.runtime.sim import SimRuntime
 from repro.simulation.engine import SimulationEngine
 from repro.workloads.replay import RequestStream
 from repro.workloads.tenants import (
@@ -198,7 +199,7 @@ class TestFairShareAdmission:
             for name, weight in zip(("a", "b"), weights)
         )
         controller = FairShareAdmission(
-            engine=engine,
+            runtime=SimRuntime(engine),
             tenants=tenants,
             capacity_qps=lambda: capacity_qps,
             admit=lambda prompt, offered_at: admitted.append((prompt.tenant, offered_at)),
@@ -257,7 +258,7 @@ class TestFairShareAdmission:
     def test_needs_two_tenants(self):
         with pytest.raises(ValueError):
             FairShareAdmission(
-                engine=SimulationEngine(seed=0),
+                runtime=SimRuntime(SimulationEngine(seed=0)),
                 tenants=(TenantSpec(name="solo"),),
                 capacity_qps=lambda: 1.0,
                 admit=lambda p, t: None,

@@ -40,7 +40,7 @@ def _clustered_vectors(n: int, dim: int = 32, clusters: int = 12, seed: int = 0)
 
 
 class TestIndexEquivalence:
-    """flat / IVF / HNSW agreement on clustered prompt-like workloads."""
+    """The flat index against the seed brute-force search."""
 
     @pytest.fixture(scope="class")
     def workload(self):
@@ -49,44 +49,20 @@ class TestIndexEquivalence:
         queries = vectors[rng.choice(len(vectors), size=100, replace=False)]
         return vectors, queries
 
-    def _filled(self, index_type: str, vectors) -> VectorDatabase:
-        db = VectorDatabase(dim=vectors.shape[1], index_type=index_type)
-        for vector in vectors:
-            db.upsert(vector)
-        return db
-
     def test_flat_matches_legacy_brute_force(self, workload):
         vectors, queries = workload
-        db = self._filled("flat", vectors)
+        db = VectorDatabase(dim=vectors.shape[1])
+        for vector in vectors:
+            db.upsert(vector)
         for query in queries:
             optimized = db.search(query, top_k=1)[0]
             key, _sim = legacy.legacy_flat_search(db, query, top_k=1)[0]
             assert optimized.key == key
 
-    def test_ivf_recall_at_1(self, workload):
-        vectors, queries = workload
-        flat = self._filled("flat", vectors)
-        ivf = self._filled("ivf", vectors)
-        agree = sum(
-            1 for q in queries if flat.nearest(q).key == ivf.nearest(q).key
-        )
-        assert agree >= 75
-
-    def test_hnsw_recall_at_1(self, workload):
-        vectors, queries = workload
-        flat = self._filled("flat", vectors)
-        hnsw = self._filled("hnsw", vectors)
-        agree = sum(
-            1 for q in queries if flat.nearest(q).key == hnsw.nearest(q).key
-        )
-        assert agree >= 90
-
-    @pytest.mark.parametrize("index_type", ["flat", "ivf", "hnsw"])
-    def test_delete_upsert_churn_keeps_search_correct(self, index_type):
+    def test_delete_upsert_churn_keeps_search_correct(self):
         vectors = _clustered_vectors(600, seed=7)
-        db = VectorDatabase(dim=vectors.shape[1], index_type=index_type)
+        db = VectorDatabase(dim=vectors.shape[1])
         keys = [db.upsert(v, payload={"i": i}) for i, v in enumerate(vectors)]
-        # Delete more than half so the HNSW tombstone compaction triggers.
         deleted = set(keys[::3]) | set(keys[1::3])
         for key in deleted:
             assert db.delete(key)
@@ -106,26 +82,6 @@ class TestIndexEquivalence:
         fresh_keys = [db.upsert(v, payload={"fresh": j}) for j, v in enumerate(fresh)]
         for j in (0, 17, 49):
             assert db.nearest(fresh[j]).key == fresh_keys[j]
-
-    def test_ivf_rebuilds_under_steady_size_churn(self):
-        """Delete/insert turnover at constant size must still refresh
-        centroids — the rebuild trigger counts inserts, not net growth."""
-        from collections import deque
-
-        vectors = _clustered_vectors(1000, seed=10)
-        db = VectorDatabase(dim=vectors.shape[1], index_type="ivf")
-        live = deque(db.upsert(v) for v in vectors[:300])
-        db.search(vectors[0])  # initial build resets the insert counter
-        for i, vector in enumerate(vectors[300:]):
-            db.delete(live.popleft())
-            live.append(db.upsert(vector))
-            if i % 50 == 0:
-                db.search(vector)
-        db.search(vectors[-1])
-        # 700 churn inserts at constant size must have triggered at least
-        # one rebuild (counter resets), even though the count never grew.
-        assert db._inserts_since_rebuild < db.IVF_REBUILD_INTERVAL
-        assert len(db) == 300
 
     def test_top_k_deterministic_tie_break(self):
         db = VectorDatabase(dim=8)
@@ -291,7 +247,7 @@ class TestSolverCacheAndVectorization:
                 quality[int(rng.integers(0, num_levels))] = quality[0]
             target = float(rng.uniform(0, peak.max() * num_workers * 1.3))
             vectorized = solver._best_counts_enumerated(target, quality, peak, num_workers)
-            scalar = solver._enumerate_best_counts_scalar(
+            scalar = legacy.enumerate_best_counts_scalar(
                 target,
                 quality,
                 num_workers,
