@@ -8,18 +8,17 @@ Writes a ``BENCH_*.json`` with one leg per shard count (wall-clock, arrival
 * the ``shards=1`` leg must produce a RunSummary digest hex-identical to the
   plain sequential runner — sharding is opt-in risk only at N > 1.
 
-The headline claim is the 8-shard wall-clock speedup on the ``fig16-xl``
-ten-million-request trace.  On a single-core host that speedup is *work
-removed*, not parallel slack: each shard's join-shortest-expected-wait route
-scan covers only its fleet partition (W/N workers instead of W), which is
-the O(W) term sharding exists to split.
+The headline figure is the wall-clock speedup of N shard processes over
+the sequential run on the ``fig16-xl`` trace.  An N-shard run simulates N
+isolated sub-fleets, so its SLO-violation ratio, p99 latency and quality
+diverge from the sequential run's; each leg reports them next to its
+speedup.
 
 Two control-plane benchmarks ride along:
 
 * ``shard_autoscale`` — the ``sharded-autoscale`` scenario under per-shard
   autoscalers and the coordinator budget broker, checked for repeat
-  determinism, sync-window invariance, and the global worker budget
-  holding at every barrier; and
+  determinism and the global worker budget holding at every barrier; and
 * ``tenant_partition`` — coordinator-side tenant stream slicing vs the old
   per-shard full-stream filter walk (the O(shards x stream) term the
   partitioner removes), checked for identical per-shard slices.
@@ -104,20 +103,21 @@ def _run_leg(scenario: str, preset: str, seed: int, shards: int) -> dict:
         "completions": summary.total_completions,
         "requests_per_s": summary.total_arrivals / wall_s,
         "slo_violation_ratio": summary.slo_violation_ratio,
+        "p99_latency_s": summary.p99_latency_s,
         "mean_relative_quality": summary.mean_relative_quality,
         "summary_digest": _digest(run),
     }
 
 
-def _timed_sharded(scenario: str, preset: str, seed: int, shards: int, **kw):
+def _timed_sharded(scenario: str, preset: str, seed: int, shards: int):
     gc.collect()
     start = time.perf_counter()
-    run = run_scenario_sharded(scenario, preset=preset, seed=seed, shards=shards, **kw)
+    run = run_scenario_sharded(scenario, preset=preset, seed=seed, shards=shards)
     return run, time.perf_counter() - start
 
 
 def _bench_autoscale(preset: str, seed: int) -> dict:
-    """Brokered per-shard autoscaling: determinism, window invariance, budget."""
+    """Brokered per-shard autoscaling: determinism and the global budget."""
     scenario = "sharded-autoscale"
     failures: list[str] = []
     seq, seq_wall = _timed_sharded(scenario, preset, seed, shards=1)
@@ -146,21 +146,6 @@ def _bench_autoscale(preset: str, seed: int) -> dict:
         repeat, _ = _timed_sharded(scenario, preset, seed, shards=shards)
         if _digest(repeat) != _digest(run):
             failures.append(f"shards={shards}: repeat run digest differs")
-        # Grant/apply happens only on the fixed epoch grid, so halving or
-        # quadrupling the barrier window must not move a single request.
-        narrow, _ = _timed_sharded(
-            scenario, preset, seed, shards=shards, sync_window_s=30.0
-        )
-        wide, _ = _timed_sharded(
-            scenario, preset, seed, shards=shards, sync_window_s=120.0
-        )
-        if _digest(narrow) != _digest(wide):
-            failures.append(f"shards={shards}: sync-window width changed the summary")
-        if (
-            narrow.extras["sharding"]["autoscale"]["grants"]
-            != wide.extras["sharding"]["autoscale"]["grants"]
-        ):
-            failures.append(f"shards={shards}: sync-window width changed the grants")
         legs.append(
             {
                 "shards": shards,

@@ -43,18 +43,10 @@ def run(
     seed: int | None = None,
     system: str | None = None,
     shards: int | None = None,
-    sync_window_s: float | None = None,
 ) -> ScenarioRun:
     """Run a scenario in simulation; same (scenario, preset, seed) in, same
     bits out.  Delegates to :func:`repro.scenarios.runtime.run_scenario`."""
-    return run_scenario(
-        scenario,
-        preset=preset,
-        seed=seed,
-        system=system,
-        shards=shards,
-        sync_window_s=sync_window_s,
-    )
+    return run_scenario(scenario, preset=preset, seed=seed, system=system, shards=shards)
 
 
 def serve(

@@ -15,6 +15,8 @@ config so every caller — workers, gateway interceptor, scenario runtime —
 stays a single code path.
 """
 
+from dataclasses import replace
+
 from repro.cache.approximate import ApproximateCache, RetrievalOutcome
 from repro.cache.network import NetworkCondition, NetworkModel
 from repro.cache.store import NoiseStateStore, StoredState
@@ -47,6 +49,25 @@ def build_cache(config, network=None, on_lookup=None):
     )
 
 
+def warm_cache(cache, prompts, tenants=()) -> None:
+    """Pre-populate ``cache`` with a warm prompt history, per tenant.
+
+    Retrieval only searches the requesting tenant's namespace, so each named
+    tenant is warmed with tagged copies of the history, capped at its cache
+    quota so the warm-up cannot churn its own working set out.  Without
+    tenants, and for the anonymous tenant, the history is warmed untagged.
+    """
+    if not tenants:
+        cache.warm(prompts)
+        return
+    for spec in tenants:
+        if not spec.name:
+            cache.warm(prompts)
+            continue
+        count = len(prompts) if spec.cache_quota is None else min(len(prompts), spec.cache_quota)
+        cache.warm([replace(prompt, tenant=spec.name) for prompt in prompts[:count]])
+
+
 __all__ = [
     "ApproximateCache",
     "CacheNode",
@@ -60,4 +81,5 @@ __all__ = [
     "StoredState",
     "VectorDatabase",
     "build_cache",
+    "warm_cache",
 ]

@@ -39,6 +39,10 @@ from repro.models.variants import SM_VARIANTS
 from repro.models.zoo import ApproximationLevel, ModelZoo, Strategy
 from repro.simulation.engine import Event, SimulationEngine
 
+#: Added seconds of service when a cache retrieval attempt hits a network
+#: outage.
+FAILED_RETRIEVAL_PENALTY_S = 0.25
+
 
 class WorkerState(str, Enum):
     """Lifecycle state of a worker."""
@@ -107,7 +111,6 @@ class Worker:
         on_complete: Callable[[CompletedRequest], None] | None = None,
         on_requeue: Callable[[Request], None] | None = None,
         service_jitter: float = 0.03,
-        failed_retrieval_penalty_s: float = 0.25,
         honor_request_rank: bool = False,
         blocking_load: bool = False,
         max_batch_size: int = 1,
@@ -143,7 +146,6 @@ class Worker:
         self.on_complete = on_complete
         self.on_requeue = on_requeue
         self.service_jitter = float(service_jitter)
-        self.failed_retrieval_penalty_s = float(failed_retrieval_penalty_s)
         #: When True (NIRVANA-style serving) an AC worker uses the per-request
         #: assigned rank as its K instead of its own operating level.
         self.honor_request_rank = bool(honor_request_rank)
@@ -503,8 +505,8 @@ class Worker:
             effective_rank = spec.approximation_rank
             overhead = outcome.retrieval_latency_s
         if outcome.network_failed:
-            latency += self.failed_retrieval_penalty_s
-            overhead += self.failed_retrieval_penalty_s
+            latency += FAILED_RETRIEVAL_PENALTY_S
+            overhead += FAILED_RETRIEVAL_PENALTY_S
         if outcome.hit:
             self.stats.cache_hits += 1
         else:

@@ -18,15 +18,15 @@ untouched.
 
 Sharded runs flip ``brokered`` on: the signals, streaks and cooldowns are
 evaluated identically over the shard's fleet partition, but instead of
-provisioning/draining directly the loop emits
-:class:`~repro.simulation.messages.ScaleRequest` records.  The shard ships
-them at the next autoscale-epoch barrier; the coordinator's budget broker
-grants against the *global* ``min_workers``/``max_workers``/``gpu_mix``
-budget and the shard applies the grants (provision/drain + events) at
-exactly the epoch time via :meth:`Autoscaler.apply_outcomes`.  While a
-request is pending or awaiting a grant the loop holds still — the same
-"never shrink while growth is in flight" rule the sequential loop applies
-to provisioning workers.
+provisioning/draining directly the loop emits :class:`ScaleRequest`
+records.  The shard ships them at the next autoscale-epoch barrier; the
+coordinator's budget broker grants against the *global*
+``min_workers``/``max_workers``/``gpu_mix`` budget, answering each with a
+:class:`ScaleOutcome`, and the shard applies the grants (provision/drain +
+events) at exactly the epoch time via :meth:`Autoscaler.apply_outcomes`.
+While a request is pending or awaiting a grant the loop holds still — the
+same "never shrink while growth is in flight" rule the sequential loop
+applies to provisioning workers.
 """
 
 from __future__ import annotations
@@ -42,8 +42,37 @@ from repro.core.config import ArgusConfig
 from repro.models.gpus import gpu_by_name
 from repro.models.zoo import ModelZoo, Strategy
 from repro.runtime.base import Runtime, as_runtime
-from repro.simulation import messages
 from repro.simulation.engine import SimulationEngine
+
+
+@dataclass(frozen=True)
+class ScaleRequest:
+    """One brokered-mode autoscaler ask, shipped to the budget broker.
+
+    ``seq`` is the shard-local emission sequence; the broker grants in
+    (shard id, seq) order, which is what makes N-shard autoscaled runs
+    reproducible regardless of process timing.
+    """
+
+    seq: int
+    action: str  # "scale_out" | "scale_in"
+    time_s: float
+    #: Workers asked for (scale_out) or offered back (scale_in, always 1).
+    count: int
+    reason: str = ""
+
+
+@dataclass(frozen=True)
+class ScaleOutcome:
+    """The budget broker's answer to one :class:`ScaleRequest`."""
+
+    seq: int
+    action: str
+    #: Workers granted (0 = denied outright).
+    granted: int
+    #: GPU types for granted scale-out workers, assigned from the *global*
+    #: ``gpu_mix`` cycle so the fleet mix matches a sequential deployment.
+    gpus: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -86,8 +115,8 @@ class Autoscaler:
         self._added_ids: list[int] = []
         #: Brokered-mode request bookkeeping: emitted-but-unshipped asks,
         #: shipped-awaiting-grant asks, the emission sequence, denial count.
-        self._pending: list[messages.ScaleRequest] = []
-        self._awaiting: dict[int, messages.ScaleRequest] = {}
+        self._pending: list[ScaleRequest] = []
+        self._awaiting: dict[int, ScaleRequest] = {}
         self._request_seq = 0
         self.denied_requests = 0
         #: Pre-emission (cooldown stamp, streak) per in-flight request seq,
@@ -299,16 +328,16 @@ class Autoscaler:
     def _emit_request(self, action: str, now: float, count: int, reason: str) -> int:
         self._request_seq += 1
         self._pending.append(
-            messages.ScaleRequest(
+            ScaleRequest(
                 seq=self._request_seq, action=action, time_s=now, count=count, reason=reason
             )
         )
         return self._request_seq
 
     def take_requests(self) -> tuple:
-        """Pending :class:`~repro.simulation.messages.ScaleRequest`s, in
-        emission order, moved to the awaiting-grant set.  The shard calls
-        this when building its epoch-boundary barrier reply."""
+        """Pending :class:`ScaleRequest`s, in emission order, moved to the
+        awaiting-grant set.  The shard calls this when building its
+        epoch-boundary barrier reply."""
         requests = tuple(self._pending)
         for request in requests:
             self._awaiting[request.seq] = request
@@ -318,9 +347,9 @@ class Autoscaler:
     def take_unapplied_scale_ins(self) -> int:
         """Scale-in grants skipped since the last barrier (and reset).
 
-        The shard ships this count on its next :class:`BarrierReached`; the
+        The shard ships this count in its next barrier reply; the
         coordinator adds it back to the broker's committed ledger, which
-        otherwise runs one worker high per skipped drain."""
+        otherwise runs one worker low per skipped drain."""
         count = self.unapplied_scale_ins
         self.unapplied_scale_ins = 0
         return count

@@ -20,7 +20,7 @@ from repro.cluster.requests import CompletedRequest, Request
 from repro.core.admission import FairShareAdmission
 from repro.core.config import ArgusConfig
 from repro.metrics.collector import MetricsCollector, ServedSample
-from repro.metrics.report import RunSummary, TenantSummary, summarize
+from repro.metrics.report import RunSummary, summarize, tenant_breakdown
 from repro.models.zoo import ApproximationLevel, ModelZoo, Strategy
 from repro.prompts.generator import Prompt
 from repro.quality.pickscore import PickScoreModel
@@ -273,41 +273,6 @@ class BaseServingSystem(ABC):
             self._started = True
         self.engine.run(until=duration_s + drain_s)
 
-    def _tenant_breakdown(self) -> tuple[TenantSummary, ...]:
-        """Per-tenant outcome rows (empty for the anonymous workload)."""
-        rows = []
-        for runtime in self.tenant_runtimes.values():
-            spec = runtime.spec
-            stats = self.collector.tenant_stats(spec.name, budget_s=runtime.budget_s)
-            cache_hit_rate = (
-                self.cache.retrieval_hit_rate_for(spec.name) if self.cache is not None else 0.0
-            )
-            admission = (
-                self.admission.stats_for(spec.name) if self.admission is not None else None
-            )
-            rows.append(
-                TenantSummary(
-                    name=spec.name,
-                    slo_class=spec.slo_class,
-                    weight=spec.weight,
-                    slo_budget_s=runtime.budget_s,
-                    arrivals=stats["arrivals"],
-                    completions=stats["completions"],
-                    dropped=stats["dropped"],
-                    slo_violation_ratio=stats["violation_ratio"],
-                    mean_relative_quality=stats["mean_relative_quality"],
-                    p99_latency_s=stats["p99_latency_s"],
-                    quality_floor=spec.quality_floor,
-                    cache_hit_rate=cache_hit_rate,
-                    admission_delayed=0 if admission is None else admission.delayed,
-                    mean_admission_wait_s=0.0 if admission is None else admission.mean_wait_s,
-                    admission_backlog=(
-                        0 if self.admission is None else self.admission.backlog(spec.name)
-                    ),
-                )
-            )
-        return tuple(rows)
-
     def summary(self, workload: str, duration_minutes: float) -> RunSummary:
         """Summarise the run for reporting."""
         duration_s = duration_minutes * 60.0
@@ -326,5 +291,7 @@ class BaseServingSystem(ABC):
             workers_retired=self.cluster.workers_retired,
             gpu_hours=self.cluster.gpu_hours(duration_s),
             cost_usd=self.cluster.total_cost_usd(duration_s),
-            tenants=self._tenant_breakdown(),
+            tenants=tenant_breakdown(
+                self.collector, self.tenant_runtimes, self.cache, self.admission
+            ),
         )

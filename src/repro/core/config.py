@@ -37,8 +37,6 @@ class ArgusConfig:
     retrieval_latency_threshold_s: float = 0.6
     #: Consecutive slow/failed retrieval observations required to switch.
     retrieval_violations_to_switch: int = 20
-    #: Interval between background network probes while running on SM.
-    probe_interval_s: float = 30.0
     #: Out-of-band recalibration trigger: when more than this many requests
     #: per healthy worker *per batch slot* are waiting in queues (in-service
     #: batch members excluded, threshold scaled by ``max_batch_size``), the
@@ -140,18 +138,11 @@ class ArgusConfig:
     #: Number of shard processes to partition the simulation across.  1 runs
     #: the plain sequential engine (bit-for-bit the unsharded behaviour);
     #: N > 1 splits the arrival stream and the fleet into N slices, each on
-    #: its own event loop, synchronized at ``sync_window_s`` barriers.
+    #: its own event loop: N isolated sub-fleets (see simulation/shard.py).
     shards: int = 1
-    #: Conservative barrier window for sharded runs: shards exchange fleet /
-    #: metrics deltas and re-align their clocks every this many simulated
-    #: seconds (the shared solver/admission tick granularity).
-    sync_window_s: float = 60.0
-    #: Fixed simulated-time grid on which sharded autoscaled runs exchange
-    #: scale requests and grants with the coordinator's budget broker.  The
-    #: grid is independent of ``sync_window_s`` (boundaries are the union of
-    #: both), which is what keeps autoscaled N-shard runs
-    #: barrier-window-invariant: grants always apply at the same simulated
-    #: instants no matter how wide the barrier windows are.
+    #: Fixed simulated-time grid on which sharded autoscaled runs barrier
+    #: and exchange scale requests and grants with the coordinator's budget
+    #: broker.  A fixed-fleet sharded run barriers only at its end.
     autoscale_epoch_s: float = 60.0
     #: Keep a Python object per completed request in the metrics collector.
     #: Summaries and minute series come from the columnar store either way;
@@ -220,8 +211,6 @@ class ArgusConfig:
             raise ValueError("retrieval_latency_threshold_s must be positive")
         if self.retrieval_violations_to_switch < 1:
             raise ValueError("retrieval_violations_to_switch must be >= 1")
-        if self.probe_interval_s <= 0:
-            raise ValueError("probe_interval_s must be positive")
         if self.backlog_recalibration_min_gap_s < 0:
             raise ValueError("backlog_recalibration_min_gap_s must be non-negative")
         self.default_strategy = Strategy(self.default_strategy)
@@ -275,8 +264,6 @@ class ArgusConfig:
             raise ValueError("admission_burst_s must be non-negative")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
-        if self.sync_window_s <= 0:
-            raise ValueError("sync_window_s must be positive")
         if self.autoscale_epoch_s <= 0:
             raise ValueError("autoscale_epoch_s must be positive")
         if self.cache_shards < 1:

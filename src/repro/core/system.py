@@ -13,10 +13,10 @@ their individual approximation tolerance.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import replace
 
 import numpy as np
 
+from repro.cache import warm_cache
 from repro.classifier.drift import DriftDetector
 from repro.classifier.trainer import ClassifierTrainer, TrainedPredictor
 from repro.cluster.requests import CompletedRequest
@@ -142,26 +142,11 @@ class ArgusSystem(BaseServingSystem):
 
         self._apply_strategy(self.config.default_strategy)
         if self.cache is not None and self.config.cache_warm_prompts > 0:
-            warm = self._training_prompts[: self.config.cache_warm_prompts]
-            if self.config.tenants:
-                # Retrieval only searches the requesting tenant's namespace,
-                # so warming must happen per tenant (tagged copies of the
-                # warm history, capped at each tenant's quota so the warm-up
-                # cannot churn its own working set out).
-                for spec in self.config.tenants:
-                    if not spec.name:
-                        self.cache.warm(warm)
-                        continue
-                    count = (
-                        len(warm)
-                        if spec.cache_quota is None
-                        else min(len(warm), spec.cache_quota)
-                    )
-                    self.cache.warm(
-                        [replace(prompt, tenant=spec.name) for prompt in warm[:count]]
-                    )
-            else:
-                self.cache.warm(warm)
+            warm_cache(
+                self.cache,
+                self._training_prompts[: self.config.cache_warm_prompts],
+                self.config.tenants,
+            )
 
         # Seed the affinity predictor with the training prompts so the first
         # PASM is informative rather than uniform.

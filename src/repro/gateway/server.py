@@ -28,14 +28,14 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
-from dataclasses import replace
 from typing import Mapping
 from urllib.parse import parse_qs
 
-from repro.cache import build_cache
+from repro.cache import build_cache, warm_cache
 from repro.cache.network import NetworkModel
 from repro.classifier.drift import DriftDetector
 from repro.cluster.requests import CompletedRequest, Request
+from repro.cluster.worker import FAILED_RETRIEVAL_PENALTY_S
 from repro.core.admission import FairShareAdmission
 from repro.core.config import ArgusConfig
 from repro.gateway.interceptors import (
@@ -56,7 +56,7 @@ from repro.gateway.workers import (
 )
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.prometheus import render_prometheus
-from repro.metrics.report import ScenarioReport, TenantSummary, summarize
+from repro.metrics.report import ScenarioReport, summarize, tenant_breakdown
 from repro.models.zoo import ModelZoo, Strategy
 from repro.prompts.dataset import PromptDataset
 from repro.prompts.generator import Prompt
@@ -64,10 +64,6 @@ from repro.quality.pickscore import PickScoreModel
 from repro.runtime.wall import WallClockRuntime
 from repro.simulation.randomness import stable_hash
 from repro.workloads.tenants import build_runtimes
-
-#: Added model-seconds when a retrieval attempt hits a network outage
-#: (matches :class:`repro.cluster.worker.Worker`'s default).
-FAILED_RETRIEVAL_PENALTY_S = 0.25
 
 
 def prompt_from_payload(payload: Mapping) -> Prompt:
@@ -162,7 +158,16 @@ class Gateway:
         self.host: str | None = None
         self.port: int | None = None
         if self.config.cache_warm_prompts > 0:
-            self._warm_cache()
+            # The offline training set ArgusSystem warms from (same seed).
+            training = PromptDataset.synthetic(
+                count=max(self.config.classifier_training_prompts, self.config.cache_warm_prompts),
+                seed=self.config.seed + 101,
+            )
+            warm_cache(
+                self.cache,
+                training.prompts[: self.config.cache_warm_prompts],
+                self.config.tenants,
+            )
 
     # ------------------------------------------------------------------ #
     # Interceptor chain
@@ -296,26 +301,6 @@ class Gateway:
             ceiling *= fastest / effective
         return ceiling
 
-    def _warm_cache(self) -> None:
-        """Pre-populate the cache from the offline training set, per tenant
-        (same derivation as :class:`~repro.core.system.ArgusSystem`)."""
-        dataset = PromptDataset.synthetic(
-            count=max(self.config.classifier_training_prompts, self.config.cache_warm_prompts),
-            seed=self.config.seed + 101,
-        )
-        warm = dataset.prompts[: self.config.cache_warm_prompts]
-        if self.config.tenants:
-            for spec in self.config.tenants:
-                if not spec.name:
-                    self.cache.warm(warm)
-                    continue
-                count = (
-                    len(warm) if spec.cache_quota is None else min(len(warm), spec.cache_quota)
-                )
-                self.cache.warm([replace(prompt, tenant=spec.name) for prompt in warm[:count]])
-        else:
-            self.cache.warm(warm)
-
     def _drift_for(self, tenant: str) -> DriftDetector:
         if not tenant:
             return self._drift
@@ -328,39 +313,6 @@ class Gateway:
     # ------------------------------------------------------------------ #
     # Reporting
     # ------------------------------------------------------------------ #
-    def _tenant_breakdown(self) -> tuple[TenantSummary, ...]:
-        rows = []
-        for runtime in self.tenant_runtimes.values():
-            spec = runtime.spec
-            stats = self.collector.tenant_stats(spec.name, budget_s=runtime.budget_s)
-            admission_stats = (
-                self.admission.stats_for(spec.name) if self.admission is not None else None
-            )
-            rows.append(
-                TenantSummary(
-                    name=spec.name,
-                    slo_class=spec.slo_class,
-                    weight=spec.weight,
-                    slo_budget_s=runtime.budget_s,
-                    arrivals=stats["arrivals"],
-                    completions=stats["completions"],
-                    dropped=stats["dropped"],
-                    slo_violation_ratio=stats["violation_ratio"],
-                    mean_relative_quality=stats["mean_relative_quality"],
-                    p99_latency_s=stats["p99_latency_s"],
-                    quality_floor=spec.quality_floor,
-                    cache_hit_rate=self.cache.retrieval_hit_rate_for(spec.name),
-                    admission_delayed=0 if admission_stats is None else admission_stats.delayed,
-                    mean_admission_wait_s=(
-                        0.0 if admission_stats is None else admission_stats.mean_wait_s
-                    ),
-                    admission_backlog=(
-                        0 if self.admission is None else self.admission.backlog(spec.name)
-                    ),
-                )
-            )
-        return tuple(rows)
-
     def report_dict(
         self,
         scenario: str = "live",
@@ -391,7 +343,9 @@ class Gateway:
             cluster_utilization=min(1.0, utilization),
             fleet_peak_workers=len(self.workers),
             fleet_mean_workers=float(len(self.workers)),
-            tenants=self._tenant_breakdown(),
+            tenants=tenant_breakdown(
+                self.collector, self.tenant_runtimes, self.cache, self.admission
+            ),
         )
         extras: dict = {
             "gateway": {

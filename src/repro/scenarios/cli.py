@@ -130,7 +130,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         system=args.system,
         shards=args.shards,
-        sync_window_s=args.sync_window_s,
     )
     report = run.report()
     if args.output:
@@ -270,10 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--shards", type=int, default=None,
         help="partition the run across N shard processes (1 = sequential)",
-    )
-    run_parser.add_argument(
-        "--sync-window-s", type=float, default=None, dest="sync_window_s",
-        help="barrier window in simulated seconds for sharded runs",
     )
     run_parser.add_argument("--output", default=None, help="write the JSON report here")
     run_parser.add_argument(

@@ -27,10 +27,10 @@ Vocabulary (``Scenario.contracts`` entries; ``fairness`` takes an optional
 - ``fleet-budget`` — the fleet never exceeds the autoscaler's max budget
   and no scale-in leaves it below the min budget.
 - ``ledger-matches-fleet`` — in brokered sharded runs the coordinator's
-  committed-worker ledger equals active + provisioning + failed workers
-  at every non-epoch barrier, and stays inside the global budget at all
-  barriers.  (Epoch barriers record the post-grant ledger against the
-  pre-apply fleet, so only the bounds apply there.)
+  committed-worker ledger, reconciled and read before the broker grants,
+  equals active + provisioning + failed workers at every barrier, and the
+  post-grant ledger stays inside the global budget.  A report whose
+  barriers carry no pre-grant ledger passes vacuously.
 - ``cache-tier`` — the distributed cache tier's per-shard accounting is
   conserved: shard lookups never exceed retrieval attempts, shard hits
   equal the retrieval hits, and the per-shard entry counts sum to the
@@ -223,24 +223,26 @@ def _check_ledger_matches_fleet(
     checked = 0
     for entry in sharding.get("barriers", ()):
         committed = entry.get("committed_workers")
-        if committed is None:
-            continue
-        if not low <= committed <= high:
+        if committed is not None and not low <= committed <= high:
             return _fail(
                 contract,
                 f"barrier {entry['window_end_s']:.0f}s: ledger {committed}"
                 f" outside budget [{low}, {high}]",
             )
-        if not entry["epoch"]:
-            live = entry["in_fleet"] + entry["failed_workers"]
-            if committed != live:
-                return _fail(
-                    contract,
-                    f"barrier {entry['window_end_s']:.0f}s: ledger {committed}"
-                    f" != live fleet {live}"
-                    f" ({entry['in_fleet']} in fleet + {entry['failed_workers']} failed)",
-                )
-            checked += 1
+        before = entry.get("committed_before_grant")
+        if before is None:
+            continue
+        live = entry["in_fleet"] + entry["failed_workers"]
+        if before != live:
+            return _fail(
+                contract,
+                f"barrier {entry['window_end_s']:.0f}s: pre-grant ledger {before}"
+                f" != live fleet {live}"
+                f" ({entry['in_fleet']} in fleet + {entry['failed_workers']} failed)",
+            )
+        checked += 1
+    if not checked:
+        return _vacuous(contract, "no barrier carried a pre-grant ledger")
     return _ok(contract, f"ledger matched the live fleet at {checked} barriers")
 
 

@@ -535,8 +535,8 @@ register(
             "The Fig. 16 twitter-trace experiment scaled out to a ten-"
             "million-request day on a large fleet: the workload the sharded "
             "execution mode exists for.  Sequential runs take on the order "
-            "of an hour; `--shards 8` partitions it across shard processes "
-            "behind the conservative time-window barrier."
+            "of an hour; `--shards 8` partitions it across shard processes, "
+            "each simulating an isolated sub-fleet."
         ),
         exercises=("sharded execution", "scale-out", "long traces", "cache locality"),
         contracts=("conservation",),

@@ -163,10 +163,16 @@ def build_stream(
     )
 
 
-def _apply_schedules(system: BaseServingSystem, scenario: Scenario, preset: Preset) -> None:
-    """Install fault and network timelines on a freshly built system."""
-    faults, _, network = scenario.schedule(preset)
-    for event in faults:
+def _apply_schedules(
+    system: BaseServingSystem, scenario: Scenario, preset: Preset, faults: bool = True
+) -> None:
+    """Install fault, network and cache-event timelines on a freshly built system.
+
+    ``faults=False`` leaves the fault schedule out: a shard installs its own,
+    mapped onto shard-local worker ids.
+    """
+    fault_events, _, network = scenario.schedule(preset)
+    for event in fault_events if faults else ():
         for worker_id in event.worker_ids(system.config.num_workers):
             recover_at = (
                 None if event.recover_at_minute is None else event.recover_at_minute * 60.0
@@ -307,7 +313,6 @@ def run_scenario(
     seed: int | None = None,
     system: str | None = None,
     shards: int | None = None,
-    sync_window_s: float | None = None,
 ) -> ScenarioRun:
     """Run a scenario (instance or registered name) under a preset.
 
@@ -315,10 +320,10 @@ def run_scenario(
     stochastic component — same (scenario, preset, seed) means a
     bit-identical run.  ``system`` overrides the scenario's serving system
     (any :func:`~repro.experiments.runner.build_system` name), e.g. to run
-    the same workload through a baseline.  ``shards`` / ``sync_window_s``
-    override the config's sharding knobs; any effective ``shards > 1``
-    delegates to :func:`repro.simulation.shard.run_scenario_sharded`
-    (``shards=1`` always takes this sequential path, bit-for-bit).
+    the same workload through a baseline.  ``shards`` overrides the
+    config's shard count; any effective ``shards > 1`` delegates to
+    :func:`repro.simulation.shard.run_scenario_sharded` (``shards=1``
+    always takes this sequential path, bit-for-bit).
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
@@ -331,8 +336,6 @@ def run_scenario(
     extra: dict = {}
     if shards is not None:
         extra["shards"] = int(shards)
-    if sync_window_s is not None:
-        extra["sync_window_s"] = float(sync_window_s)
     config = build_config(scenario, preset_spec, seed, extra=extra)
     if config.shards > 1:
         # Local import: the shard coordinator drives this module, not vice versa.
@@ -344,7 +347,6 @@ def run_scenario(
             seed=seed,
             system=system,
             shards=config.shards,
-            sync_window_s=config.sync_window_s,
         )
     trace = scenario.trace.build(seed=seed, **preset_spec.trace_params)
     serving = build_system(system or scenario.system, config=config)

@@ -1,46 +1,53 @@
 """Sharded parallel execution of scenario runs.
 
 A sharded run partitions one scenario across N shard processes.  Each shard
-owns a slice of the arrival stream and a partition of the fleet, runs its
+owns a slice of the arrival stream and a partition of the fleet and runs its
 own :class:`~repro.simulation.engine.SimulationEngine` event loop over its
-slice, and synchronizes with the coordinator at a conservative time-window
-barrier: no shard's clock advances past a window boundary until every shard
-has reached it and exchanged its fleet/metrics deltas.  All communication
-crosses the process boundary as the explicit message types in
-:mod:`repro.simulation.messages` — there is no shared object graph.
+slice.  No request ever crosses a shard boundary, so an N-shard run
+simulates N isolated sub-fleets, not the sequential fleet faster: its
+latency and SLO figures diverge from the sequential run's.
 
 Partitioning
     *Tenant mode* (two or more tenants): tenants are greedy-bin-packed onto
-    shards by offered load, and each shard filters the full multi-tenant
-    stream down to its tenant set.  Every tenant lives wholly on one shard,
-    so per-tenant SLO accounting, admission fair-share and cache namespaces
-    stay exact.
+    shards by offered load, and each shard serves only its tenant set.
+    Every tenant lives wholly on one shard, so per-tenant SLO accounting,
+    admission fair-share and cache namespaces stay exact.
 
     *Hash mode* (single-tenant workloads): requests are partitioned by a
     stable hash of the prompt content, so a given prompt always lands on the
     same shard and its cache locality survives the split.
 
-    In both modes each shard rebuilds the scenario's *full* request stream
-    with the sequential seed derivations and filters it, so the union of the
-    shard slices is exactly the sequential arrival sequence.
+    In both modes the union of the shard slices is exactly the sequential
+    arrival sequence.
+
+Protocol
+    The coordinator and the shards share no objects; the pipes between them
+    carry pickled records.  A *run-window* (:class:`_RunWindow`) makes every
+    shard run its loop up to the window end and answer with a *barrier
+    reply* (:class:`_BarrierReply`): the window's arrival and completion
+    counts, the shard's fleet counts and, at an autoscale epoch, its pending
+    scale requests.  At an epoch the coordinator then sends each shard the
+    budget broker's *grants* (a tuple of
+    :class:`~repro.core.autoscaler.ScaleOutcome`), applied at exactly the
+    epoch time.  *Finalize* (``None``) ends the run: each shard answers with
+    its :class:`_ShardResult`.
+
+    Barriers sit only where the broker needs them: an autoscaled run
+    barriers on the ``autoscale_epoch_s`` grid and at its end; a fixed-fleet
+    run has nothing to exchange mid-run and barriers once, at its end.
 
 Control plane
     Autoscaled sharded runs put a budget broker on the coordinator: each
     shard runs its own :class:`~repro.core.autoscaler.Autoscaler` over its
-    fleet partition in *brokered* mode, shipping scale requests inside its
-    barrier reply; the broker grants them in (shard id, request seq) order
-    against the global ``min_workers``/``max_workers``/``gpu_mix`` budget
-    and answers every shard with a grant message before the next window.
-    The exchange happens only on the fixed ``autoscale_epoch_s`` grid (the
-    barrier boundaries are the union of the sync-window and epoch grids),
-    which is what keeps autoscaled runs invariant under ``sync_window_s``.
-    No other control message crosses a barrier, so every N-shard run is
-    invariant under the sync window.
+    fleet partition in *brokered* mode, and the broker grants the shipped
+    requests in (shard id, request seq) order against the global
+    ``min_workers``/``max_workers``/``gpu_mix`` budget — a pure function of
+    the simulated runs, never of process timing.
 
 Merging
-    Each shard ships a :class:`~repro.simulation.messages.ShardResult`
-    carrying its collector's columnar snapshot.  The coordinator absorbs the
-    snapshots (in shard order — deterministic) into one measurement-only
+    Each shard's :class:`_ShardResult` carries its collector's columnar
+    snapshot.  The coordinator absorbs the snapshots (in shard order —
+    deterministic) into one measurement-only
     :class:`~repro.metrics.collector.MetricsCollector` and calls the *same*
     ``summarize()`` / ``minute_series()`` paths as a sequential run, so the
     merged report uses identical summary math.
@@ -57,9 +64,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from repro.core.autoscaler import ScaleOutcome, ScaleRequest
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.report import TenantSummary, summarize
-from repro.simulation import messages
+from repro.metrics.report import TenantSummary, summarize, tenant_breakdown
 from repro.workloads.tenants import resolve_shares
 
 
@@ -166,83 +173,88 @@ def plan_shards(config, trace=None) -> ShardPlan:
 
 
 # --------------------------------------------------------------------------- #
+# Protocol records
+# --------------------------------------------------------------------------- #
+
+
+@dataclass(frozen=True)
+class _RunWindow:
+    """Coordinator -> shard: run the event loop up to ``end_s``, then reply."""
+
+    end_s: float
+    #: True on the ``autoscale_epoch_s`` grid: the reply carries the shard's
+    #: pending scale requests, and the broker's grants follow it.
+    epoch: bool
+
+
+@dataclass(frozen=True)
+class _BarrierReply:
+    """Shard -> coordinator at a window end: what the barrier log records."""
+
+    shard_id: int
+    #: Arrivals and completions during the window just run.
+    arrivals: int
+    completions: int
+    #: Workers in rotation, provisioning, and failed at the window end.
+    #: Failed workers are still owned by the shard (they may recover), so
+    #: the broker ledger keeps counting them.
+    active_workers: int
+    provisioning_workers: int
+    failed_workers: int
+    #: Pending autoscaler asks, shipped only at epoch windows.
+    scale_requests: tuple[ScaleRequest, ...] = ()
+    #: Scale-in grants the shard skipped at apply time since the last
+    #: barrier (drain candidate failed meanwhile); the coordinator adds the
+    #: count back to the broker's committed ledger.
+    unapplied_scale_ins: int = 0
+
+
+@dataclass(frozen=True)
+class _ShardResult:
+    """Shard -> coordinator at finalize: everything the merge reads.
+
+    ``collector_state`` is a
+    :meth:`~repro.metrics.collector.MetricsCollector.export_state` snapshot;
+    the scalar fields mirror the inputs of
+    :func:`repro.metrics.report.summarize` so the coordinator can build the
+    merged :class:`~repro.metrics.report.RunSummary` with the exact
+    sequential summary math.
+    """
+
+    shard_id: int
+    system_name: str
+    num_workers: int
+    collector_state: dict
+    requests_served: int
+    batches_served: int
+    model_loads: int
+    utilization: float
+    fleet_peak_workers: int
+    fleet_mean_workers: float
+    workers_added: int
+    workers_retired: int
+    gpu_hours: float
+    cost_usd: float
+    #: Requests still queued or in flight when the run (drain included) ended.
+    outstanding_requests: int
+    #: The shard's :class:`~repro.cluster.cluster.FleetMinute` series.
+    fleet_minutes: list
+    #: Shard-local observations (cache counters, switches, retraining, ...).
+    extras: dict
+    #: Per-tenant observations keyed by tenant name (tenant-partitioned runs).
+    tenant_extras: dict
+
+
+# --------------------------------------------------------------------------- #
 # Shard process
 # --------------------------------------------------------------------------- #
 
 
-class _MessageRecorder:
-    """Wraps a shard system's dispatch/completion/requeue paths so every
-    request movement is captured as an encoded data-plane message.
-
-    Workers hold *bound* references to the system's callbacks, so the
-    recorder rebinds both the cluster-level hooks (for any future workers)
-    and each existing worker's own reference.
-    """
-
-    def __init__(self, serving, shard_id: int) -> None:
-        self.shard_id = shard_id
-        self.records: list[dict] = []
-        cluster = serving.cluster
-        engine = serving.engine
-
-        original_dispatch = cluster.dispatch
-        original_complete = serving._handle_completion
-        original_requeue = serving._handle_requeue
-
-        def dispatch(request, worker_id: int) -> None:
-            self.records.append(
-                messages.DispatchMessage(
-                    shard_id=shard_id,
-                    request_id=request.request_id,
-                    worker_id=worker_id,
-                    time_s=engine.now,
-                    tenant=request.prompt.tenant,
-                    prompt_id=request.prompt.prompt_id,
-                    predicted_rank=request.predicted_rank,
-                    assigned_rank=request.assigned_rank,
-                    strategy=str(request.strategy.value),
-                ).encode()
-            )
-            original_dispatch(request, worker_id)
-
-        def on_complete(completed) -> None:
-            self.records.append(
-                messages.CompletionMessage(
-                    shard_id=shard_id,
-                    request_id=completed.request.request_id,
-                    worker_id=completed.worker_id,
-                    completion_time_s=completed.completion_time_s,
-                    latency_s=completed.latency_s,
-                    effective_rank=completed.effective_rank,
-                    cache_hit=completed.cache_hit,
-                ).encode()
-            )
-            original_complete(completed)
-
-        def on_requeue(request) -> None:
-            self.records.append(
-                messages.RequeueMessage(
-                    shard_id=shard_id,
-                    request_id=request.request_id,
-                    time_s=engine.now,
-                    tenant=request.prompt.tenant,
-                ).encode()
-            )
-            original_requeue(request)
-
-        cluster.dispatch = dispatch
-        cluster._on_complete = on_complete
-        cluster._on_requeue = on_requeue
-        for worker in cluster.workers:
-            worker.on_complete = on_complete
-            worker.on_requeue = on_requeue
-
-
 def _build_shard_system(payload: dict):
-    """Build one shard's serving system and its filtered arrival stream."""
+    """Build one shard's serving system and schedule its arrival slice."""
     # Imports are deferred so a spawn-context child only pays them once.
     from repro.experiments.runner import build_system
-    from repro.scenarios.runtime import build_config, build_stream
+    from repro.scenarios.runtime import _apply_schedules, build_config, build_stream
     from repro.scenarios.spec import Scenario
 
     scenario = Scenario.from_dict(payload["scenario"])
@@ -279,49 +291,13 @@ def _build_shard_system(payload: dict):
     autoscaler = getattr(serving, "autoscaler", None)
     if autoscaler is not None:
         autoscaler.brokered = True
-    # Network-condition timelines are global state replicated identically on
-    # every shard.  Fault schedules arrive pre-mapped to shard-local worker
-    # ids (the coordinator splits each fleet-fraction event across the
-    # partitions); worker-id faults are rejected coordinator-side.
-    from repro.cache.network import NetworkCondition
-
-    _, _, network = scenario.schedule(preset_spec)
-    for window in network:
-        if window.node is not None:
-            # Per-cache-node window: each shard replicates the tier's node
-            # timeline (every shard owns a full tier over its own slice).
-            serving.cache.schedule_node_condition(
-                window.node,
-                window.start_minute * 60.0,
-                window.end_minute * 60.0,
-                NetworkCondition(window.condition),
-            )
-            continue
-        serving.network.schedule_condition(
-            window.start_minute * 60.0,
-            window.end_minute * 60.0,
-            NetworkCondition(window.condition),
-        )
-    for event in scenario.cache_schedule(preset_spec):
-        at_s = event.at_minute * 60.0
-        cache = serving.cache
-        if event.action == "add_node":
-            serving.engine.schedule_at(
-                at_s, lambda _e, c=cache: c.add_node(now_s=_e.now), name="cache-add-node"
-            )
-        elif event.action == "remove_node":
-            serving.engine.schedule_at(
-                at_s,
-                lambda _e, c=cache, node=event.node: c.remove_node(node, now_s=_e.now),
-                name=f"cache-remove-node-{event.node}",
-            )
-        else:
-            serving.engine.schedule_at(
-                at_s,
-                lambda _e, c=cache, f=event.fraction, s=event.seed: c.poison(f, seed=s),
-                name="cache-poison",
-            )
-    for local_id, fail_at_s, recover_at_s, degrade_factor in payload.get("faults") or ():
+    # Network windows and cache events are global timelines, replicated
+    # identically on every shard.  Fault schedules arrive pre-mapped to
+    # shard-local worker ids (the coordinator splits each fleet-fraction
+    # event across the partitions); worker-id faults are rejected
+    # coordinator-side.
+    _apply_schedules(serving, scenario, preset_spec, faults=False)
+    for local_id, fail_at_s, recover_at_s, degrade_factor in payload["faults"]:
         if degrade_factor is not None:
             serving.cluster.schedule_degradation(
                 int(local_id),
@@ -336,9 +312,10 @@ def _build_shard_system(payload: dict):
                 recover_at_s=None if recover_at_s is None else float(recover_at_s),
             )
 
-    arrivals = payload.get("arrivals")
+    arrivals = payload["arrivals"]
     if arrivals is None:
-        serving.schedule_arrivals(_filtered_stream(stream, spec))
+        # No coordinator-side split (e.g. phased streams): filter shard-side.
+        serving.schedule_arrivals(tp for tp in stream if spec.accepts(tp.prompt))
     elif arrivals["kind"] == "replay":
         serving.schedule_arrivals(
             _replay_arrivals(stream, (arrivals["times"], arrivals["slots"]))
@@ -386,42 +363,6 @@ def _tenant_sliced_stream(stream, indices):
         streams = [stream._iter_tenant(index) for index in indices]
         for arrival, _index, _sequence, prompt in heapq.merge(*streams):
             yield TimedPrompt(arrival_time_s=arrival, prompt=prompt)
-
-    return iterate()
-
-
-def _filtered_stream(stream, spec: ShardSpec):
-    """This shard's slice of the arrival stream, cheapest path available.
-
-    Hash partitioning on a plain cyclic stream has a fast path: the prompt
-    served at arrival ``i`` is ``dataset[i % len(dataset)]``, so shard
-    membership is a fixed boolean per dataset index.  Precomputing that
-    table lets the generator skip the ``TimedPrompt`` construction and the
-    hash for the (N-1)/N arrivals that belong to other shards — on a
-    10M-request trace each shard walks the full arrival sequence, so this
-    is a large slice of per-shard overhead.  Tenant partitions and phased
-    (drift) streams fall back to filtering the generic stream; either way
-    the yielded (time, prompt) sequence is exactly ``filter(accepts,
-    stream)``.
-    """
-    from repro.workloads.arrival import ArrivalProcess
-    from repro.workloads.replay import RequestStream, TimedPrompt
-
-    if spec.tenant_names is not None or type(stream) is not RequestStream:
-        return (tp for tp in stream if spec.accepts(tp.prompt))
-
-    dataset = stream.dataset
-    size = len(dataset)
-    member = [spec.accepts(dataset[i]) for i in range(size)]
-
-    def iterate():
-        process = ArrivalProcess(seed=stream.seed)
-        index = 0
-        for arrival in process.iter_arrivals(stream.trace, stream.arrival_kind):
-            slot = index % size
-            if member[slot]:
-                yield TimedPrompt(arrival_time_s=arrival, prompt=dataset[slot])
-            index += 1
 
     return iterate()
 
@@ -494,90 +435,63 @@ def _partition_arrivals(stream, plan: ShardPlan):
 
 
 def _shard_main(payload: dict, conn) -> None:
-    """Shard process entry point: barrier loop over the connection.
+    """Shard process entry point: the barrier loop over the connection.
 
-    ``RunWindow`` advances the shard to the window end and answers with
-    ``BarrierReached``; between windows,
-    :class:`~repro.simulation.messages.ScaleOutcomes` applies budget-broker
-    grants at exactly the epoch time (the clock sits at the window end);
-    ``Finalize`` answers with the shard's ``ShardResult`` and ends the loop.
+    A :class:`_RunWindow` advances the shard to the window end and is
+    answered with a :class:`_BarrierReply`; a grants tuple (sent after an
+    epoch reply) is applied at exactly the epoch time, where the clock sits;
+    ``None`` is answered with the shard's :class:`_ShardResult` and ends the
+    loop.
     """
     serving, spec, trace = _build_shard_system(payload)
-    recorder = (
-        _MessageRecorder(serving, spec.shard_id) if payload.get("record_messages") else None
-    )
+    serving.start()
     collector = serving.collector
     cluster = serving.cluster
     autoscaler = getattr(serving, "autoscaler", None)
-    last = {"arrivals": 0, "completions": 0, "dropped": 0, "violations": 0, "loads": 0}
-    started = False
+    last_arrivals = last_completions = 0
+    window_end_s = 0.0
     try:
         while True:
-            message = messages.decode(conn.recv())
-            if isinstance(message, messages.RunWindow):
-                if not started:
-                    serving.start()
-                    serving._started = True
-                    started = True
-                serving.engine.run(until=message.window_end_s)
-                now = {
-                    "arrivals": collector.total_arrivals,
-                    "completions": collector.total_completions,
-                    "dropped": collector.dropped_requests,
-                    "violations": collector.total_slo_violations,
-                    "loads": cluster.total_model_loads(),
-                }
-                scale_requests = ()
+            message = conn.recv()
+            if message is None:
+                conn.send(_finalize(serving, spec, trace))
+                return
+            if isinstance(message, _RunWindow):
+                window_end_s = message.end_s
+                serving.engine.run(until=window_end_s)
+                scale_requests: tuple = ()
                 unapplied_scale_ins = 0
                 if autoscaler is not None:
-                    if message.epoch_boundary:
+                    if message.epoch:
                         scale_requests = autoscaler.take_requests()
                     # Shipped every barrier (not just epochs) so the broker
                     # ledger reconciles at the first opportunity after a
                     # skipped drain.
                     unapplied_scale_ins = autoscaler.take_unapplied_scale_ins()
-                reply = messages.BarrierReached(
-                    shard_id=spec.shard_id,
-                    window_end_s=message.window_end_s,
-                    metrics=messages.MetricsDelta(
+                arrivals = collector.total_arrivals
+                completions = collector.total_completions
+                conn.send(
+                    _BarrierReply(
                         shard_id=spec.shard_id,
-                        window_end_s=message.window_end_s,
-                        arrivals=now["arrivals"] - last["arrivals"],
-                        completions=now["completions"] - last["completions"],
-                        dropped=now["dropped"] - last["dropped"],
-                        slo_violations=now["violations"] - last["violations"],
-                    ),
-                    fleet=messages.FleetDelta(
-                        shard_id=spec.shard_id,
-                        window_end_s=message.window_end_s,
+                        arrivals=arrivals - last_arrivals,
+                        completions=completions - last_completions,
                         active_workers=cluster.fleet_size,
-                        workers_added=cluster.workers_added,
-                        workers_retired=cluster.workers_retired,
-                        model_loads=now["loads"] - last["loads"],
                         provisioning_workers=len(cluster.provisioning_workers),
                         failed_workers=sum(1 for w in cluster.workers if w.is_failed),
-                    ),
-                    scale_requests=scale_requests,
-                    unapplied_scale_ins=unapplied_scale_ins,
+                        scale_requests=scale_requests,
+                        unapplied_scale_ins=unapplied_scale_ins,
+                    )
                 )
-                last = now
-                conn.send(reply.encode())
-            elif isinstance(message, messages.ScaleOutcomes):
-                if autoscaler is not None:
-                    autoscaler.apply_outcomes(message.window_end_s, message.outcomes)
-            elif isinstance(message, messages.Finalize):
-                # Sent as the typed object: the pipe pickles numpy columns
-                # directly instead of round-tripping them through lists.
-                conn.send(_finalize(serving, spec, trace, recorder))
-                return
-            else:  # pragma: no cover - protocol misuse is a programming error
-                raise RuntimeError(f"shard received unexpected message {message!r}")
+                last_arrivals, last_completions = arrivals, completions
+            elif autoscaler is not None:
+                # The broker's grants for the epoch window just reached.
+                autoscaler.apply_outcomes(window_end_s, message)
     finally:
         conn.close()
 
 
-def _finalize(serving, spec: ShardSpec, trace, recorder) -> messages.ShardResult:
-    """Assemble the shard's closing :class:`~repro.simulation.messages.ShardResult`."""
+def _finalize(serving, spec: ShardSpec, trace) -> _ShardResult:
+    """Assemble the shard's closing :class:`_ShardResult`."""
     duration_s = trace.duration_minutes * 60.0
     cluster = serving.cluster
     fleet_peak, fleet_mean = cluster.fleet_stats(duration_s)
@@ -610,8 +524,10 @@ def _finalize(serving, spec: ShardSpec, trace, recorder) -> messages.ShardResult
         extras["retrieval_attempts"] = int(serving.cache.retrieval_attempts)
     tenant_extras: dict = {}
     if serving.config.tenants:
-        for row in serving._tenant_breakdown():
-            tenant_extras[row.name] = {"summary": asdict(row)}
+        for row in tenant_breakdown(
+            serving.collector, serving.tenant_runtimes, serving.cache, serving.admission
+        ):
+            tenant_extras[row.name] = {"summary": row}
         if serving.admission is not None:
             for name, stats in serving.admission.stats.items():
                 tenant_extras.setdefault(name, {})["admission"] = {
@@ -629,7 +545,7 @@ def _finalize(serving, spec: ShardSpec, trace, recorder) -> messages.ShardResult
                     "entries": serving.cache.tenant_entries(tenant_spec.name),
                     "quota": tenant_spec.cache_quota,
                 }
-    return messages.ShardResult(
+    return _ShardResult(
         shard_id=spec.shard_id,
         system_name=serving.name,
         num_workers=spec.num_workers,
@@ -645,13 +561,9 @@ def _finalize(serving, spec: ShardSpec, trace, recorder) -> messages.ShardResult
         gpu_hours=cluster.gpu_hours(duration_s),
         cost_usd=cluster.total_cost_usd(duration_s),
         outstanding_requests=cluster.total_queue_length(),
-        fleet_minutes=[
-            {"minute": fm.minute, "mean_workers": fm.mean_workers, "by_gpu": dict(fm.by_gpu)}
-            for fm in cluster.fleet_minute_series(trace.duration_minutes)
-        ],
+        fleet_minutes=cluster.fleet_minute_series(trace.duration_minutes),
         extras=extras,
         tenant_extras=tenant_extras,
-        messages=list(recorder.records) if recorder is not None else [],
     )
 
 
@@ -660,39 +572,24 @@ def _finalize(serving, spec: ShardSpec, trace, recorder) -> messages.ShardResult
 # --------------------------------------------------------------------------- #
 
 
-def _window_boundaries(
-    total_s: float, window_s: float, epoch_s: float | None = None
-) -> list[tuple[float, bool]]:
+def _window_boundaries(total_s: float, epoch_s: float | None) -> list[tuple[float, bool]]:
     """Barrier times covering (0, total_s], ending exactly at ``total_s``.
 
-    Returns ``(time, epoch_boundary)`` pairs.  Without ``epoch_s`` every
-    flag is False.  With it (autoscaled runs) the boundaries are the sorted
-    union of the sync-window grid and the fixed ``autoscale_epoch_s`` grid,
-    and the flag marks the epoch grid points: the scale request/grant
-    exchange happens *only* there, so the autoscaling control flow — and
-    with it the whole run — is invariant under the choice of
-    ``sync_window_s``.  Grid points are exact multiples (not accumulated
-    sums), so coinciding window/epoch boundaries dedupe exactly.
+    Returns ``(time, epoch)`` pairs.  A fixed-fleet run (``epoch_s`` None)
+    has one barrier, at its end.  An autoscaled run barriers on the
+    ``autoscale_epoch_s`` grid and at its end; the flag marks the grid
+    points, the only places scale requests and grants cross.  Grid points
+    are exact multiples, not accumulated sums.
     """
+    if epoch_s is None:
+        return [(total_s, False)]
     tol = 1e-6
-    points: list[float] = []
-    k = 1
-    while k * window_s < total_s - tol:
-        points.append(k * window_s)
-        k += 1
-    if epoch_s is not None:
-        k = 1
-        while k * epoch_s < total_s - tol:
-            points.append(k * epoch_s)
-            k += 1
-    points.append(total_s)
-    points.sort()
     boundaries: list[tuple[float, bool]] = []
-    for t in points:
-        if boundaries and abs(t - boundaries[-1][0]) <= tol:
-            continue
-        on_epoch = epoch_s is not None and abs(t - round(t / epoch_s) * epoch_s) <= tol
-        boundaries.append((t, on_epoch))
+    k = 1
+    while k * epoch_s < total_s - tol:
+        boundaries.append((k * epoch_s, True))
+        k += 1
+    boundaries.append((total_s, abs(total_s - round(total_s / epoch_s) * epoch_s) <= tol))
     return boundaries
 
 
@@ -700,8 +597,9 @@ class _BudgetBroker:
     """Coordinator-side grant authority for brokered per-shard autoscaling.
 
     Keeps a committed-workers ledger per shard (seeded with the plan's
-    initial partitions) and answers the shards' :class:`~repro.simulation.
-    messages.ScaleRequest`s against the *global* budget: scale-outs are
+    initial partitions) and answers the shards'
+    :class:`~repro.core.autoscaler.ScaleRequest`s against the *global*
+    budget: scale-outs are
     clamped to the ``max_workers`` headroom and draw GPU types from the
     global ``gpu_mix`` cycle (so the fleet mix matches a sequential
     deployment); scale-ins are granted only while the global fleet stays at
@@ -730,12 +628,11 @@ class _BudgetBroker:
         self._mix_index += 1
         return gpu
 
-    def grant(self, window_end_s: float, replies) -> dict[int, messages.ScaleOutcomes]:
+    def grant(self, window_end_s: float, replies) -> dict[int, tuple[ScaleOutcome, ...]]:
         """Decide every shard's asks for one epoch boundary.
 
-        Returns a :class:`~repro.simulation.messages.ScaleOutcomes` per
-        shard — for *all* shards, empty or not, so the reply fan-out stays
-        lockstep with the barrier.
+        Returns a grants tuple per shard — for *all* shards, empty or not,
+        so the reply fan-out stays lockstep with the barrier.
         """
         outcomes: dict[int, list] = {reply.shard_id: [] for reply in replies}
         asks = [
@@ -750,7 +647,7 @@ class _BudgetBroker:
                 granted = max(0, min(int(request.count), headroom))
                 gpus = tuple(self._next_gpu() for _ in range(granted))
                 self.committed[shard_id] += granted
-                outcome = messages.ScaleOutcome(
+                outcome = ScaleOutcome(
                     seq=request.seq, action="scale_out", granted=granted, gpus=gpus
                 )
             else:
@@ -760,9 +657,7 @@ class _BudgetBroker:
                 )
                 granted = 1 if allowed else 0
                 self.committed[shard_id] -= granted
-                outcome = messages.ScaleOutcome(
-                    seq=request.seq, action="scale_in", granted=granted
-                )
+                outcome = ScaleOutcome(seq=request.seq, action="scale_in", granted=granted)
             outcomes[shard_id].append(outcome)
             self.grant_log.append(
                 {
@@ -775,12 +670,7 @@ class _BudgetBroker:
                     "committed_total": self.total_committed,
                 }
             )
-        return {
-            shard_id: messages.ScaleOutcomes(
-                window_end_s=window_end_s, outcomes=tuple(decided)
-            )
-            for shard_id, decided in outcomes.items()
-        }
+        return {shard_id: tuple(decided) for shard_id, decided in outcomes.items()}
 
 
 def _map_faults(faults, plan: ShardPlan, num_workers: int) -> dict[int, list]:
@@ -828,9 +718,9 @@ def _merge_fleet_minutes(results) -> tuple[list, dict]:
     minutes: dict[int, dict] = {}
     for result in results:
         for row in result.fleet_minutes:
-            entry = minutes.setdefault(row["minute"], {"mean_workers": 0.0, "by_gpu": {}})
-            entry["mean_workers"] += row["mean_workers"]
-            for gpu, value in row["by_gpu"].items():
+            entry = minutes.setdefault(row.minute, {"mean_workers": 0.0, "by_gpu": {}})
+            entry["mean_workers"] += row.mean_workers
+            for gpu, value in row.by_gpu.items():
                 entry["by_gpu"][gpu] = entry["by_gpu"].get(gpu, 0.0) + value
     series = [
         FleetMinute(
@@ -853,8 +743,6 @@ def run_scenario_sharded(
     seed: int | None = None,
     system: str | None = None,
     shards: int | None = None,
-    sync_window_s: float | None = None,
-    record_messages: bool = False,
 ):
     """Run a scenario partitioned across shard processes.
 
@@ -862,9 +750,7 @@ def run_scenario_sharded(
     the sequential runner (``run.system`` is None for N > 1 — there is no
     single live system object), with a ``"sharding"`` block in the extras.
     ``shards=1`` delegates straight to the sequential path and is
-    bit-identical to it.  ``record_messages=True`` makes every shard record
-    its data-plane messages into the sharding extras (debug/verification
-    mode; materially enlarges the result).
+    bit-identical to it.
     """
     from repro.experiments.runner import ExperimentResult
     from repro.scenarios.registry import get_scenario
@@ -881,8 +767,6 @@ def run_scenario_sharded(
     extra: dict = {}
     if shards is not None:
         extra["shards"] = int(shards)
-    if sync_window_s is not None:
-        extra["sync_window_s"] = float(sync_window_s)
     config = build_config(scenario, preset_spec, seed, extra=extra)
     if config.shards <= 1:
         return run_scenario(
@@ -901,7 +785,7 @@ def run_scenario_sharded(
 
     trace = scenario.trace.build(seed=seed, **preset_spec.trace_params)
     plan = plan_shards(config, trace=trace)
-    fault_map = _map_faults(faults, plan, config.num_workers) if faults else None
+    fault_map = _map_faults(faults, plan, config.num_workers)
     autoscale = bool(config.autoscale_enabled)
     scenario_dict = scenario.to_dict()
     arrival_split = _partition_arrivals(
@@ -926,11 +810,10 @@ def run_scenario_sharded(
                 "tenant_names": (
                     list(spec.tenant_names) if spec.tenant_names is not None else None
                 ),
-                "record_messages": bool(record_messages),
                 "arrivals": (
                     arrival_split[spec.shard_id] if arrival_split is not None else None
                 ),
-                "faults": fault_map[spec.shard_id] if fault_map is not None else [],
+                "faults": fault_map[spec.shard_id],
             }
             process = ctx.Process(
                 target=_shard_main, args=(payload, child_conn), daemon=True
@@ -943,29 +826,25 @@ def run_scenario_sharded(
         duration_s = trace.duration_minutes * 60.0
         boundaries = _window_boundaries(
             duration_s + preset_spec.drain_s,
-            config.sync_window_s,
-            epoch_s=config.autoscale_epoch_s if autoscale else None,
+            config.autoscale_epoch_s if autoscale else None,
         )
         broker = _BudgetBroker(config, plan) if autoscale else None
         barrier_log: list[dict] = []
         for end, epoch in boundaries:
-            window = messages.RunWindow(window_end_s=end, epoch_boundary=epoch).encode()
+            window = _RunWindow(end_s=end, epoch=epoch)
             for conn in conns:
                 conn.send(window)
-            # The recv below is the barrier: the window's merged deltas exist
+            # The recv below is the barrier: the window's merged counts exist
             # only once every shard has reached the boundary.
-            replies = [messages.decode(conn.recv()) for conn in conns]
+            replies = [conn.recv() for conn in conns]
             entry = {
                 "window_end_s": end,
-                "epoch": bool(epoch),
-                "completions": sum(r.metrics.completions for r in replies),
-                "arrivals": sum(r.metrics.arrivals for r in replies),
-                "active_workers": sum(r.fleet.active_workers for r in replies),
-                "failed_workers": sum(r.fleet.failed_workers for r in replies),
-                "in_fleet": sum(
-                    r.fleet.active_workers + r.fleet.provisioning_workers
-                    for r in replies
-                ),
+                "epoch": epoch,
+                "completions": sum(r.completions for r in replies),
+                "arrivals": sum(r.arrivals for r in replies),
+                "active_workers": sum(r.active_workers for r in replies),
+                "failed_workers": sum(r.failed_workers for r in replies),
+                "in_fleet": sum(r.active_workers + r.provisioning_workers for r in replies),
             }
             if broker is not None:
                 # Reconcile before granting: a scale-in grant the shard could
@@ -973,20 +852,20 @@ def run_scenario_sharded(
                 # worker low per skip; the worker it would have drained is
                 # still in the fleet, so hand the budget back.
                 for reply in replies:
-                    if reply.unapplied_scale_ins:
-                        broker.committed[reply.shard_id] += reply.unapplied_scale_ins
+                    broker.committed[reply.shard_id] += reply.unapplied_scale_ins
+                # Every earlier grant has been applied by now and this
+                # barrier's grants have not, so the reconciled ledger must
+                # equal the live fleet (the ledger-matches-fleet contract).
+                entry["committed_before_grant"] = broker.total_committed
                 if epoch:
-                    outcome_map = broker.grant(end, replies)
+                    grants = broker.grant(end, replies)
                     for spec, conn in zip(plan.shards, conns):
-                        conn.send(outcome_map[spec.shard_id].encode())
+                        conn.send(grants[spec.shard_id])
                 entry["committed_workers"] = broker.total_committed
             barrier_log.append(entry)
-        finalize = messages.Finalize().encode()
         for conn in conns:
-            conn.send(finalize)
-        results = sorted(
-            (messages.decode(conn.recv()) for conn in conns), key=lambda r: r.shard_id
-        )
+            conn.send(None)  # finalize
+        results = sorted((conn.recv() for conn in conns), key=lambda r: r.shard_id)
         for process in processes:
             process.join(timeout=60.0)
     finally:
@@ -1020,7 +899,7 @@ def run_scenario_sharded(
     tenants: tuple[TenantSummary, ...] = ()
     if config.tenants:
         rows = {
-            name: TenantSummary(**entry["summary"])
+            name: entry["summary"]
             for result in results
             for name, entry in result.tenant_extras.items()
             if "summary" in entry
@@ -1112,7 +991,6 @@ def run_scenario_sharded(
     extras["sharding"] = {
         "shards": config.shards,
         "mode": plan.mode,
-        "sync_window_s": config.sync_window_s,
         "windows": len(boundaries),
         "plan": [
             {
@@ -1138,9 +1016,9 @@ def run_scenario_sharded(
     # merged summary need not be simultaneous, but every barrier records the
     # true global in-fleet count at one synchronized instant — the peak over
     # those samples is what the fleet-budget contract bounds.
-    fleet_samples = [entry["in_fleet"] for entry in barrier_log if "in_fleet" in entry]
-    if fleet_samples:
-        extras["sharding"]["fleet_peak_barrier_aligned"] = int(max(fleet_samples))
+    extras["sharding"]["fleet_peak_barrier_aligned"] = max(
+        entry["in_fleet"] for entry in barrier_log
+    )
     if broker is not None:
         extras["fleet_budget"] = {
             "min_workers": broker.min_workers,
@@ -1157,9 +1035,6 @@ def run_scenario_sharded(
                 r.shard_id: r.extras.get("autoscale_events", []) for r in results
             },
         }
-    if record_messages:
-        extras["sharding"]["messages"] = {r.shard_id: list(r.messages) for r in results}
-
     return ScenarioRun(
         scenario=scenario,
         preset_name=preset_name,

@@ -18,7 +18,7 @@ from repro.cluster.cluster import GpuCluster
 from repro.cluster.requests import Request
 from repro.cluster.worker import Worker, WorkerState
 from repro.core.allocator import Allocator
-from repro.core.autoscaler import Autoscaler
+from repro.core.autoscaler import Autoscaler, ScaleOutcome
 from repro.core.config import ArgusConfig
 from repro.core.scheduler import PromptScheduler, WorkerSelector
 from repro.core.solver import AllocationSolver
@@ -27,7 +27,6 @@ from repro.experiments.runner import ExperimentRunner
 from repro.models.gpus import GPU_SPECS
 from repro.models.zoo import Strategy
 from repro.prompts.dataset import PromptDataset
-from repro.simulation import messages
 from repro.simulation.engine import SimulationEngine
 from repro.workloads.traces import TraceLibrary
 
@@ -675,7 +674,7 @@ class TestBrokeredControl:
         assert [r.action for r in first] == ["scale_out"]
         scaler.apply_outcomes(
             70.0,
-            [messages.ScaleOutcome(seq=first[0].seq, action="scale_out", granted=0)],
+            [ScaleOutcome(seq=first[0].seq, action="scale_out", granted=0)],
         )
         assert scaler.denied_requests == 1
         assert scaler.events == []  # a denial is not a scaling action
@@ -691,7 +690,7 @@ class TestBrokeredControl:
         scaler.apply_outcomes(
             80.0,
             [
-                messages.ScaleOutcome(
+                ScaleOutcome(
                     seq=second[0].seq,
                     action="scale_out",
                     granted=second[0].count,
@@ -711,7 +710,7 @@ class TestBrokeredControl:
         assert [r.action for r in first] == ["scale_in"]
         scaler.apply_outcomes(
             70.0,
-            [messages.ScaleOutcome(seq=first[0].seq, action="scale_in", granted=0)],
+            [ScaleOutcome(seq=first[0].seq, action="scale_in", granted=0)],
         )
         assert scaler.denied_requests == 1
         scaler.tick(80.0)
@@ -733,7 +732,7 @@ class TestBrokeredControl:
         engine.run(until=80.0)
         scaler.apply_outcomes(
             80.0,
-            [messages.ScaleOutcome(seq=first[0].seq, action="scale_in", granted=1)],
+            [ScaleOutcome(seq=first[0].seq, action="scale_in", granted=1)],
         )
         assert scaler.events == []  # nothing drained
         assert scaler.take_unapplied_scale_ins() == 1

@@ -625,8 +625,6 @@ class TestConfigValidation:
             {"retrieval_latency_threshold_s": -0.5},
             {"retrieval_latency_threshold_s": 0.0},
             {"retrieval_violations_to_switch": 0},
-            {"probe_interval_s": 0.0},
-            {"probe_interval_s": -3.0},
             {"backlog_recalibration_min_gap_s": -1.0},
             {"scale_out_cooldown_s": -1.0},
             {"scale_in_cooldown_s": -1.0},

@@ -561,25 +561,33 @@ class TestContracts:
             }
 
         good = barriers(
-            {"window_end_s": 60.0, "epoch": False, "committed_workers": 4,
-             "in_fleet": 3, "failed_workers": 1},
-            # Epoch barriers record post-grant ledgers against pre-apply
-            # fleets — only the budget bounds apply there.
-            {"window_end_s": 120.0, "epoch": True, "committed_workers": 6,
-             "in_fleet": 3, "failed_workers": 1},
+            {"window_end_s": 60.0, "epoch": True, "committed_before_grant": 4,
+             "committed_workers": 4, "in_fleet": 3, "failed_workers": 1},
+            # The pre-grant ledger is compared with the live fleet; the
+            # post-grant ledger (grants not yet applied) only with the budget.
+            {"window_end_s": 120.0, "epoch": True, "committed_before_grant": 4,
+             "committed_workers": 6, "in_fleet": 3, "failed_workers": 1},
         )
-        assert _one(_contract_report(extras=good), "ledger-matches-fleet").passed
+        result = _one(_contract_report(extras=good), "ledger-matches-fleet")
+        assert result.passed and not result.vacuous
+        assert "at 2 barriers" in result.detail
         drifted = barriers(
-            {"window_end_s": 60.0, "epoch": False, "committed_workers": 5,
-             "in_fleet": 3, "failed_workers": 1},
+            {"window_end_s": 60.0, "epoch": True, "committed_before_grant": 5,
+             "committed_workers": 5, "in_fleet": 3, "failed_workers": 1},
         )
         result = _one(_contract_report(extras=drifted), "ledger-matches-fleet")
         assert not result.passed and "live fleet" in result.detail
         out_of_budget = barriers(
-            {"window_end_s": 60.0, "epoch": True, "committed_workers": 7,
-             "in_fleet": 7, "failed_workers": 0},
+            {"window_end_s": 60.0, "epoch": True, "committed_before_grant": 7,
+             "committed_workers": 7, "in_fleet": 7, "failed_workers": 0},
         )
         assert not _one(_contract_report(extras=out_of_budget), "ledger-matches-fleet").passed
+        # Barriers without a pre-grant ledger compare nothing: vacuous.
+        uncompared = barriers(
+            {"window_end_s": 60.0, "epoch": True, "committed_workers": 4,
+             "in_fleet": 3, "failed_workers": 1},
+        )
+        assert _one(_contract_report(extras=uncompared), "ledger-matches-fleet").vacuous
         assert _one(_contract_report(), "ledger-matches-fleet").vacuous
 
     def test_verify_report_accepts_report_objects(self):

@@ -103,7 +103,7 @@ class TestArgusSystem:
         assert system.active_strategy is Strategy.SM
 
     def test_switches_back_when_network_recovers(self, training_dataset):
-        config = small_config(retrieval_violations_to_switch=5, probe_interval_s=30.0)
+        config = small_config(retrieval_violations_to_switch=5)
         system = ArgusSystem(config=config, training_dataset=training_dataset)
         system.network.schedule_condition(100.0, 220.0, NetworkCondition.OUTAGE)
         trace = TraceLibrary(seed=0).constant(duration_minutes=12, qpm=60.0)
