@@ -356,24 +356,56 @@ def legacy_condition_at(network, time_s: float):
     return current
 
 
+def _legacy_normalize(vector: np.ndarray) -> np.ndarray:
+    norm = np.linalg.norm(vector)
+    if norm == 0:
+        unit = np.zeros_like(vector)
+        unit[0] = 1.0
+        return unit
+    return vector / norm
+
+
+def legacy_embed_text(dim: int, text: str) -> np.ndarray:
+    """Seed embed_text: tokenize, then two blake2b hashes per token."""
+    vector = np.zeros(dim, dtype=np.float64)
+    tokens = [t.strip(",.") for t in text.lower().split() if t.strip(",.")]
+    for token in tokens:
+        index = stable_hash("tok:" + token) % dim
+        sign = 1.0 if stable_hash("sign:" + token) % 2 == 0 else -1.0
+        vector[index] += sign
+    return _legacy_normalize(vector)
+
+
+def _legacy_topic_vector(embedder, topic: int) -> np.ndarray:
+    if topic not in embedder._topic_cache:
+        rng = np.random.default_rng(stable_hash(f"topic-embed-{topic}") % (1 << 32))
+        embedder._topic_cache[topic] = _legacy_normalize(rng.normal(size=embedder.dim))
+    return embedder._topic_cache[topic]
+
+
 def legacy_embed(embedder, prompt) -> np.ndarray:
     """Seed embed: re-hash the full prompt text on every lookup."""
     key = (stable_hash(prompt.text), prompt.topic)
     if key in embedder._cache:
         return embedder._cache[key]
-    token_vec = embedder.embed_text(prompt.text)
-    topic_vec = embedder._topic_vector(prompt.topic)
+    token_vec = legacy_embed_text(embedder.dim, prompt.text)
+    topic_vec = _legacy_topic_vector(embedder, prompt.topic)
     mixed = (1.0 - embedder.topic_weight) * token_vec + embedder.topic_weight * topic_vec
-    embedded = embedder._normalize(mixed)
+    embedded = _legacy_normalize(mixed)
     embedder._cache[key] = embedded
     return embedded
+
+
+def _legacy_prompt_rng(model, prompt, salt: str) -> np.random.Generator:
+    key = stable_hash(f"{model.seed}:{salt}:{prompt.text}") % (1 << 32)
+    return np.random.default_rng(key)
 
 
 def legacy_pickscore_best(model, prompt) -> float:
     """Seed best_score: re-hash the prompt text on every lookup."""
     key = stable_hash(prompt.text)
     if key not in model._best_cache:
-        rng = model._prompt_rng(prompt, "best")
+        rng = _legacy_prompt_rng(model, prompt, "best")
         model._best_cache[key] = float(np.clip(rng.normal(21.5, 0.9), 18.5, 24.5))
     return model._best_cache[key]
 
@@ -384,7 +416,7 @@ def legacy_pickscore_tolerance(model, prompt, strategy=None):
     strategy = Strategy(strategy if strategy is not None else Strategy.AC)
     key = (stable_hash(prompt.text), strategy)
     if key not in model._tolerance_cache:
-        rng = model._prompt_rng(prompt, f"tolerance-{strategy.value}")
+        rng = _legacy_prompt_rng(model, prompt, f"tolerance-{strategy.value}")
         max_rank = model.num_levels - 1
         permissiveness = 0.5 if strategy is Strategy.AC else 0.0
         raw = (1.0 - prompt.complexity) * max_rank + permissiveness
@@ -405,7 +437,7 @@ def legacy_pickscore_score(model, prompt, strategy, rank) -> float:
         return model._score_cache[key]
     best = legacy_pickscore_best(model, prompt)
     tolerance = legacy_pickscore_tolerance(model, prompt, strategy)
-    rng = model._prompt_rng(prompt, f"score-{strategy.value}-{rank}")
+    rng = _legacy_prompt_rng(model, prompt, f"score-{strategy.value}-{rank}")
     if rank <= tolerance:
         factor = 0.955 + (1.0 - 0.955) * rng.random()
         score = best * factor
@@ -419,15 +451,62 @@ def legacy_pickscore_score(model, prompt, strategy, rank) -> float:
     return float(score)
 
 
+def _legacy_structural_features(text: str) -> np.ndarray:
+    tokens = [t.strip(",.").lower() for t in text.split() if t.strip(",.")]
+    num_tokens = len(tokens)
+    num_commas = text.count(",")
+    num_and = sum(1 for t in tokens if t == "and")
+    num_articles = sum(1 for t in tokens if t in ("a", "an", "the"))
+    adjectives = sum(
+        1
+        for t in tokens
+        if t in ("red", "blue", "golden", "ancient", "futuristic", "tiny", "giant",
+                 "glowing", "rusty", "crystal", "wooden", "marble", "neon", "misty",
+                 "snowy", "sunlit", "happy", "old", "young", "ornate", "minimalist")
+    )
+    action_words = ("lying", "walking", "standing", "flying", "reading", "playing",
+                    "looking", "riding", "sailing", "climbing", "sitting", "dancing")
+    scene_words = ("forest", "beach", "library", "sky", "alley", "peak", "field",
+                   "waterfall", "factory", "cliff", "marketplace", "moon")
+    style_words = ("painting", "watercolor", "art", "photorealistic", "photography",
+                   "engine", "film", "anime", "baroque", "isometric", "sketch",
+                   "detailed", "8k", "4k", "artstation", "cinematic", "masterpiece")
+    return np.array(
+        [
+            num_tokens / 20.0,
+            num_commas / 4.0,
+            float(num_and),
+            float(num_articles),
+            adjectives / 3.0,
+            float(any(t in action_words for t in tokens)),
+            float(any(t in scene_words for t in tokens)),
+            sum(1 for t in tokens if t in style_words) / 3.0,
+        ],
+        dtype=np.float64,
+    )
+
+
+def _legacy_hashed_features(hashed_dim: int, text: str) -> np.ndarray:
+    vector = np.zeros(hashed_dim, dtype=np.float64)
+    tokens = [t.strip(",.").lower() for t in text.split() if t.strip(",.")]
+    for token in tokens:
+        index = stable_hash("feat:" + token) % hashed_dim
+        vector[index] += 1.0
+    max_val = vector.max()
+    if max_val > 0:
+        vector /= max_val
+    return vector
+
+
 def legacy_featurize(featurizer, prompt) -> np.ndarray:
-    """Seed featurize: recompute the full feature vector on every call."""
+    """Seed featurize: tokenize twice, hash every token, on every call."""
     from repro.prompts.generator import Prompt
 
     text = prompt.text if isinstance(prompt, Prompt) else str(prompt)
-    structural = featurizer._structural_features(text)
+    structural = _legacy_structural_features(text)
     if featurizer.hashed_dim == 0:
         return structural
-    hashed = featurizer._hashed_features(text)
+    hashed = _legacy_hashed_features(featurizer.hashed_dim, text)
     return np.concatenate([structural, hashed])
 
 

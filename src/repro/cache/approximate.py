@@ -23,6 +23,7 @@ from repro.cache.store import NoiseStateStore, StoredState
 from repro.cache.vectordb import VectorDatabase
 from repro.prompts.embedding import PromptEmbedder
 from repro.prompts.generator import Prompt
+from repro.prompts.memo import PromptMemo
 
 
 class _TenantNamespace:
@@ -111,7 +112,7 @@ class ApproximateCache:
         #: the stored vectors, and long traces cycle the same prompts while
         #: the index stops growing once every dataset prompt is cached — so
         #: steady-state retrievals skip the embed + O(entries) scan entirely.
-        self._nearest_memo: dict[tuple[str, int], tuple[int, object]] = {}
+        self._nearest_memo = PromptMemo()
 
     # ------------------------------------------------------------------ #
     # Tenant namespacing
@@ -179,7 +180,7 @@ class ApproximateCache:
             match = cached[1]
         else:
             match = vectordb.nearest(self.embedder.embed(prompt))
-            self._nearest_memo[memo_key] = (vectordb.mutations, match)
+            self._nearest_memo.remember(memo_key, (vectordb.mutations, match))
         if match is None or match.similarity < self.similarity_threshold:
             return RetrievalOutcome(
                 requested_skip=requested_skip,

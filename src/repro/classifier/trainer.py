@@ -17,6 +17,7 @@ from repro.classifier.model import SoftmaxClassifier, TrainingHistory
 from repro.models.zoo import Strategy
 from repro.prompts.features import PromptFeaturizer
 from repro.prompts.generator import Prompt
+from repro.prompts.memo import PromptMemo
 from repro.quality.optimal import OptimalModelSelector
 from repro.quality.pickscore import PickScoreModel
 
@@ -47,7 +48,7 @@ class TrainedPredictor:
     #: repeated prompts — dataset cycling dominates long traces — skip the
     #: featurize + matmul entirely.  Retraining builds a fresh predictor,
     #: which empties the memo automatically.
-    _rank_memo: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
+    _rank_memo: PromptMemo = field(default_factory=PromptMemo, repr=False, compare=False)
 
     def predict_rank(self, prompt: Prompt | str) -> int:
         """Predicted optimal approximation rank for one prompt."""
@@ -56,7 +57,7 @@ class TrainedPredictor:
             rank = self._rank_memo.get(key)
             if rank is None:
                 rank = self.classifier.predict_one(self.featurizer.featurize(prompt))
-                self._rank_memo[key] = rank
+                self._rank_memo.remember(key, rank)
             return rank
         features = self.featurizer.featurize(prompt)
         return self.classifier.predict_one(features)

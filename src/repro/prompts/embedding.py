@@ -9,9 +9,12 @@ caching useful hit rates.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.prompts.generator import Prompt
+from repro.prompts.memo import PromptMemo, WordTable, tokenize
 from repro.simulation.randomness import stable_hash
 
 
@@ -25,18 +28,26 @@ class PromptEmbedder:
         self.topic_weight = float(topic_weight)
         # Embeddings are deterministic per prompt; memoise them because the
         # cache path embeds the same prompt on every retrieval and write-back.
-        self._cache: dict[tuple[int, int], np.ndarray] = {}
-        self._topic_cache: dict[int, np.ndarray] = {}
+        self._cache = PromptMemo()
+        self._topic_cache = PromptMemo()
+        #: word -> (bucket, sign): each word is hashed once.
+        self._words = WordTable(self._word_entry)
 
     def embed_text(self, text: str) -> np.ndarray:
         """Embed raw text (hashed bag-of-words, unit norm)."""
-        vector = np.zeros(self.dim, dtype=np.float64)
-        tokens = [t.strip(",.") for t in text.lower().split() if t.strip(",.")]
-        for token in tokens:
-            index = stable_hash("tok:" + token) % self.dim
-            sign = 1.0 if stable_hash("sign:" + token) % 2 == 0 else -1.0
-            vector[index] += sign
-        return self._normalize(vector)
+        # Signed word counts are integers, so summing them as Python floats
+        # in any order gives exactly the values the vector would hold.
+        counts = [0.0] * self.dim
+        words = self._words
+        for word in tokenize(text):
+            index, sign = words[word]
+            counts[index] += sign
+        return self._normalize(np.array(counts))
+
+    def _word_entry(self, word: str) -> tuple[int, float]:
+        index = stable_hash("tok:" + word) % self.dim
+        sign = 1.0 if stable_hash("sign:" + word) % 2 == 0 else -1.0
+        return index, sign
 
     def embed(self, prompt: Prompt) -> np.ndarray:
         """Embed a structured prompt, mixing token and topic components.
@@ -49,9 +60,7 @@ class PromptEmbedder:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        embedded = self._embed_uncached(prompt)
-        self._cache[key] = embedded
-        return embedded
+        return self._cache.remember(key, self._embed_uncached(prompt))
 
     def _embed_uncached(self, prompt: Prompt) -> np.ndarray:
         token_vec = self.embed_text(prompt.text)
@@ -71,29 +80,33 @@ class PromptEmbedder:
         if not prompts:
             return np.zeros((0, self.dim), dtype=np.float64)
         keys = [(p.content_hash(), p.topic) for p in prompts]
-        missing: dict[tuple[int, int], int] = {}
-        fresh_prompts: list[Prompt] = []
+        rows: dict[tuple[int, int], np.ndarray | None] = {}
+        fresh: list[tuple[tuple[int, int], Prompt]] = []
         for key, prompt in zip(keys, prompts):
-            if key not in self._cache and key not in missing:
-                missing[key] = len(fresh_prompts)
-                fresh_prompts.append(prompt)
-        if fresh_prompts:
-            token_matrix = np.stack([self.embed_text(p.text) for p in fresh_prompts])
-            topic_matrix = np.stack([self._topic_vector(p.topic) for p in fresh_prompts])
+            if key not in rows:
+                rows[key] = self._cache.get(key)
+                if rows[key] is None:
+                    fresh.append((key, prompt))
+        if fresh:
+            token_matrix = np.stack([self.embed_text(p.text) for _, p in fresh])
+            topic_matrix = np.stack([self._topic_vector(p.topic) for _, p in fresh])
             mixed = (1.0 - self.topic_weight) * token_matrix + self.topic_weight * topic_matrix
-            for key, row in zip(missing, mixed):
-                self._cache[key] = self._normalize(row)
-        return np.stack([self._cache[key] for key in keys])
+            for (key, _), row in zip(fresh, mixed):
+                rows[key] = self._cache.remember(key, self._normalize(row))
+        return np.stack([rows[key] for key in keys])
 
     def _topic_vector(self, topic: int) -> np.ndarray:
-        if topic not in self._topic_cache:
+        vector = self._topic_cache.get(topic)
+        if vector is None:
             rng = np.random.default_rng(stable_hash(f"topic-embed-{topic}") % (1 << 32))
-            self._topic_cache[topic] = self._normalize(rng.normal(size=self.dim))
-        return self._topic_cache[topic]
+            vector = self._topic_cache.remember(topic, self._normalize(rng.normal(size=self.dim)))
+        return vector
 
     @staticmethod
     def _normalize(vector: np.ndarray) -> np.ndarray:
-        norm = np.linalg.norm(vector)
+        # The 2-norm as np.linalg.norm computes it for a 1-D vector, without
+        # its dispatch overhead.
+        norm = math.sqrt(vector.dot(vector))
         if norm == 0:
             unit = np.zeros_like(vector)
             unit[0] = 1.0

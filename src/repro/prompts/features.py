@@ -9,12 +9,30 @@ sparsity and lets property tests exercise larger feature spaces.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
-from repro.prompts.generator import Prompt
+from repro.prompts.generator import ATTRIBUTES, Prompt
+from repro.prompts.memo import PromptMemo, WordTable, tokenize
 from repro.simulation.randomness import stable_hash
+
+#: The words each per-word structural feature counts.
+_COUNTED_WORDS = {
+    "num_and": ("and",),
+    "num_entities_hint": ("a", "an", "the"),
+    "num_adjectives_hint": ATTRIBUTES,
+    "has_action_hint": tuple(
+        "lying walking standing flying reading playing looking riding sailing climbing"
+        " sitting dancing".split()
+    ),
+    "has_scene_hint": tuple(
+        "forest beach library sky alley peak field waterfall factory cliff marketplace"
+        " moon".split()
+    ),
+    "num_style_tags_hint": tuple(
+        "painting watercolor art photorealistic photography engine film anime baroque"
+        " isometric sketch detailed 8k 4k artstation cinematic masterpiece".split()
+    ),
+}
 
 
 class PromptFeaturizer:
@@ -32,20 +50,18 @@ class PromptFeaturizer:
         "num_style_tags_hint",
     )
 
-    #: Bound on the memoisation cache: repeated-prompt workloads fit easily,
-    #: while a stream of millions of unique prompts cannot grow it without
-    #: limit (~30 MiB retained at this cap).
-    CACHE_MAX_ENTRIES = 65_536
-
     def __init__(self, hashed_dim: int = 48) -> None:
         if hashed_dim < 0:
             raise ValueError("hashed_dim must be non-negative")
         self.hashed_dim = int(hashed_dim)
         # Featurisation is deterministic per prompt text; the serving loop
         # featurises the same prompt on every routing decision, so memoise
-        # per prompt hash (LRU-bounded).  Cached vectors are frozen to keep
-        # accidental in-place mutation from corrupting later lookups.
-        self._cache: OrderedDict[int, np.ndarray] = OrderedDict()
+        # per prompt hash.  Cached vectors are frozen to keep accidental
+        # in-place mutation from corrupting later lookups.
+        self._cache = PromptMemo()
+        #: word -> the feature slots it adds one to: its structural counts
+        #: and its hashed bucket.  Each word is classified and hashed once.
+        self._words = WordTable(self._word_slots)
 
     @property
     def dim(self) -> int:
@@ -57,24 +73,15 @@ class PromptFeaturizer:
     # ------------------------------------------------------------------ #
     def featurize(self, prompt: Prompt | str) -> np.ndarray:
         """Feature vector for a single prompt (or raw text)."""
-        key = prompt.content_hash() if isinstance(prompt, Prompt) else None
-        if key is not None:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-                return cached
-        text = prompt.text if isinstance(prompt, Prompt) else str(prompt)
-        structural = self._structural_features(text)
-        if self.hashed_dim == 0:
-            features = structural
-        else:
-            features = np.concatenate([structural, self._hashed_features(text)])
-        if key is not None:
-            features.setflags(write=False)
-            self._cache[key] = features
-            if len(self._cache) > self.CACHE_MAX_ENTRIES:
-                self._cache.popitem(last=False)
-        return features
+        if not isinstance(prompt, Prompt):
+            return self._featurize_text(str(prompt))
+        key = prompt.content_hash()
+        cached = self._cache.get(key)
+        if cached is None:
+            cached = self._featurize_text(prompt.text)
+            cached.setflags(write=False)
+            self._cache.remember(key, cached)
+        return cached
 
     def featurize_batch(self, prompts: list[Prompt | str]) -> np.ndarray:
         """Feature matrix of shape (n, dim)."""
@@ -85,48 +92,39 @@ class PromptFeaturizer:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _structural_features(self, text: str) -> np.ndarray:
-        tokens = [t.strip(",.").lower() for t in text.split() if t.strip(",.")]
-        num_tokens = len(tokens)
-        num_commas = text.count(",")
-        num_and = sum(1 for t in tokens if t == "and")
-        num_articles = sum(1 for t in tokens if t in ("a", "an", "the"))
-        adjectives = sum(
-            1
-            for t in tokens
-            if t in ("red", "blue", "golden", "ancient", "futuristic", "tiny", "giant",
-                     "glowing", "rusty", "crystal", "wooden", "marble", "neon", "misty",
-                     "snowy", "sunlit", "happy", "old", "young", "ornate", "minimalist")
-        )
-        action_words = ("lying", "walking", "standing", "flying", "reading", "playing",
-                        "looking", "riding", "sailing", "climbing", "sitting", "dancing")
-        scene_words = ("forest", "beach", "library", "sky", "alley", "peak", "field",
-                       "waterfall", "factory", "cliff", "marketplace", "moon")
-        style_words = ("painting", "watercolor", "art", "photorealistic", "photography",
-                       "engine", "film", "anime", "baroque", "isometric", "sketch",
-                       "detailed", "8k", "4k", "artstation", "cinematic", "masterpiece")
-        features = np.array(
-            [
-                num_tokens / 20.0,
-                num_commas / 4.0,
-                float(num_and),
-                float(num_articles),
-                adjectives / 3.0,
-                float(any(t in action_words for t in tokens)),
-                float(any(t in scene_words for t in tokens)),
-                sum(1 for t in tokens if t in style_words) / 3.0,
-            ],
-            dtype=np.float64,
-        )
-        return features
+    def _featurize_text(self, text: str) -> np.ndarray:
+        words = tokenize(text)
+        # Per-slot word counts are integers, so summing them as Python
+        # floats gives exactly the values a float64 vector would hold.
+        slots = [0.0] * self.dim
+        table = self._words
+        for word in words:
+            for slot in table[word]:
+                slots[slot] += 1.0
+        # Slots 2-7 hold the per-word structural counts.
+        structural = [
+            len(words) / 20.0,
+            text.count(",") / 4.0,
+            slots[2],
+            slots[3],
+            slots[4] / 3.0,
+            float(slots[5] > 0),
+            float(slots[6] > 0),
+            slots[7] / 3.0,
+        ]
+        hashed = slots[len(structural) :]
+        peak = max(hashed, default=0.0)
+        if peak > 0:
+            hashed = [count / peak for count in hashed]
+        return np.array(structural + hashed)
 
-    def _hashed_features(self, text: str) -> np.ndarray:
-        vector = np.zeros(self.hashed_dim, dtype=np.float64)
-        tokens = [t.strip(",.").lower() for t in text.split() if t.strip(",.")]
-        for token in tokens:
-            index = stable_hash("feat:" + token) % self.hashed_dim
-            vector[index] += 1.0
-        max_val = vector.max()
-        if max_val > 0:
-            vector /= max_val
-        return vector
+    def _word_slots(self, word: str) -> tuple[int, ...]:
+        slots = tuple(
+            self.STRUCTURAL_FEATURES.index(name)
+            for name, counted in _COUNTED_WORDS.items()
+            if word in counted
+        )
+        if self.hashed_dim:
+            bucket = stable_hash("feat:" + word) % self.hashed_dim
+            slots += (len(self.STRUCTURAL_FEATURES) + bucket,)
+        return slots

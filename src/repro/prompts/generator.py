@@ -114,6 +114,8 @@ class PromptGenerator:
         self.num_topics = int(num_topics)
         self.complexity_bias = float(complexity_bias)
         self._counter = 0
+        #: topic -> the indices of its six subjects (a function of the topic).
+        self._subject_pools: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------ #
     # Generation
@@ -126,8 +128,11 @@ class PromptGenerator:
         """Generate a single prompt."""
         rng = self._rng
         topic = int(rng.integers(0, self.num_topics))
-        topic_rng = np.random.default_rng(stable_hash(f"topic-{topic}") % (1 << 32))
-        subject_pool = topic_rng.choice(len(SUBJECTS), size=6, replace=False)
+        subject_pool = self._subject_pools.get(topic)
+        if subject_pool is None:
+            topic_rng = np.random.default_rng(stable_hash(f"topic-{topic}") % (1 << 32))
+            subject_pool = topic_rng.choice(len(SUBJECTS), size=6, replace=False)
+            self._subject_pools[topic] = subject_pool
 
         num_entities = int(rng.choice([1, 2, 3], p=[0.45, 0.35, 0.20]))
         num_attributes = int(rng.integers(0, 3))

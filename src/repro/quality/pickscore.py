@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.models.zoo import Strategy
 from repro.prompts.generator import Prompt
+from repro.prompts.memo import PromptMemo
 from repro.simulation.randomness import stable_hash
 
 #: Typical PickScore of a best-possible SD-XL generation (paper reports ~21).
@@ -76,9 +77,9 @@ class PickScoreModel:
         self.tolerance_noise = float(tolerance_noise)
         # Scores are deterministic per (prompt text, strategy, rank); memoise
         # them because the serving loop re-evaluates the same prompts often.
-        self._best_cache: dict[int, float] = {}
-        self._tolerance_cache: dict[tuple[int, Strategy], int] = {}
-        self._score_cache: dict[tuple[int, Strategy, int], float] = {}
+        self._best_cache = PromptMemo()
+        self._tolerance_cache = PromptMemo()
+        self._score_cache = PromptMemo()
 
     # ------------------------------------------------------------------ #
     # Per-prompt latent quantities
@@ -90,12 +91,13 @@ class PickScoreModel:
     def best_score(self, prompt: Prompt) -> float:
         """PickScore of the best (least approximate) generation for a prompt."""
         key = prompt.content_hash()
-        if key not in self._best_cache:
+        best = self._best_cache.get(key)
+        if best is None:
             rng = self._prompt_rng(prompt, "best")
-            self._best_cache[key] = float(
-                np.clip(rng.normal(_BASE_SCORE_MEAN, _BASE_SCORE_STD), 18.5, 24.5)
-            )
-        return self._best_cache[key]
+            # Scalar min/max rather than np.clip, as in tolerance_rank.
+            best = min(max(rng.normal(_BASE_SCORE_MEAN, _BASE_SCORE_STD), 18.5), 24.5)
+            self._best_cache.remember(key, best)
+        return best
 
     def tolerance_rank(self, prompt: Prompt, strategy: Strategy | str = Strategy.AC) -> int:
         """Highest approximation rank the prompt tolerates without degradation.
@@ -107,7 +109,8 @@ class PickScoreModel:
         """
         strategy = Strategy(strategy)
         key = (prompt.content_hash(), strategy)
-        if key not in self._tolerance_cache:
+        tolerance = self._tolerance_cache.get(key)
+        if tolerance is None:
             rng = self._prompt_rng(prompt, f"tolerance-{strategy.value}")
             max_rank = self.num_levels - 1
             permissiveness = 0.5 if strategy is Strategy.AC else 0.0
@@ -115,8 +118,9 @@ class PickScoreModel:
             noisy = raw + rng.normal(0.0, self.tolerance_noise)
             # Scalar min/max rather than np.clip: same value, none of the
             # ufunc dispatch overhead on this per-prompt hot path.
-            self._tolerance_cache[key] = int(min(max(round(noisy), 0), max_rank))
-        return self._tolerance_cache[key]
+            tolerance = int(min(max(round(noisy), 0), max_rank))
+            self._tolerance_cache.remember(key, tolerance)
+        return tolerance
 
     # ------------------------------------------------------------------ #
     # Scores
@@ -143,8 +147,7 @@ class PickScoreModel:
             jitter = rng.normal(0.0, 0.01)
             factor = min(max(0.9 - degradation + jitter, 0.45), 0.9)
             score = best * float(factor)
-        self._score_cache[key] = float(score)
-        return float(score)
+        return self._score_cache.remember(key, float(score))
 
     def sample(self, prompt: Prompt, strategy: Strategy | str, rank: int) -> QualitySample:
         """Full quality sample including the best achievable score."""

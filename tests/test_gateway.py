@@ -19,6 +19,7 @@ from repro.gateway.server import Gateway, prompt_from_payload
 from repro.gateway.workers import StubWorker, least_backlog_worker
 from repro.metrics.prometheus import render_prometheus
 from repro.models.zoo import ModelZoo
+from repro.prompts import memo
 from repro.prompts.dataset import PromptDataset
 from repro.prompts.generator import Prompt
 from repro.runtime.wall import WallClockRuntime
@@ -293,6 +294,62 @@ def test_gateway_tenanted_config_reports_cache_tenants():
     results = verify_report(report, ("conservation", "cache-quota"))
     assert not violations(results)
     assert all(r.passed for r in results)
+
+
+def test_gateway_memos_stay_bounded_on_free_text(monkeypatch):
+    """Distinct free-text posts cannot grow a per-prompt memo or a word
+    table past the shared bound, and a prompt whose entries were evicted
+    gets the same embedding and PickScores again."""
+    cap = 16
+    monkeypatch.setattr(memo, "MAX_ENTRIES", cap)
+    texts = [f"free text number {i}, a harbor at dawn" for i in range(3 * cap)]
+    first = prompt_from_payload({"text": texts[0]})
+
+    async def scenario():
+        gateway = Gateway(config=ArgusConfig(num_workers=2), time_scale=500.0)
+        await gateway.start()
+        try:
+            before = None
+            for text in texts:
+                status, _, _ = await gateway.handle(
+                    "POST", "/v1/generate", json.dumps({"text": text}).encode()
+                )
+                assert status == 200
+                if before is None:
+                    before = _prompt_results(gateway, first)
+        finally:
+            await gateway.stop()
+        return gateway, before
+
+    gateway, before = asyncio.run(scenario())
+    embedder, pickscore = gateway.cache.embedder, gateway.pickscore
+    memos = {
+        "embeddings": embedder._cache,
+        "topic vectors": embedder._topic_cache,
+        "embedder words": embedder._words,
+        "best scores": pickscore._best_cache,
+        "tolerances": pickscore._tolerance_cache,
+        "scores": pickscore._score_cache,
+        "nearest matches": gateway.cache._nearest_memo,
+    }
+    for name, table in memos.items():
+        assert 0 < len(table) <= cap, name
+    key = first.content_hash()
+    assert (key, first.topic) not in embedder._cache
+    assert key not in pickscore._best_cache
+    assert ("", key) not in gateway.cache._nearest_memo
+    again = _prompt_results(gateway, first)
+    assert again[0].tobytes() == before[0].tobytes()
+    assert again[1:] == before[1:]
+
+
+def _prompt_results(gateway, prompt):
+    pickscore = gateway.pickscore
+    scores = [
+        pickscore.score(prompt, gateway.strategy, rank).hex()
+        for rank in range(pickscore.num_levels)
+    ]
+    return gateway.cache.embedder.embed(prompt).copy(), scores, pickscore.best_score(prompt).hex()
 
 
 @pytest.mark.bench

@@ -12,6 +12,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benchmarks.perf import legacy
 from repro.cache.network import NetworkCondition, NetworkModel
@@ -373,7 +375,7 @@ class TestEmbedderEquivalence:
         batched = PromptEmbedder(dim=32)
         reference = np.stack([single.embed(p) for p in prompts])
         matrix = batched.embed_batch(prompts)
-        assert np.array_equal(matrix, reference)
+        assert matrix.tobytes() == reference.tobytes()
 
     def test_key_distinguishes_same_id_same_topic(self):
         base = PromptGenerator(seed=18).generate_one()
@@ -396,9 +398,50 @@ class TestEmbedderEquivalence:
         optimized = PromptEmbedder(dim=32)
         reference = PromptEmbedder(dim=32)
         for prompt in prompts:
-            assert np.array_equal(
-                optimized.embed(prompt), legacy.legacy_embed(reference, prompt)
+            assert optimized.embed(prompt).tobytes() == (
+                legacy.legacy_embed(reference, prompt).tobytes()
             )
+            assert optimized.embed_text(prompt.text).tobytes() == (
+                legacy.legacy_embed_text(32, prompt.text).tobytes()
+            )
+
+
+#: Arbitrary Unicode text, and text made of the words the tokenizer must
+#: get right: empty and punctuation-only tokens, mixed case, Unicode
+#: whitespace, and letters whose lowercase form is longer (İ, ǅ) or depends
+#: on context (final Σ).
+_TEXTS = st.one_of(
+    st.text(max_size=60),
+    st.lists(
+        st.sampled_from(
+            "|,|.|,.|..|AND|And|the|A|İ|İstanbul|Σ|ΑΣ|ΑΣ.|.Σ|ΟΔΟΣ,|Red|neon|8K|Forest."
+            "|walking,|\u0085|\u00a0|\t|ß|ǅ".split("|")
+        ),
+        max_size=12,
+    ).map(" ".join),
+)
+
+
+class TestTextEquivalence:
+    """Free text (what the gateway accepts) through the word tables."""
+
+    @given(text=_TEXTS)
+    @settings(max_examples=300, deadline=None)
+    def test_embed_text_matches_legacy(self, text):
+        embedder = PromptEmbedder(dim=24)
+        expected = legacy.legacy_embed_text(24, text).tobytes()
+        # The second call finds every word in the table.
+        assert embedder.embed_text(text).tobytes() == expected
+        assert embedder.embed_text(text).tobytes() == expected
+
+    @given(text=_TEXTS, hashed_dim=st.sampled_from([0, 5, 48]))
+    @settings(max_examples=300, deadline=None)
+    def test_featurize_text_matches_legacy(self, text, hashed_dim):
+        featurizer = PromptFeaturizer(hashed_dim=hashed_dim)
+        expected = legacy.legacy_featurize(featurizer, text)
+        assert expected.shape == (featurizer.dim,)
+        assert featurizer.featurize(text).tobytes() == expected.tobytes()
+        assert featurizer.featurize(text).tobytes() == expected.tobytes()
 
 
 class TestScoringEquivalence:
@@ -408,13 +451,16 @@ class TestScoringEquivalence:
         reference = PickScoreModel(seed=3)
         for prompt in prompts:
             for strategy in (Strategy.AC, Strategy.SM):
+                assert optimized.tolerance_rank(prompt, strategy) == (
+                    legacy.legacy_pickscore_tolerance(reference, prompt, strategy)
+                )
                 for rank in range(optimized.num_levels):
-                    assert optimized.score(prompt, strategy, rank) == (
-                        legacy.legacy_pickscore_score(reference, prompt, strategy, rank)
-                    )
-            assert optimized.best_score(prompt) == legacy.legacy_pickscore_best(
-                reference, prompt
-            )
+                    score = optimized.score(prompt, strategy, rank)
+                    expected = legacy.legacy_pickscore_score(reference, prompt, strategy, rank)
+                    assert type(score) is float and score.hex() == expected.hex()
+            best = optimized.best_score(prompt)
+            expected = legacy.legacy_pickscore_best(reference, prompt)
+            assert type(best) is float and best.hex() == expected.hex()
 
     def test_featurizer_cache_matches_legacy(self):
         prompts = PromptGenerator(seed=21).generate(20)
@@ -423,10 +469,10 @@ class TestScoringEquivalence:
             cached = featurizer.featurize(prompt)
             again = featurizer.featurize(prompt)
             assert again is cached  # memoised
-            assert np.array_equal(cached, legacy.legacy_featurize(featurizer, prompt))
+            assert cached.tobytes() == legacy.legacy_featurize(featurizer, prompt).tobytes()
         # Raw-text input bypasses the cache but still matches.
         vector = featurizer.featurize(prompts[0].text)
-        assert np.array_equal(vector, featurizer.featurize(prompts[0]))
+        assert vector.tobytes() == featurizer.featurize(prompts[0]).tobytes()
 
     def test_shift_map_sampling_matches_choice(self):
         rng_matrix = np.random.default_rng(22)

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import copy
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from repro.prompts import memo
 from repro.prompts.dataset import PromptDataset
 from repro.prompts.embedding import PromptEmbedder
 from repro.prompts.features import PromptFeaturizer
 from repro.prompts.generator import Prompt, PromptGenerator
+from repro.prompts.memo import PromptMemo, WordTable, tokenize
 
 
 class TestPromptGenerator:
@@ -19,6 +25,20 @@ class TestPromptGenerator:
         a = [p.text for p in PromptGenerator(seed=7).generate(20)]
         b = [p.text for p in PromptGenerator(seed=7).generate(20)]
         assert a == b
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (0, "5a1b4e1ccb3a941bc07a388a19bc049f321b7d6945eed465fec5a842de2d820e"),
+            (5, "d394255f58fa10c0d07a848f7c0fcb8941ab7de063051b2288778379d75582ca"),
+        ],
+    )
+    def test_prompt_stream_is_pinned(self, seed, digest):
+        # Every seeded experiment starts from this stream, so a faster
+        # generator must produce exactly the same prompts.
+        prompts = PromptGenerator(seed=seed).generate(500)
+        payload = json.dumps([[p.text, p.complexity, p.topic] for p in prompts])
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
     def test_different_seed_differs(self):
         a = [p.text for p in PromptGenerator(seed=1).generate(20)]
@@ -195,3 +215,38 @@ class TestPromptFeaturizer:
     def test_empty_batch(self):
         featurizer = PromptFeaturizer()
         assert featurizer.featurize_batch([]).shape == (0, featurizer.dim)
+
+
+class TestTokensAndMemos:
+    def test_tokenize_lowercases_and_strips_commas_and_periods(self):
+        words = tokenize("A Red fox, jumping. ,. over...the  LAZY dog,")
+        assert words == ["a", "red", "fox", "jumping", "over...the", "lazy", "dog"]
+        assert tokenize("") == [] and tokenize(" ,. .. ") == []
+
+    def test_prompt_memo_empties_when_full(self, monkeypatch):
+        monkeypatch.setattr(memo, "MAX_ENTRIES", 3)
+        table = PromptMemo()
+        for key in range(5):
+            assert table.remember(key, key * 10) == key * 10
+            assert len(table) <= 3
+        assert table == {3: 30, 4: 40}
+
+    def test_word_table_derives_each_word_once_up_to_the_bound(self, monkeypatch):
+        monkeypatch.setattr(memo, "MAX_ENTRIES", 2)
+        derived = []
+        table = WordTable(lambda word: derived.append(word) or len(word))
+        assert [table[w] for w in ("ab", "ab", "abc", "abcd", "abcd")] == [2, 2, 3, 4, 4]
+        assert derived == ["ab", "abc", "abcd", "abcd"]
+        assert dict(table) == {"ab": 2, "abc": 3}
+
+    def test_deep_copies_use_their_own_word_tables(self, prompts_small):
+        embedder, featurizer = PromptEmbedder(dim=16), PromptFeaturizer()
+        text = prompts_small[0].text
+        embedder.embed_text(text)
+        featurizer.featurize(text)
+        embedder_copy, featurizer_copy = copy.deepcopy((embedder, featurizer))
+        assert embedder_copy._words.derive.__self__ is embedder_copy
+        assert featurizer_copy._words.derive.__self__ is featurizer_copy
+        other = prompts_small[1].text
+        assert embedder_copy.embed_text(other).tobytes() == embedder.embed_text(other).tobytes()
+        assert featurizer_copy.featurize(other).tobytes() == featurizer.featurize(other).tobytes()
