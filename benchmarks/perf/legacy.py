@@ -21,6 +21,16 @@ from repro.cluster.requests import CompletedRequest
 from repro.core.solver import AllocationSolver
 from repro.metrics.collector import ServedSample
 from repro.metrics.slo import SloPolicy
+from repro.prompts.generator import (
+    ACTIONS,
+    ATTRIBUTES,
+    QUALITY_TAGS,
+    SCENES,
+    STYLES,
+    SUBJECTS,
+    Prompt,
+    PromptGenerator,
+)
 from repro.simulation.clock import Clock
 from repro.simulation.randomness import RandomStreams, stable_hash
 
@@ -500,8 +510,6 @@ def _legacy_hashed_features(hashed_dim: int, text: str) -> np.ndarray:
 
 def legacy_featurize(featurizer, prompt) -> np.ndarray:
     """Seed featurize: tokenize twice, hash every token, on every call."""
-    from repro.prompts.generator import Prompt
-
     text = prompt.text if isinstance(prompt, Prompt) else str(prompt)
     structural = _legacy_structural_features(text)
     if featurizer.hashed_dim == 0:
@@ -514,3 +522,77 @@ def legacy_sample_target(shift_map, affinity_rank, rng) -> int:
     """Seed PASM sampling: ``Generator.choice`` re-derives the CDF per call."""
     row = shift_map.matrix[affinity_rank]
     return int(rng.choice(len(row), p=row / row.sum()))
+
+
+class LegacyPromptGenerator(PromptGenerator):
+    """The prompt generator with one ``Generator.choice`` call per pick and
+    ``np.clip`` on the complexity: the draws the choice-free generator must
+    reproduce."""
+
+    def generate_one(self) -> Prompt:
+        """Generate a single prompt."""
+        rng = self._rng
+        topic = int(rng.integers(0, self.num_topics))
+        subject_pool = self._subject_pools.get(topic)
+        if subject_pool is None:
+            topic_rng = np.random.default_rng(stable_hash(f"topic-{topic}") % (1 << 32))
+            subject_pool = topic_rng.choice(len(SUBJECTS), size=6, replace=False)
+            self._subject_pools[topic] = subject_pool
+
+        num_entities = int(rng.choice([1, 2, 3], p=[0.45, 0.35, 0.20]))
+        num_attributes = int(rng.integers(0, 3))
+        has_action = bool(rng.random() < 0.45)
+        has_scene = bool(rng.random() < 0.55)
+        num_style_tags = int(rng.integers(0, 4))
+
+        parts: list[str] = []
+        entity_phrases = []
+        for _ in range(num_entities):
+            subject = SUBJECTS[int(rng.choice(subject_pool))]
+            attrs = rng.choice(ATTRIBUTES, size=min(num_attributes, 2), replace=False)
+            phrase = " ".join(list(attrs) + [subject]) if num_attributes else subject
+            entity_phrases.append(f"a {phrase}")
+        parts.append(" and ".join(entity_phrases))
+        if has_action:
+            parts.append(str(rng.choice(ACTIONS)))
+        if has_scene:
+            parts.append(str(rng.choice(SCENES)))
+        style_tags = list(rng.choice(STYLES, size=1)) if num_style_tags else []
+        style_tags += list(rng.choice(QUALITY_TAGS, size=max(0, num_style_tags - 1), replace=False))
+        text = ", ".join([" ".join(parts)] + style_tags)
+
+        complexity = self._complexity(
+            num_entities, num_attributes, num_style_tags, has_action, has_scene
+        )
+        prompt = Prompt(
+            prompt_id=self._counter,
+            text=text,
+            num_entities=num_entities,
+            num_attributes=num_attributes,
+            num_style_tags=num_style_tags,
+            has_action=has_action,
+            has_scene=has_scene,
+            complexity=complexity,
+            topic=topic,
+        )
+        self._counter += 1
+        return prompt
+
+    def _complexity(
+        self,
+        num_entities: int,
+        num_attributes: int,
+        num_style_tags: int,
+        has_action: bool,
+        has_scene: bool,
+    ) -> float:
+        """Latent complexity in [0, 1] from the prompt structure plus noise."""
+        raw = (
+            0.30 * (num_entities - 1)
+            + 0.09 * num_attributes
+            + 0.15 * has_action
+            + 0.10 * has_scene
+            + 0.04 * num_style_tags
+        )
+        noise = self._rng.normal(0.0, 0.05)
+        return float(np.clip(raw + noise + 0.05 + self.complexity_bias, 0.0, 1.0))

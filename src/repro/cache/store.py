@@ -8,7 +8,7 @@ eviction (production caches are bounded) and tracks hit/miss statistics.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.simulation.randomness import stable_hash
 

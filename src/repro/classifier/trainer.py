@@ -94,9 +94,7 @@ class ClassifierTrainer:
         """Compute optimal-level labels for a prompt sample."""
         strategy = Strategy(strategy)
         features = self.featurizer.featurize_batch(list(prompts))
-        labels = np.array(
-            [self.selector.optimal_rank(p, strategy) for p in prompts], dtype=np.int64
-        )
+        labels = np.array(self.selector.optimal_ranks(prompts, strategy), dtype=np.int64)
         return LabeledPrompts(
             strategy=strategy, prompts=tuple(prompts), features=features, labels=labels
         )

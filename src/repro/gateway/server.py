@@ -158,16 +158,13 @@ class Gateway:
         self.host: str | None = None
         self.port: int | None = None
         if self.config.cache_warm_prompts > 0:
-            # The offline training set ArgusSystem warms from (same seed).
-            training = PromptDataset.synthetic(
-                count=max(self.config.classifier_training_prompts, self.config.cache_warm_prompts),
+            # The head of the offline training set, as ArgusSystem warms it
+            # (same seed; it has at most classifier_training_prompts).
+            warm = PromptDataset.synthetic(
+                count=min(self.config.classifier_training_prompts, self.config.cache_warm_prompts),
                 seed=self.config.seed + 101,
             )
-            warm_cache(
-                self.cache,
-                training.prompts[: self.config.cache_warm_prompts],
-                self.config.tenants,
-            )
+            warm_cache(self.cache, warm.prompts, self.config.tenants)
 
     # ------------------------------------------------------------------ #
     # Interceptor chain

@@ -9,6 +9,7 @@ model later reproduces the paper's Observation 1 and Fig. 8 distributions.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -54,6 +55,31 @@ QUALITY_TAGS = (
     "highly detailed", "8k", "4k", "trending on artstation", "sharp focus",
     "cinematic lighting", "intricate", "award winning", "masterpiece",
 )
+
+
+#: How many entities a prompt names, and the cumulative weights
+#: ``choice([1, 2, 3], p=[0.45, 0.35, 0.20])`` bisects its uniform draw into,
+#: normalised the way ``choice`` normalises them.
+_ENTITY_COUNTS = (1, 2, 3)
+_ENTITY_CUMSUM = np.cumsum([0.45, 0.35, 0.20])
+_ENTITY_CDF = (_ENTITY_CUMSUM / _ENTITY_CUMSUM[-1]).tolist()
+
+
+def _sample(rng: np.random.Generator, items: tuple[str, ...], k: int) -> list[str]:
+    """``list(rng.choice(items, size=k, replace=False))``, drawing the same
+    numbers: Floyd's algorithm (one ``integers`` draw per pick, a repeat
+    replaced by the top of its range), then the shuffle's draws.  That is
+    what ``choice`` does for a population as small as the vocabularies
+    here; above 10,000 items it may shuffle instead."""
+    n = len(items)
+    picked: list[int] = []
+    for top in range(n - k, n):
+        index = rng.integers(0, top + 1)
+        picked.append(top if index in picked else index)
+    for i in range(k - 1, 0, -1):
+        j = rng.integers(0, i + 1)
+        picked[i], picked[j] = picked[j], picked[i]
+    return [items[i] for i in picked]
 
 
 @dataclass(frozen=True)
@@ -114,8 +140,8 @@ class PromptGenerator:
         self.num_topics = int(num_topics)
         self.complexity_bias = float(complexity_bias)
         self._counter = 0
-        #: topic -> the indices of its six subjects (a function of the topic).
-        self._subject_pools: dict[int, np.ndarray] = {}
+        #: topic -> its six subjects (a function of the topic).
+        self._subject_pools: dict[int, tuple[str, ...]] = {}
 
     # ------------------------------------------------------------------ #
     # Generation
@@ -125,35 +151,42 @@ class PromptGenerator:
         return [self.generate_one() for _ in range(count)]
 
     def generate_one(self) -> Prompt:
-        """Generate a single prompt."""
+        """Generate a single prompt.
+
+        Each draw is the one ``Generator.choice`` makes for the same call
+        (an index from ``integers``, a bisected ``random()`` for weighted
+        picks, Floyd's draws then the shuffle draw for samples without
+        replacement) made directly, so the stream is unchanged while the
+        array dispatch ``choice`` adds per call is gone.
+        """
         rng = self._rng
         topic = int(rng.integers(0, self.num_topics))
-        subject_pool = self._subject_pools.get(topic)
-        if subject_pool is None:
+        subjects = self._subject_pools.get(topic)
+        if subjects is None:
             topic_rng = np.random.default_rng(stable_hash(f"topic-{topic}") % (1 << 32))
-            subject_pool = topic_rng.choice(len(SUBJECTS), size=6, replace=False)
-            self._subject_pools[topic] = subject_pool
+            pool = topic_rng.choice(len(SUBJECTS), size=6, replace=False)
+            subjects = self._subject_pools[topic] = tuple(SUBJECTS[i] for i in pool)
 
-        num_entities = int(rng.choice([1, 2, 3], p=[0.45, 0.35, 0.20]))
+        num_entities = _ENTITY_COUNTS[bisect_right(_ENTITY_CDF, rng.random())]
         num_attributes = int(rng.integers(0, 3))
-        has_action = bool(rng.random() < 0.45)
-        has_scene = bool(rng.random() < 0.55)
+        has_action = rng.random() < 0.45
+        has_scene = rng.random() < 0.55
         num_style_tags = int(rng.integers(0, 4))
 
         parts: list[str] = []
         entity_phrases = []
         for _ in range(num_entities):
-            subject = SUBJECTS[int(rng.choice(subject_pool))]
-            attrs = rng.choice(ATTRIBUTES, size=min(num_attributes, 2), replace=False)
-            phrase = " ".join(list(attrs) + [subject]) if num_attributes else subject
+            subject = subjects[rng.integers(0, len(subjects))]
+            attrs = _sample(rng, ATTRIBUTES, min(num_attributes, 2))
+            phrase = " ".join(attrs + [subject]) if num_attributes else subject
             entity_phrases.append(f"a {phrase}")
         parts.append(" and ".join(entity_phrases))
         if has_action:
-            parts.append(str(rng.choice(ACTIONS)))
+            parts.append(ACTIONS[rng.integers(0, len(ACTIONS))])
         if has_scene:
-            parts.append(str(rng.choice(SCENES)))
-        style_tags = list(rng.choice(STYLES, size=1)) if num_style_tags else []
-        style_tags += list(rng.choice(QUALITY_TAGS, size=max(0, num_style_tags - 1), replace=False))
+            parts.append(SCENES[rng.integers(0, len(SCENES))])
+        style_tags = [STYLES[rng.integers(0, len(STYLES))]] if num_style_tags else []
+        style_tags += _sample(rng, QUALITY_TAGS, max(0, num_style_tags - 1))
         text = ", ".join([" ".join(parts)] + style_tags)
 
         complexity = self._complexity(
@@ -190,4 +223,4 @@ class PromptGenerator:
             + 0.04 * num_style_tags
         )
         noise = self._rng.normal(0.0, 0.05)
-        return float(np.clip(raw + noise + 0.05 + self.complexity_bias, 0.0, 1.0))
+        return min(max(raw + noise + 0.05 + self.complexity_bias, 0.0), 1.0)

@@ -57,27 +57,30 @@ class OptimalModelSelector:
         """Compute the optimal level with full score detail."""
         strategy = Strategy(strategy)
         scores = self.pickscore.score_all_levels(prompt, strategy)
-        best = max(scores)
-        cutoff = self.threshold * best
-        optimal_rank = 0
-        for rank in range(len(scores) - 1, -1, -1):
-            if scores[rank] >= cutoff:
-                optimal_rank = rank
-                break
         return OptimalChoice(
             prompt_id=prompt.prompt_id,
             strategy=strategy,
-            optimal_rank=optimal_rank,
+            optimal_rank=self._fastest_optimal(scores),
             scores=tuple(scores),
         )
+
+    def _fastest_optimal(self, scores: list[float]) -> int:
+        """The highest rank whose score clears the threshold (0 if none)."""
+        cutoff = self.threshold * max(scores)
+        for rank in range(len(scores) - 1, -1, -1):
+            if scores[rank] >= cutoff:
+                return rank
+        return 0
 
     def optimal_rank(self, prompt: Prompt, strategy: Strategy | str) -> int:
         """The fastest rank that still produces an optimal-quality image."""
         return self.optimal_choice(prompt, strategy).optimal_rank
 
     def optimal_ranks(self, prompts: list[Prompt], strategy: Strategy | str) -> list[int]:
-        """Optimal ranks for a list of prompts."""
-        return [self.optimal_rank(p, strategy) for p in prompts]
+        """Optimal ranks for a list of prompts, scored together
+        (:meth:`PickScoreModel.score_levels`)."""
+        levels = self.pickscore.score_levels(prompts, strategy)
+        return [self._fastest_optimal(scores) for scores in levels]
 
     def affinity_distribution(
         self, prompts: list[Prompt], strategy: Strategy | str

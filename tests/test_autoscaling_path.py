@@ -16,7 +16,7 @@ import pytest
 
 from repro.cluster.cluster import GpuCluster
 from repro.cluster.requests import Request
-from repro.cluster.worker import Worker, WorkerState
+from repro.cluster.worker import Worker
 from repro.core.allocator import Allocator
 from repro.core.autoscaler import Autoscaler, ScaleOutcome
 from repro.core.config import ArgusConfig

@@ -9,7 +9,6 @@ from repro.cache.approximate import ApproximateCache
 from repro.cache.network import NetworkCondition, NetworkModel
 from repro.cache.store import NoiseStateStore, StoredState
 from repro.cache.vectordb import VectorDatabase
-from repro.prompts.dataset import PromptDataset
 from repro.prompts.embedding import PromptEmbedder
 
 

@@ -9,7 +9,7 @@ from repro.cluster.cluster import GpuCluster
 from repro.cluster.memory import GpuMemory
 from repro.cluster.requests import Request
 from repro.cluster.worker import Worker, WorkerState
-from repro.models.zoo import ModelZoo, Strategy
+from repro.models.zoo import Strategy
 from repro.prompts.dataset import PromptDataset
 from repro.simulation.engine import SimulationEngine
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import ArgusConfig
+from repro.core.system import ArgusSystem
 from repro.gateway.interceptors import RequestContext, compose, tenant_resolution
 from repro.gateway.loadgen import replay_async
 from repro.gateway.server import Gateway, prompt_from_payload
@@ -294,6 +295,23 @@ def test_gateway_tenanted_config_reports_cache_tenants():
     results = verify_report(report, ("conservation", "cache-quota"))
     assert not violations(results)
     assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("warm, training", [(300, 2000), (500, 200)])
+def test_gateway_warms_the_prompts_the_simulator_warms(warm, training):
+    """Both warm the head of the offline training set, which holds
+    ``classifier_training_prompts`` prompts."""
+    config = ArgusConfig(
+        num_workers=2,
+        cache_warm_prompts=warm,
+        classifier_training_prompts=training,
+        profiling_prompts=100,
+    )
+    gateway = Gateway(config=config, time_scale=100.0)
+    system = ArgusSystem(config=config, prompt_aware=False)
+    expected = list(range(min(warm, training)))
+    assert list(gateway.cache.store._entries) == expected
+    assert list(system.cache.store._entries) == expected
 
 
 def test_gateway_memos_stay_bounded_on_free_text(monkeypatch):

@@ -8,7 +8,7 @@ from repro.models.batching import BATCHING_PROFILES, BatchingModel, batching_spe
 from repro.models.latency import LatencyModel
 from repro.models.roofline import RooflineModel
 from repro.models.variants import AC_LEVELS, SM_VARIANTS
-from repro.models.zoo import ModelZoo, Strategy
+from repro.models.zoo import Strategy
 
 
 class TestLatencyModel:

@@ -9,6 +9,9 @@ the seed-faithful references preserved in :mod:`benchmarks.perf.legacy`.
 from __future__ import annotations
 
 import copy
+import dataclasses
+import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,9 +29,11 @@ from repro.core.solver import AllocationSolver
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.report import summarize
 from repro.models.zoo import Strategy
+from repro.prompts import memo
 from repro.prompts.embedding import PromptEmbedder
 from repro.prompts.features import PromptFeaturizer
 from repro.prompts.generator import Prompt, PromptGenerator
+from repro.quality.optimal import OPTIMALITY_THRESHOLD, OptimalModelSelector
 from repro.quality.pickscore import PickScoreModel
 from repro.simulation.engine import SimulationEngine
 
@@ -462,6 +467,84 @@ class TestScoringEquivalence:
             expected = legacy.legacy_pickscore_best(reference, prompt)
             assert type(best) is float and best.hex() == expected.hex()
 
+    @pytest.mark.parametrize("strategy", [Strategy.AC, Strategy.SM])
+    def test_batch_labels_match_legacy(self, strategy):
+        first: dict[str, Prompt] = {}
+        for prompt in PromptGenerator(seed=24).generate(600):
+            first.setdefault(prompt.text, prompt)
+        distinct = list(first.values())
+        # Repeated prompts, and a prompt sharing an earlier prompt's text but
+        # not its complexity: the earlier one fixes the text's tolerance.
+        source = min(distinct, key=lambda prompt: prompt.complexity)
+        twin = dataclasses.replace(source, prompt_id=10_000, complexity=1.0)
+        prompts = distinct + distinct[::9] + [twin]
+        model, reference = PickScoreModel(seed=5), PickScoreModel(seed=5)
+        other = Strategy.SM if strategy is Strategy.AC else Strategy.AC
+        levels = model.num_levels
+        # Memos partly filled through the scalar path first.
+        for i, prompt in enumerate(distinct[:200]):
+            if i % 3 == 0:
+                model.best_score(prompt)
+            if i % 4 == 0:
+                model.tolerance_rank(prompt, strategy)
+            if i % 5 == 0:
+                model.score(prompt, strategy, i % levels)
+            if i % 7 == 0:
+                model.score(prompt, other, 1)
+
+        ranks = OptimalModelSelector(model).optimal_ranks(prompts, strategy)
+
+        expected = []
+        for prompt in prompts:
+            scores = [
+                legacy.legacy_pickscore_score(reference, prompt, strategy, rank)
+                for rank in range(levels)
+            ]
+            cutoff = OPTIMALITY_THRESHOLD * max(scores)
+            expected.append(max(rank for rank in range(levels) if scores[rank] >= cutoff))
+        assert ranks == expected
+        assert len(model._score_cache) == len(distinct)
+        first_of = {prompt.content_hash(): prompt for prompt in distinct}
+        for key, best in model._best_cache.items():
+            assert best.hex() == legacy.legacy_pickscore_best(reference, first_of[key]).hex()
+        for (key, strat), tolerance in model._tolerance_cache.items():
+            assert tolerance == legacy.legacy_pickscore_tolerance(reference, first_of[key], strat)
+        for key, scores in model._score_cache.items():
+            for strat, rank in itertools.product(Strategy, range(levels)):
+                score = scores[model._slot(strat, rank)]
+                if score is None:
+                    assert strat is not strategy
+                    continue
+                want = legacy.legacy_pickscore_score(reference, first_of[key], strat, rank)
+                assert type(score) is float and score.hex() == want.hex()
+
+    def test_score_memo_keeps_one_entry_per_prompt(self, monkeypatch):
+        """Scoring fewer prompts than the memo bound at every (strategy,
+        rank) pair seeds each pair once: the memo never empties."""
+        monkeypatch.setattr(memo, "MAX_ENTRIES", 16)
+        first: dict[str, Prompt] = {}
+        for prompt in PromptGenerator(seed=25).generate(40):
+            first.setdefault(prompt.text, prompt)
+        prompts = list(first.values())[:12]
+        model = PickScoreModel(seed=6)
+        seeded: Counter = Counter()
+        prompt_rng = model._prompt_rng
+
+        def counting_rng(prompt, salt):
+            seeded[prompt.text, salt] += 1
+            return prompt_rng(prompt, salt)
+
+        monkeypatch.setattr(model, "_prompt_rng", counting_rng)
+        for _ in range(2):
+            for prompt in prompts:
+                for strategy in (Strategy.AC, Strategy.SM):
+                    for rank in range(model.num_levels):
+                        model.score(prompt, strategy, rank)
+        score_seeds = [count for (_, salt), count in seeded.items() if salt.startswith("score-")]
+        assert len(score_seeds) == len(prompts) * 2 * model.num_levels
+        assert set(score_seeds) == {1}
+        assert len(model._score_cache) == len(prompts)
+
     def test_featurizer_cache_matches_legacy(self):
         prompts = PromptGenerator(seed=21).generate(20)
         featurizer = PromptFeaturizer()
@@ -487,6 +570,34 @@ class TestScoringEquivalence:
         ]
         assert draws_new == draws_old
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+_GENERATOR_CASES = [
+    (seed, num_topics, complexity_bias)
+    for seed, (num_topics, complexity_bias) in enumerate(
+        itertools.product((1, 8, 24, 40), (-2.0, 0.0, 0.3, 2.0))
+    )
+]
+
+
+class TestPromptGeneratorEquivalence:
+    """Choice-free draws against the ``Generator.choice`` generator; biases
+    of -2 and 2 push every complexity onto a clip edge."""
+
+    @pytest.mark.parametrize("seed, num_topics, complexity_bias", _GENERATOR_CASES)
+    def test_prompts_and_final_state_match_legacy(self, seed, num_topics, complexity_bias):
+        options = dict(seed=seed, num_topics=num_topics, complexity_bias=complexity_bias)
+        generator = PromptGenerator(**options)
+        reference = legacy.LegacyPromptGenerator(**options)
+        names = [field.name for field in dataclasses.fields(Prompt)]
+        pairs = zip(generator.generate(2000), reference.generate(2000), strict=True)
+        for prompt, expected in pairs:
+            values = [getattr(prompt, name) for name in names]
+            expected_values = [getattr(expected, name) for name in names]
+            assert values == expected_values
+            assert [type(v) for v in values] == [type(v) for v in expected_values]
+            assert prompt.complexity.hex() == expected.complexity.hex()
+        assert generator._rng.bit_generator.state == reference._rng.bit_generator.state
 
 
 def _scan_route(cluster, target_rank: int, max_rank: int | None):

@@ -6,10 +6,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.models.zoo import ModelZoo, Strategy
+from repro.models.zoo import Strategy
 from repro.quality.degradation import profile_degradation
 from repro.quality.optimal import OPTIMALITY_THRESHOLD, OptimalModelSelector
-from repro.quality.pickscore import PickScoreModel
 from repro.quality.profiles import QualityProfiler, pareto_frontier
 from repro.quality.user_study import UserStudySimulator
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.simulation import Clock, RandomStreams, SimulationEngine, stable_hash
+from repro.simulation.randomness import seeded_generators
 
 
 class TestClock:
@@ -71,6 +73,34 @@ class TestRandomStreams:
         a = RandomStreams(seed=1).spawn("child").stream("x").random(3).tolist()
         b = RandomStreams(seed=1).spawn("child").stream("x").random(3).tolist()
         assert a == b
+
+
+class TestSeededGenerators:
+    """Batch seeding puts a generator exactly where ``default_rng`` starts."""
+
+    @staticmethod
+    def _assert_matches_default_rng(keys):
+        for key, rng in zip(keys, seeded_generators(keys), strict=True):
+            reference = np.random.default_rng(key)
+            assert rng.bit_generator.state == reference.bit_generator.state, key
+            assert rng.normal().hex() == reference.normal().hex(), key
+            assert rng.random().hex() == reference.random().hex(), key
+
+    def test_edge_keys(self):
+        self._assert_matches_default_rng([0, 1, 2**31, 2**32 - 1])
+
+    def test_random_keys(self):
+        keys = np.random.default_rng(11).integers(0, 2**32, size=10_000).tolist()
+        self._assert_matches_default_rng(keys)
+
+    def test_repeated_keys_and_empty_batch(self):
+        self._assert_matches_default_rng([7, 7, 3, 7])
+        assert list(seeded_generators([])) == []
+
+    @pytest.mark.parametrize("keys", [[-1], [2**32], [5, 2**40], [2**64]])
+    def test_keys_outside_32_bits_rejected(self, keys):
+        with pytest.raises(ValueError):
+            seeded_generators(keys)
 
 
 class TestSimulationEngine:
