@@ -7,12 +7,13 @@ for similarity search, the blob store (EFS) holding the noise states, and
 the network between the GPU workers and both services — including the
 congestion and outage scenarios that trigger Argus's AC→SM switch.
 
-Two cache implementations share one surface: the in-process
-:class:`ApproximateCache` (one flat index per tenant) and the
-distributed :class:`CacheTier` (consistent-hash sharded, replicated, with
-per-node network conditions).  :func:`build_cache` picks between them from
-config so every caller — workers, gateway interceptor, scenario runtime —
-stays a single code path.
+Two cache implementations share one surface and one vector index,
+:class:`VectorDatabase`: the in-process :class:`ApproximateCache` (one
+index per tenant) and the distributed :class:`CacheTier` (consistent-hash
+sharded and replicated, one index per tenant on each :class:`CacheNode`,
+with per-node network conditions).  :func:`build_cache` picks between them
+from config so every caller — workers, gateway interceptor, scenario
+runtime — stays a single code path.
 """
 
 from dataclasses import replace
@@ -38,9 +39,6 @@ def build_cache(config, network=None, on_lookup=None):
         shards=config.cache_shards,
         replication=config.cache_replication,
         network=network,
-        vnodes=config.cache_node_vnodes,
-        clusters=config.cache_node_clusters,
-        nprobe=config.cache_node_nprobe,
         replication_lag_s=config.cache_replication_lag_s,
         hot_shard_threshold=config.cache_hot_shard_threshold,
         tenants=config.tenants,
@@ -52,18 +50,15 @@ def build_cache(config, network=None, on_lookup=None):
 def warm_cache(cache, prompts, tenants=()) -> None:
     """Pre-populate ``cache`` with a warm prompt history, per tenant.
 
-    Retrieval only searches the requesting tenant's namespace, so each named
+    Retrieval only searches the requesting tenant's namespace, so each
     tenant is warmed with tagged copies of the history, capped at its cache
     quota so the warm-up cannot churn its own working set out.  Without
-    tenants, and for the anonymous tenant, the history is warmed untagged.
+    tenants the whole history is warmed untagged.
     """
     if not tenants:
         cache.warm(prompts)
         return
     for spec in tenants:
-        if not spec.name:
-            cache.warm(prompts)
-            continue
         count = len(prompts) if spec.cache_quota is None else min(len(prompts), spec.cache_quota)
         cache.warm([replace(prompt, tenant=spec.name) for prompt in prompts[:count]])
 

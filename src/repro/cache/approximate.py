@@ -29,29 +29,21 @@ from repro.prompts.memo import PromptMemo
 class _TenantNamespace:
     """One tenant's private slice of the cache: vector index + state store.
 
-    The store is quota-bounded (per-tenant entry quota); quota evictions
-    delete the matching vector-index entry through the store's eviction
-    hook, so a tenant's churn reshapes only its own working set.
+    Index rows are keyed by prompt id.  The store is bounded (the tenant's
+    entry quota, or a default capacity) and each store eviction deletes the
+    matching index row, so the two structures always hold the same prompts
+    and a tenant's churn reshapes only its own working set.
     """
 
     def __init__(self, dim: int, quota: int | None) -> None:
         self.vectordb = VectorDatabase(dim=dim)
         self.store = NoiseStateStore(
             capacity_entries=quota if quota is not None else 50_000,
-            on_evict=self._evict_vector,
+            on_evict=self._evict,
         )
-        #: prompt id -> vector-index key, for eviction-time deletes.
-        self._vdb_keys: dict[int, int] = {}
 
-    def _evict_vector(self, prompt_id: int) -> None:
-        key = self._vdb_keys.pop(prompt_id, None)
-        if key is not None:
-            self.vectordb.delete(key)
-
-    def index(self, prompt_id: int, embedding) -> None:
-        self._vdb_keys[prompt_id] = self.vectordb.upsert(
-            embedding, payload={"prompt_id": prompt_id}
-        )
+    def _evict(self, prompt_id: int) -> None:
+        self.vectordb.delete(prompt_id)
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,28 +69,24 @@ class ApproximateCache:
     def __init__(
         self,
         embedder: PromptEmbedder | None = None,
-        vectordb: VectorDatabase | None = None,
-        store: NoiseStateStore | None = None,
         network: NetworkModel | None = None,
         similarity_threshold: float = 0.78,
         checkpoint_steps: tuple[int, ...] = (5, 10, 15, 20, 25),
         tenants: tuple = (),
     ) -> None:
         self.embedder = embedder or PromptEmbedder()
-        self.vectordb = vectordb or VectorDatabase(dim=self.embedder.dim)
-        self.store = store or NoiseStateStore()
         self.network = network or NetworkModel()
         self.similarity_threshold = float(similarity_threshold)
         self.checkpoint_steps = tuple(sorted(checkpoint_steps))
-        #: Private namespace per *named* tenant: a tenant's retrievals only
-        #: match its own history and its quota bounds only its own entries.
-        #: The anonymous tenant "" keeps the shared default index/store, so
-        #: an empty tenant set is bit-for-bit the un-namespaced cache.
+        #: Private namespace per configured tenant (the anonymous tenant ""
+        #: included): a tenant's retrievals only match its own history and
+        #: its quota bounds only its own entries.  Every other tenant shares
+        #: the default namespace, so an empty tenant set is one namespace.
         self._namespaces: dict[str, _TenantNamespace] = {
             spec.name: _TenantNamespace(dim=self.embedder.dim, quota=spec.cache_quota)
             for spec in tenants
-            if spec.name
         }
+        self._default = _TenantNamespace(dim=self.embedder.dim, quota=None)
         #: End-to-end retrieval accounting: every attempt with a positive
         #: requested skip counts, whether it died at the network, the vector
         #: index, the state store or the step check.  (The store-level
@@ -117,17 +105,12 @@ class ApproximateCache:
     # ------------------------------------------------------------------ #
     # Tenant namespacing
     # ------------------------------------------------------------------ #
-    def _vectordb_for(self, tenant: str) -> VectorDatabase:
-        namespace = self._namespaces.get(tenant)
-        return namespace.vectordb if namespace is not None else self.vectordb
-
-    def _store_for(self, tenant: str) -> NoiseStateStore:
-        namespace = self._namespaces.get(tenant)
-        return namespace.store if namespace is not None else self.store
+    def _namespace(self, tenant: str) -> _TenantNamespace:
+        return self._namespaces.get(tenant, self._default)
 
     def tenant_entries(self, tenant: str) -> int:
         """Entries currently held in one tenant's namespace."""
-        return len(self._store_for(tenant))
+        return len(self._namespace(tenant).store)
 
     # ------------------------------------------------------------------ #
     # Retrieval path
@@ -173,7 +156,8 @@ class ApproximateCache:
                 network_failed=True,
             )
 
-        vectordb = self._vectordb_for(prompt.tenant)
+        namespace = self._namespace(prompt.tenant)
+        vectordb = namespace.vectordb
         memo_key = (prompt.tenant, prompt.content_hash())
         cached = self._nearest_memo.get(memo_key)
         if cached is not None and cached[0] == vectordb.mutations:
@@ -190,8 +174,7 @@ class ApproximateCache:
                 similarity=None if match is None else match.similarity,
             )
 
-        cached_prompt_id = int(match.payload.get("prompt_id", -1))
-        state = self._store_for(prompt.tenant).get(cached_prompt_id)
+        state = namespace.store.get(match.key)
         if state is None:
             return RetrievalOutcome(
                 requested_skip=requested_skip,
@@ -224,12 +207,9 @@ class ApproximateCache:
     def _store_embedded(self, prompt: Prompt, embedding) -> None:
         """Index one prompt's embedding and record its noise states (in the
         prompt's tenant namespace)."""
-        namespace = self._namespaces.get(prompt.tenant)
-        if namespace is not None:
-            namespace.index(prompt.prompt_id, embedding)
-        else:
-            self.vectordb.upsert(embedding, payload={"prompt_id": prompt.prompt_id})
-        self._store_for(prompt.tenant).put(
+        namespace = self._namespace(prompt.tenant)
+        namespace.vectordb.upsert(embedding, key=prompt.prompt_id)
+        namespace.store.put(
             StoredState(
                 prompt_id=prompt.prompt_id,
                 prompt_text=prompt.text,
@@ -243,7 +223,7 @@ class ApproximateCache:
         Re-serving a prompt that is already cached is a no-op so the vector
         index does not accumulate duplicates.
         """
-        if self._store_for(prompt.tenant).peek(prompt.prompt_id) is not None:
+        if prompt.prompt_id in self._namespace(prompt.tenant).store:
             return
         self._store_embedded(prompt, self.embedder.embed(prompt))
 
@@ -258,7 +238,7 @@ class ApproximateCache:
         seen: set[tuple[str, int]] = set()
         for prompt in prompts:
             key = (prompt.tenant, prompt.prompt_id)
-            if key in seen or self._store_for(prompt.tenant).peek(prompt.prompt_id) is not None:
+            if key in seen or prompt.prompt_id in self._namespace(prompt.tenant).store:
                 continue
             seen.add(key)
             fresh.append(prompt)
@@ -277,9 +257,8 @@ class ApproximateCache:
 
     def store_counts(self) -> tuple[int, int]:
         """(hits, misses) over state-store lookups, all namespaces combined."""
-        hits = self.store.stats.hits
-        misses = self.store.stats.misses
-        for namespace in self._namespaces.values():
+        hits = misses = 0
+        for namespace in (self._default, *self._namespaces.values()):
             hits += namespace.store.stats.hits
             misses += namespace.store.stats.misses
         return hits, misses

@@ -1,23 +1,20 @@
 """Distributed cache tier: consistent-hash sharded, replicated vector index.
 
 The single-process :class:`~repro.cache.approximate.ApproximateCache` keeps
-one flat index per tenant, whose search cost grows linearly with its
-entries, so million-user caches need *sharding*, not a faster flat scan.
-:class:`CacheTier` turns the cache into a service with placement semantics:
+one flat index per tenant on one host.  :class:`CacheTier` turns the cache
+into a service with placement semantics:
 
 - **Placement.** Every logical entry (``tenant:prompt_id``) is owned by one
   of N :class:`CacheNode` objects, chosen on a consistent-hash ring with
   virtual nodes (:class:`HashRing`).  Placement is deterministic — it derives
   from :func:`~repro.simulation.randomness.stable_hash` only — so the same
   seed gives the same layout on every run.
-- **Fan-out search.** Similarity search fans out to every *reachable* node
-  and merges per-node top-k candidates with the flat index's deterministic
-  tie order (similarity descending, then global insertion sequence
-  ascending).  Each node keeps a bucket-contiguous coarse-quantised index:
-  below a size threshold a single contiguous matrix (exactly the flat scan);
-  above it, k-means-lite centroids with each cluster's rows stored as its
-  own contiguous matrix, so a query is one centroid matmul plus ``nprobe``
-  small contiguous matmuls instead of one O(n) scan.
+- **Fan-out search.** Each node keeps one flat
+  :class:`~repro.cache.vectordb.VectorDatabase` per tenant, keyed by each
+  entry's global insertion sequence.  Similarity search fans out to every
+  *reachable* node, each node answers its nearest row (ties: lowest row),
+  and the merge keeps the best by similarity descending, then sequence
+  ascending.
 - **Replication with bounded staleness.** Writes land on the owner
   immediately and on ``replication`` successor nodes after
   ``replication_lag_s``; reads fall back to replicas when the owner is
@@ -54,6 +51,7 @@ import numpy as np
 from repro.cache.approximate import RetrievalOutcome
 from repro.cache.network import NetworkCondition, NetworkModel
 from repro.cache.store import StoredState
+from repro.cache.vectordb import VectorDatabase
 from repro.prompts.embedding import PromptEmbedder
 from repro.prompts.generator import Prompt
 from repro.simulation.randomness import stable_hash
@@ -138,187 +136,6 @@ class HashRing:
 
 
 # --------------------------------------------------------------------------- #
-# Bucket-contiguous per-node vector index
-# --------------------------------------------------------------------------- #
-
-
-class _Bucket:
-    """One cluster's rows as a contiguous, growable matrix."""
-
-    __slots__ = ("matrix", "keys", "seqs", "count")
-
-    def __init__(self, dim: int, capacity: int = 64) -> None:
-        self.matrix = np.empty((capacity, dim), dtype=np.float64)
-        self.keys: list[str] = []
-        self.seqs: list[int] = []
-        self.count = 0
-
-    def append(self, vector: np.ndarray, key: str, seq: int) -> int:
-        if self.count == len(self.matrix):
-            grown = np.empty((len(self.matrix) * 2, self.matrix.shape[1]), dtype=np.float64)
-            grown[: self.count] = self.matrix[: self.count]
-            self.matrix = grown
-        row = self.count
-        self.matrix[row] = vector
-        self.keys.append(key)
-        self.seqs.append(seq)
-        self.count += 1
-        return row
-
-    def swap_remove(self, row: int) -> str | None:
-        """O(1) delete; returns the key that moved into ``row`` (if any)."""
-        last = self.count - 1
-        moved = None
-        if row != last:
-            self.matrix[row] = self.matrix[last]
-            self.keys[row] = self.keys[last]
-            self.seqs[row] = self.seqs[last]
-            moved = self.keys[row]
-        self.keys.pop()
-        self.seqs.pop()
-        self.count -= 1
-        return moved
-
-
-class _NodeIndex:
-    """Coarse-quantised cosine index with bucket-contiguous storage.
-
-    Rows live in per-cluster contiguous matrices.  Below
-    ``build_threshold`` everything sits in one bucket and a search is
-    exactly the flat contiguous matmul; above it, k-means-lite centroids
-    are fitted once (and refitted when the index doubles), after which a
-    query costs one ``clusters x dim`` matmul plus ``nprobe`` contiguous
-    bucket matmuls.  All candidate selection breaks similarity ties by
-    global insertion sequence ascending — the flat index's order — so
-    fan-out merges are deterministic.
-    """
-
-    KMEANS_ITERATIONS = 4
-    SAMPLE_PER_CLUSTER = 16
-
-    def __init__(self, dim: int, clusters: int, nprobe: int) -> None:
-        self.dim = int(dim)
-        self.clusters = int(clusters)
-        self.nprobe = int(nprobe)
-        self.build_threshold = self.clusters * 32
-        self.centroids: np.ndarray | None = None
-        self._buckets: list[_Bucket] = [_Bucket(dim)]
-        #: key -> (bucket, row) for O(1) deletes.
-        self._rows: dict[str, tuple[int, int]] = {}
-        self._built_at = 0
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def upsert(self, key: str, vector: np.ndarray, seq: int) -> None:
-        if key in self._rows:
-            self.delete(key)
-        if self.centroids is None:
-            bucket_id = 0
-            if len(self._rows) + 1 >= self.build_threshold:
-                self._append(0, key, vector, seq)
-                self._build()
-                return
-        else:
-            if len(self._rows) >= 2 * max(self._built_at, 1):
-                self._build()
-            bucket_id = int(np.argmax(self.centroids @ vector))
-        self._append(bucket_id, key, vector, seq)
-
-    def _append(self, bucket_id: int, key: str, vector: np.ndarray, seq: int) -> None:
-        row = self._buckets[bucket_id].append(vector, key, seq)
-        self._rows[key] = (bucket_id, row)
-
-    def delete(self, key: str) -> bool:
-        place = self._rows.pop(key, None)
-        if place is None:
-            return False
-        bucket_id, row = place
-        moved = self._buckets[bucket_id].swap_remove(row)
-        if moved is not None:
-            self._rows[moved] = (bucket_id, row)
-        return True
-
-    def _gather(self) -> tuple[np.ndarray, list[str], list[int]]:
-        parts = [b.matrix[: b.count] for b in self._buckets if b.count]
-        keys = [k for b in self._buckets for k in b.keys]
-        seqs = [s for b in self._buckets for s in b.seqs]
-        rows = np.vstack(parts) if parts else np.empty((0, self.dim))
-        return rows, keys, seqs
-
-    def _build(self) -> None:
-        """Fit k-means-lite centroids and redistribute rows, in place.
-
-        Deterministic: the sample is a fixed stride over current rows and
-        initial centroids are evenly spaced sample rows — no RNG, so the
-        same insert history always produces the same layout.
-        """
-        rows, keys, seqs = self._gather()
-        n = len(keys)
-        sample_size = self.clusters * self.SAMPLE_PER_CLUSTER
-        sample = rows[:: max(1, n // sample_size)][:sample_size]
-        picks = np.linspace(0, len(sample) - 1, self.clusters).astype(int)
-        centroids = sample[picks].copy()
-        for _ in range(self.KMEANS_ITERATIONS):
-            assign = np.argmax(sample @ centroids.T, axis=1)
-            for cluster in range(self.clusters):
-                members = sample[assign == cluster]
-                if len(members):
-                    centroids[cluster] = members.mean(axis=0)
-            norms = np.linalg.norm(centroids, axis=1)
-            norms[norms == 0] = 1.0
-            centroids /= norms[:, None]
-        self.centroids = centroids
-        self._built_at = n
-        assign = np.argmax(rows @ centroids.T, axis=1)
-        self._buckets = [_Bucket(self.dim) for _ in range(self.clusters)]
-        self._rows = {}
-        for i in range(n):
-            self._append(int(assign[i]), keys[i], rows[i], seqs[i])
-
-    def search(self, query: np.ndarray, top_k: int = 1) -> list[tuple[str, float, int]]:
-        """Top-k ``(key, similarity, seq)`` by (similarity desc, seq asc)."""
-        if not self._rows:
-            return []
-        if self.centroids is None:
-            probe = [0]
-        else:
-            scores = self.centroids @ query
-            nprobe = min(self.nprobe, self.clusters)
-            probe = np.argpartition(scores, -nprobe)[-nprobe:].tolist()
-        sims_parts: list[np.ndarray] = []
-        part_buckets: list[_Bucket] = []
-        for bucket_id in probe:
-            bucket = self._buckets[bucket_id]
-            if not bucket.count:
-                continue
-            sims_parts.append(bucket.matrix[: bucket.count] @ query)
-            part_buckets.append(bucket)
-        if not sims_parts:
-            return []
-        sims = sims_parts[0] if len(sims_parts) == 1 else np.concatenate(sims_parts)
-        n = len(sims)
-        # Widen the cutoff to include every similarity tie, then resolve
-        # keys/seqs for the (tiny) candidate set only — the probed buckets'
-        # key lists are never copied on the query path.
-        if n > top_k:
-            part = np.argpartition(sims, n - top_k)[n - top_k :]
-            cutoff = sims[part].min()
-            candidates = np.nonzero(sims >= cutoff)[0]
-        else:
-            candidates = np.arange(n)
-        bounds = np.cumsum([p.shape[0] for p in sims_parts])
-        results: list[tuple[str, float, int]] = []
-        for i in candidates.tolist():
-            which = int(np.searchsorted(bounds, i, side="right"))
-            local = i - (int(bounds[which - 1]) if which else 0)
-            bucket = part_buckets[which]
-            results.append((bucket.keys[local], float(sims[i]), bucket.seqs[local]))
-        results.sort(key=lambda r: (-r[1], r[2]))
-        return results[:top_k]
-
-
-# --------------------------------------------------------------------------- #
 # Cache node
 # --------------------------------------------------------------------------- #
 
@@ -326,9 +143,10 @@ class _NodeIndex:
 class _Entry:
     """One stored copy (primary or replica) of a logical cache entry."""
 
-    __slots__ = ("state", "checksum", "embedding", "seq", "visible_after_s", "corrupted")
+    __slots__ = ("tenant", "state", "checksum", "embedding", "seq", "visible_after_s", "corrupted")
 
-    def __init__(self, state, checksum, embedding, seq, visible_after_s) -> None:
+    def __init__(self, tenant, state, checksum, embedding, seq, visible_after_s) -> None:
+        self.tenant = tenant
         self.state = state
         self.checksum = checksum
         self.embedding = embedding
@@ -341,13 +159,13 @@ class CacheNode:
     """One shard of the tier: a vector index slice, a state store slice and
     its own network conditions."""
 
-    def __init__(self, node_id: int, dim: int, clusters: int, nprobe: int, seed: int) -> None:
+    def __init__(self, node_id: int, dim: int, seed: int) -> None:
         self.node_id = int(node_id)
         self.network = NetworkModel(seed=stable_hash(f"cache-node-net:{seed}:{node_id}", bits=32))
-        #: Per-tenant index over *primary* rows only (replica copies are
-        #: reachable through the fetch fallback, not the search path).
-        self.indexes: dict[str, _NodeIndex] = {}
-        self._dim, self._clusters, self._nprobe = dim, clusters, nprobe
+        #: Per-tenant index over this node's copies, one row per entry keyed
+        #: by its global insertion sequence, with the entry key as payload.
+        self.indexes: dict[str, VectorDatabase] = {}
+        self._dim = dim
         #: key -> _Entry for every copy (primary and replica) on this node.
         self.states: dict[str, _Entry] = {}
         self.primaries: set[str] = set()
@@ -365,11 +183,16 @@ class CacheNode:
         self._window_minute = -1
         self._window_fetches = 0
 
-    def index_for(self, tenant: str) -> _NodeIndex:
-        index = self.indexes.get(tenant)
+    def index(self, key: str, entry: _Entry) -> None:
+        """Add (or replace) ``entry``'s row in its tenant's index."""
+        index = self.indexes.get(entry.tenant)
         if index is None:
-            index = self.indexes[tenant] = _NodeIndex(self._dim, self._clusters, self._nprobe)
-        return index
+            index = self.indexes[entry.tenant] = VectorDatabase(dim=self._dim)
+        index.upsert(entry.embedding, payload=key, key=entry.seq)
+
+    def unindex(self, entry: _Entry) -> None:
+        """Delete ``entry``'s row from its tenant's index, if it is there."""
+        self.indexes[entry.tenant].delete(entry.seq)
 
     def entries(self) -> int:
         """Primary entries held by this node."""
@@ -408,9 +231,6 @@ class CacheTier:
         replication: int = 0,
         embedder: PromptEmbedder | None = None,
         network: NetworkModel | None = None,
-        vnodes: int = 64,
-        clusters: int = 96,
-        nprobe: int = 8,
         replication_lag_s: float = 30.0,
         hot_shard_threshold: int = 240,
         similarity_threshold: float = 0.78,
@@ -431,21 +251,19 @@ class CacheTier:
         self.replication_lag_s = float(replication_lag_s)
         self.hot_shard_threshold = int(hot_shard_threshold)
         self._seed = int(seed)
-        self._clusters = int(clusters)
-        self._nprobe = int(nprobe)
         #: Callback ``(shard_id, hit, latency_s)`` fired per retrieval
         #: attempt — the metrics collector's per-shard accounting hook.
         self.on_lookup = on_lookup
         self._nodes: dict[int, CacheNode] = {}
         self._retired: dict[int, CacheNode] = {}
-        self.ring = HashRing(list(range(shards)), vnodes=vnodes)
+        self.ring = HashRing(list(range(shards)))
         for node_id in range(shards):
             self._nodes[node_id] = self._new_node(node_id)
         #: Global per-tenant LRU (cross-shard): quota eviction pops from
         #: here, whichever shard owns the entry.
         self._tenant_lru: dict[str, OrderedDict[str, tuple[str, int]]] = defaultdict(OrderedDict)
         self._tenant_quota: dict[str, int | None] = {
-            spec.name: spec.cache_quota for spec in tenants if spec.name
+            spec.name: spec.cache_quota for spec in tenants
         }
         self.retrieval_attempts = 0
         self.retrieval_hits = 0
@@ -464,13 +282,7 @@ class CacheTier:
     # Topology
     # ------------------------------------------------------------------ #
     def _new_node(self, node_id: int) -> CacheNode:
-        return CacheNode(
-            node_id,
-            dim=self.embedder.dim,
-            clusters=self._clusters,
-            nprobe=self._nprobe,
-            seed=self._seed,
-        )
+        return CacheNode(node_id, dim=self.embedder.dim, seed=self._seed)
 
     @property
     def num_shards(self) -> int:
@@ -520,32 +332,31 @@ class CacheTier:
         through their new placement — a ring change never loses data.
         """
         sources = list(self._nodes.values()) + ([vacated] if vacated is not None else [])
-        logical: dict[str, tuple[CacheNode, _Entry, str]] = {}
+        logical: dict[str, tuple[CacheNode, _Entry]] = {}
         for node in sources:
             for key in node.primaries:
-                logical[key] = (node, node.states[key], key.split(":", 1)[0])
+                logical[key] = (node, node.states[key])
         for key in sorted(logical, key=lambda k: logical[k][1].seq):
-            holder, entry, tenant = logical[key]
+            holder, entry = logical[key]
             prefs = self.ring.preference(_key_hash(key), 1 + self.replication)
             owner = self._nodes[prefs[0]]
             if owner is not holder:
                 holder.primaries.discard(key)
-                holder.index_for(tenant).delete(key)
+                holder.unindex(entry)
                 if holder is vacated:
                     holder.states.pop(key, None)
                 owner.states[key] = entry
                 owner.primaries.add(key)
-                owner.index_for(tenant).upsert(key, entry.embedding, entry.seq)
+                owner.index(key, entry)
                 self.moved_entries += 1
             for node_id, node in self._nodes.items():
                 is_replica = node_id in prefs[1:]
                 has_copy = key in node.states and key not in node.primaries
                 if is_replica and not has_copy and node is not owner:
                     node.states[key] = entry
-                    node.index_for(tenant).upsert(key, entry.embedding, entry.seq)
+                    node.index(key, entry)
                 elif not is_replica and has_copy and node is not owner:
-                    node.states.pop(key, None)
-                    node.index_for(tenant).delete(key)
+                    node.unindex(node.states.pop(key))
         self._mutations += 1
 
     # ------------------------------------------------------------------ #
@@ -646,10 +457,9 @@ class CacheTier:
                 continue
             reachable[node_id] = node_latency
             index = node.indexes.get(prompt.tenant)
-            if index is None:
-                continue
-            for key, sim, seq in index.search(query, top_k=1):
-                candidates.append((sim, seq, key, node_id))
+            hit = index.nearest(query) if index is not None else None
+            if hit is not None:
+                candidates.append((hit.similarity, hit.key, hit.payload, node_id))
         if not reachable:
             return self._network_failed(requested_skip)
         search_latency = max([client_latency, *reachable.values()])
@@ -680,10 +490,10 @@ class CacheTier:
             # every copy so the slot refills from live traffic.
             node.poisoned_detected += 1
             node.fetch_misses += 1
-            self._delete_entry(best_key)
+            self._delete_entry(prompt.tenant, best_key)
             return self._miss(requested_skip, latency, best_sim, node)
         node.fetch_hits += 1
-        self._touch_lru(best_key)
+        self._touch_lru(prompt.tenant, best_key)
         usable_step = entry.state.best_step_for(requested_skip)
         if usable_step is None:
             return self._miss(requested_skip, latency, best_sim, node)
@@ -790,12 +600,9 @@ class CacheTier:
             prompt_text=prompt.text,
             available_steps=self.checkpoint_steps,
         )
-        embedding = np.asarray(embedding, dtype=np.float64)
-        norm = float(np.linalg.norm(embedding))
-        if norm:
-            embedding = embedding / norm
         self._seq += 1
         entry = _Entry(
+            tenant=prompt.tenant,
             state=state,
             checksum=state.checksum(),
             embedding=embedding,
@@ -807,7 +614,7 @@ class CacheTier:
         owner = self._nodes[prefs[0]]
         owner.states[key] = entry
         owner.primaries.add(key)
-        owner.index_for(prompt.tenant).upsert(key, embedding, entry.seq)
+        owner.index(key, entry)
         for node_id in prefs[1:]:
             replica = self._nodes[node_id]
             replica.states[key] = entry
@@ -815,61 +622,17 @@ class CacheTier:
             # Replicas index their copy too, so fan-out search still
             # surfaces the key when the owner is dark; visibility of the
             # copy itself stays gated by the staleness bound at fetch time.
-            replica.index_for(prompt.tenant).upsert(key, embedding, entry.seq)
+            replica.index(key, entry)
         self._tenant_lru[prompt.tenant][key] = (prompt.tenant, prompt.prompt_id)
         self._mutations += 1
         self._enforce_quota(prompt.tenant, now)
         if self._mutations % 256 == 0:
             self._compact(now)
 
-    def bulk_load(self, keys: list[str], vectors: np.ndarray, tenant: str = "") -> None:
-        """Load pre-embedded (already normalised) rows, bypassing the
-        embedder — the benchmark's build path.  ``keys`` are entry keys
-        without the tenant prefix."""
-        for raw_key, vector in zip(keys, np.asarray(vectors, dtype=np.float64)):
-            self._seq += 1
-            key = f"{tenant}:{raw_key}"
-            state = StoredState(
-                prompt_id=self._seq, prompt_text=str(raw_key), available_steps=self.checkpoint_steps
-            )
-            entry = _Entry(
-                state=state,
-                checksum=state.checksum(),
-                embedding=vector,
-                seq=self._seq,
-                visible_after_s=0.0,
-            )
-            prefs = self.ring.preference(_key_hash(key), 1 + self.replication)
-            owner = self._nodes[prefs[0]]
-            owner.states[key] = entry
-            owner.primaries.add(key)
-            owner.index_for(tenant).upsert(key, vector, entry.seq)
-            for node_id in prefs[1:]:
-                replica = self._nodes[node_id]
-                replica.states[key] = entry
-                replica.index_for(tenant).upsert(key, vector, entry.seq)
-
-    def fanout_search(self, query: np.ndarray, top_k: int = 1, tenant: str = ""):
-        """Fan a raw vector query out to every node and merge top-k.
-
-        Returns ``(key, similarity, seq)`` tuples in (similarity desc, seq
-        asc) order — the flat index's deterministic tie order.  Used by the
-        benchmark's query path; :meth:`retrieve` goes through the same
-        per-node searches with network conditions applied.
-        """
-        merged: list[tuple[str, float, int]] = []
-        for node_id in self.ring.nodes:
-            index = self._nodes[node_id].indexes.get(tenant)
-            if index is not None:
-                merged.extend(index.search(query, top_k=top_k))
-        merged.sort(key=lambda c: (-c[1], c[2]))
-        return merged[:top_k]
-
     # ------------------------------------------------------------------ #
     # Quota eviction, tombstones, compaction
     # ------------------------------------------------------------------ #
-    def _touch_lru(self, key: str) -> None:
-        tenant = key.split(":", 1)[0]
+    def _touch_lru(self, tenant: str, key: str) -> None:
         lru = self._tenant_lru.get(tenant)
         if lru is not None and key in lru:
             lru.move_to_end(key)
@@ -881,23 +644,22 @@ class CacheTier:
         lru = self._tenant_lru[tenant]
         while len(lru) > quota:
             key, _ = lru.popitem(last=False)
-            self._delete_entry(key, now_s=now_s, evicted=True)
+            self._delete_entry(tenant, key, now_s=now_s, evicted=True)
 
-    def _delete_entry(self, key: str, now_s: float | None = None, evicted: bool = False) -> None:
+    def _delete_entry(
+        self, tenant: str, key: str, now_s: float | None = None, evicted: bool = False
+    ) -> None:
         """Cross-shard delete: owner drops the copy, replicas tombstone it."""
         now = self._now if now_s is None else now_s
-        tenant = key.split(":", 1)[0]
         prefs = self.ring.preference(_key_hash(key), 1 + self.replication)
         owner = self._nodes[prefs[0]]
         if key in owner.primaries:
             owner.primaries.discard(key)
-            owner.states.pop(key, None)
-            owner.index_for(tenant).delete(key)
+            owner.unindex(owner.states.pop(key))
         for node_id in prefs[1:]:
             replica = self._nodes[node_id]
             if key in replica.states:
-                replica.states.pop(key, None)
-                replica.index_for(tenant).delete(key)
+                replica.unindex(replica.states.pop(key))
                 replica.tombstones[key] = now
         lru = self._tenant_lru.get(tenant)
         if lru is not None:

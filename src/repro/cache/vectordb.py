@@ -5,7 +5,9 @@ similarity with one exact flat index.  Rows are stored unit-normalised so a
 search is a single zero-copy ``matrix[:count] @ query`` (no per-query
 matrix copy, no norm division) followed by an ``argpartition`` top-k.
 Inserts append a row; deletes swap the last row into the freed slot, so
-both are O(1).
+both are O(1).  Rows are addressed by integer key: an automatic counter, or
+the caller's own key (the flat cache uses prompt ids, the cache tier's
+nodes use global insertion sequence numbers).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ class SearchResult:
 
     key: int
     similarity: float
-    payload: dict
+    payload: object
 
 
 class VectorDatabase:
@@ -58,19 +60,27 @@ class VectorDatabase:
         matrix[:count] = self._matrix[:count]
         self._matrix = matrix
 
-    def upsert(self, vector: np.ndarray, payload: dict | None = None) -> int:
-        """Insert a vector, returning its key.  O(1) amortised."""
+    def upsert(self, vector: np.ndarray, payload=None, key: int | None = None) -> int:
+        """Store a vector, returning its key.  O(1) amortised.
+
+        Without ``key`` the row gets the next automatic key, which always
+        lies above every key stored so far.  A ``key`` that is already
+        stored has its row replaced in place.
+        """
         vector = self._check_vector(vector)
-        self._grow_if_needed()
+        if key is None:
+            key = self._next_key
+        index = self._key_index.get(key)
+        if index is None:
+            self._grow_if_needed()
+            index = len(self._keys)
+            self._keys.append(key)
+            self._key_index[key] = index
+            self._next_key = max(self._next_key, key + 1)
         self.mutations += 1
-        index = len(self._keys)
-        key = self._next_key
-        self._next_key += 1
-        self._keys.append(key)
         norm = max(float(np.sqrt(vector @ vector)), 1e-12)
         self._matrix[index] = vector / norm
-        self._key_index[key] = index
-        self._payloads[key] = dict(payload or {})
+        self._payloads[key] = {} if payload is None else payload
         return key
 
     def delete(self, key: int) -> bool:
@@ -93,7 +103,7 @@ class VectorDatabase:
         self._keys.pop()
         return True
 
-    def payload(self, key: int) -> dict:
+    def payload(self, key: int):
         """Payload stored for ``key``."""
         return self._payloads[key]
 

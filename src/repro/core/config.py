@@ -162,17 +162,6 @@ class ArgusConfig:
     #: become readable ``cache_replication_lag_s`` after the primary write).
     #: Must stay below ``cache_shards``; any nonzero value enables the tier.
     cache_replication: int = 0
-    #: Virtual nodes per cache node on the consistent-hash ring.  More
-    #: vnodes spread load more evenly and shrink per-node migration batches
-    #: on ring changes, at O(vnodes * shards) ring-build cost.
-    cache_node_vnodes: int = 64
-    #: Coarse-quantisation clusters per cache node's vector index.  Each
-    #: node stays a single flat matrix until it holds ``32 *`` this many
-    #: rows, then fits centroids and stores each cluster contiguously.
-    cache_node_clusters: int = 96
-    #: Clusters scanned per query once a node's index is quantised (the
-    #: recall/latency dial; the flat regime scans everything regardless).
-    cache_node_nprobe: int = 8
     #: Bounded-staleness replication lag: seconds after the primary write
     #: before replica copies become readable (and the tombstone-compaction
     #: horizon for cross-shard deletes).
@@ -180,10 +169,6 @@ class ArgusConfig:
     #: State fetches per node per minute above which a shard counts as hot
     #: and reads shift to its replicas.
     cache_hot_shard_threshold: int = 240
-    #: Extra estimated backlog (seconds) a worker near the likely-hit cache
-    #: shard may carry and still win routing over a farther, emptier worker.
-    #: 0 disables shard-aware routing even when the tier is on.
-    cache_affinity_tolerance_s: float = 0.5
     #: When True, a worker stops serving while it loads a new model variant.
     #: Argus keeps this False (it serves with the resident model while the
     #: new one loads, §4.6); baselines that naively swap models pay the full
@@ -270,18 +255,10 @@ class ArgusConfig:
             raise ValueError("cache_shards must be >= 1")
         if not 0 <= self.cache_replication < self.cache_shards:
             raise ValueError("cache_replication must be in [0, cache_shards - 1]")
-        if self.cache_node_vnodes < 1:
-            raise ValueError("cache_node_vnodes must be >= 1")
-        if self.cache_node_clusters < 1:
-            raise ValueError("cache_node_clusters must be >= 1")
-        if not 1 <= self.cache_node_nprobe <= self.cache_node_clusters:
-            raise ValueError("cache_node_nprobe must be in [1, cache_node_clusters]")
         if self.cache_replication_lag_s < 0:
             raise ValueError("cache_replication_lag_s must be non-negative")
         if self.cache_hot_shard_threshold < 1:
             raise ValueError("cache_hot_shard_threshold must be >= 1")
-        if self.cache_affinity_tolerance_s < 0:
-            raise ValueError("cache_affinity_tolerance_s must be non-negative")
         if self.shards > 1:
             # Knobs that cannot partition are rejected loudly: silently
             # running them on N independent fleets would mis-simulate the

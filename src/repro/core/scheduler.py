@@ -21,6 +21,10 @@ from repro.models.zoo import Strategy
 from repro.prompts.generator import Prompt
 from repro.workloads.tenants import TenantRuntime
 
+#: Extra estimated backlog (seconds) a worker near the likely-hit cache
+#: shard may carry and still win routing over a farther, emptier worker.
+CACHE_AFFINITY_TOLERANCE_S = 0.5
+
 
 @dataclass(frozen=True)
 class RoutingDecision:
@@ -43,20 +47,15 @@ class WorkerSelector:
     index and scans candidates here only for a cache-affinity preference.
     """
 
-    def select(
-        self,
-        candidates: Sequence[Worker],
-        prefer=None,
-        tolerance_s: float = 0.0,
-    ) -> Worker:
+    def select(self, candidates: Sequence[Worker], prefer=None) -> Worker:
         """Worker with the smallest expected completion time for a new request.
 
         ``prefer`` (a ``worker_id -> bool`` predicate) marks workers placed
         near the cache shard the request is likely to hit; the cheapest
         preferred worker wins as long as its backlog is within
-        ``tolerance_s`` of the global minimum.  Locality never overrides a
-        real load imbalance — past the tolerance the plain Eq. 3 choice
-        stands.
+        :data:`CACHE_AFFINITY_TOLERANCE_S` of the global minimum.  Locality
+        never overrides a real load imbalance — past the tolerance the plain
+        Eq. 3 choice stands.
         """
         if not candidates:
             raise ValueError("no candidate workers")
@@ -67,7 +66,7 @@ class WorkerSelector:
         if not preferred:
             return best
         near = min(preferred, key=lambda w: (w.estimated_backlog_s(), w.worker_id))
-        if near.estimated_backlog_s() <= best.estimated_backlog_s() + tolerance_s:
+        if near.estimated_backlog_s() <= best.estimated_backlog_s() + CACHE_AFFINITY_TOLERANCE_S:
             return near
         return best
 
@@ -110,7 +109,6 @@ class PromptScheduler:
         #: distributed cache tier is on; None keeps routing byte-identical
         #: to the affinity-free scheduler).
         self._cache_affinity = None
-        self._cache_affinity_tolerance_s = 0.0
         #: Routed requests that landed on a shard-preferred worker.
         self.affinity_routed = 0
 
@@ -148,20 +146,14 @@ class PromptScheduler:
         # Re-derive tenant maps against the current base map.
         self.set_shift_map(self._shift_map)
 
-    def set_cache_affinity(self, prefers, tolerance_s: float) -> None:
+    def set_cache_affinity(self, prefers) -> None:
         """Install shard-aware routing against the distributed cache tier.
 
         ``prefers(prompt, worker_id)`` says whether a worker sits near the
-        shard the prompt's retrieval will land on; ``tolerance_s`` bounds
-        how much extra backlog locality may cost.  ``None`` (or a zero
-        tolerance) uninstalls the preference.
+        shard the prompt's retrieval will land on; locality may cost up to
+        :data:`CACHE_AFFINITY_TOLERANCE_S` of extra backlog.
         """
-        if prefers is None or tolerance_s <= 0:
-            self._cache_affinity = None
-            self._cache_affinity_tolerance_s = 0.0
-            return
         self._cache_affinity = prefers
-        self._cache_affinity_tolerance_s = float(tolerance_s)
 
     def set_strategy(self, strategy: Strategy) -> None:
         """Record the active approximation strategy."""
@@ -259,11 +251,7 @@ class PromptScheduler:
             rank = min(ranks, key=lambda r: (abs(r - target_rank), r))
         if prefer is None:
             return fleet.least_backlogged(rank)
-        return WorkerSelector().select(
-            self.cluster.workers_at_level(rank),
-            prefer=prefer,
-            tolerance_s=self._cache_affinity_tolerance_s,
-        )
+        return WorkerSelector().select(self.cluster.workers_at_level(rank), prefer=prefer)
 
     def _protect_slo(
         self,

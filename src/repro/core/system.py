@@ -90,17 +90,10 @@ class ArgusSystem(BaseServingSystem):
         if self.tenant_runtimes:
             # SLO-class budgets and quality floors for per-tenant routing.
             self.scheduler.set_tenants(self.tenant_runtimes)
-        if (
-            self.cache is not None
-            and self.config.cache_tier_enabled
-            and self.config.cache_affinity_tolerance_s > 0
-        ):
+        if self.cache is not None and self.config.cache_tier_enabled:
             # Shard-aware routing: prefer workers near the cache shard the
             # prompt's retrieval will land on, within a backlog tolerance.
-            self.scheduler.set_cache_affinity(
-                self.cache.worker_prefers,
-                tolerance_s=self.config.cache_affinity_tolerance_s,
-            )
+            self.scheduler.set_cache_affinity(self.cache.worker_prefers)
         self.allocator = Allocator(
             config=self.config,
             zoo=self.zoo,

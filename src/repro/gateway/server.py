@@ -38,6 +38,7 @@ from repro.cluster.requests import CompletedRequest, Request
 from repro.cluster.worker import FAILED_RETRIEVAL_PENALTY_S
 from repro.core.admission import FairShareAdmission
 from repro.core.config import ArgusConfig
+from repro.core.scheduler import CACHE_AFFINITY_TOLERANCE_S
 from repro.gateway.interceptors import (
     AdmissionGate,
     Interceptor,
@@ -185,8 +186,7 @@ class Gateway:
         if not self.workers:
             return None
         best = least_backlog_worker(self.workers)
-        tolerance = self.config.cache_affinity_tolerance_s
-        if tolerance > 0 and hasattr(self.cache, "worker_prefers"):
+        if hasattr(self.cache, "worker_prefers"):
             # Shard-aware routing, same rule as the simulator's scheduler:
             # the cheapest worker near the likely-hit cache shard wins when
             # its backlog is within the tolerance of the global minimum.
@@ -197,7 +197,8 @@ class Gateway:
             ]
             if preferred:
                 near = least_backlog_worker(preferred)
-                if near.estimated_backlog_s() <= best.estimated_backlog_s() + tolerance:
+                limit = best.estimated_backlog_s() + CACHE_AFFINITY_TOLERANCE_S
+                if near.estimated_backlog_s() <= limit:
                     return near.worker_id
         return best.worker_id
 

@@ -50,9 +50,8 @@ class TenantSpec:
     level (highest rank) the tenant may be served at — its PASM rows are
     clamped there; ``quality_floor`` is the contracted relative-quality floor
     reported against in the per-tenant summary.  ``cache_quota`` bounds the
-    tenant's entries in its private cache namespace; None keeps the store's
-    default capacity (50k entries — the anonymous tenant "" always uses the
-    shared default namespace).
+    tenant's entries in its private cache namespace, the anonymous tenant
+    "" included; None keeps the store's default capacity (50k entries).
     """
 
     name: str

@@ -72,6 +72,37 @@ class TestVectorDatabase:
         with pytest.raises(ValueError):
             db.upsert(np.ones(9))
 
+    def test_caller_key_already_stored_is_replaced(self):
+        db = VectorDatabase(dim=8)
+        a, b = self._random_vectors(2, dim=8)
+        assert db.upsert(a, payload="first", key=7) == 7
+        assert db.upsert(b, payload="second", key=7) == 7
+        assert len(db) == 1
+        hit = db.nearest(b)
+        assert (hit.key, hit.payload) == (7, "second")
+        assert hit.similarity == pytest.approx(1.0)
+
+    def test_automatic_keys_continue_above_caller_keys(self):
+        db = VectorDatabase(dim=8)
+        vectors = self._random_vectors(4, dim=8)
+        assert db.upsert(vectors[0]) == 0
+        db.upsert(vectors[1], key=41)
+        db.upsert(vectors[2], key=5)
+        assert db.upsert(vectors[3]) == 42
+
+    def test_delete_by_caller_key(self):
+        db = VectorDatabase(dim=8)
+        vectors = self._random_vectors(3, dim=8)
+        for key, vector in zip((30, 10, 20), vectors):
+            db.upsert(vector, key=key)
+        assert db.delete(30)
+        assert not db.delete(30)
+        assert len(db) == 2
+        # The last row moved into the freed slot and is still found by key.
+        assert db.nearest(vectors[2]).key == 20
+        assert db.delete(20)
+        assert db.nearest(vectors[1]).key == 10
+
 
 class TestNoiseStateStore:
     def test_put_and_get(self):
@@ -213,7 +244,7 @@ class TestApproximateCache:
         cache = ApproximateCache(embedder=PromptEmbedder(dim=32))
         cache.store_states(prompts_small[0])
         cache.store_states(prompts_small[0])
-        assert len(cache.vectordb) == 1
+        assert len(cache._namespace(prompts_small[0].tenant).vectordb) == 1
 
     def test_effective_skip_capped_by_checkpoints(self, prompts_small):
         cache = ApproximateCache(

@@ -6,14 +6,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.cache import build_cache
 from repro.cache.approximate import ApproximateCache
 from repro.cache.network import NetworkCondition, NetworkModel
-from repro.cache.tier import CacheTier, HashRing, _key_hash, _NodeIndex
+from repro.cache.tier import CacheTier, HashRing, _key_hash
 from repro.core.config import ArgusConfig
 from repro.prompts.dataset import PromptDataset
 from repro.prompts.embedding import PromptEmbedder
@@ -22,12 +22,6 @@ from repro.workloads.tenants import TenantSpec
 
 def _prompts(count=40, seed=0):
     return PromptDataset.synthetic(count=count, seed=seed).prompts
-
-
-def _random_unit(n, dim=64, seed=0):
-    rng = np.random.default_rng(seed)
-    vectors = rng.normal(size=(n, dim))
-    return vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
 
 
 class TestHashRing:
@@ -77,48 +71,6 @@ class TestHashRing:
         ring = HashRing([0, 1], vnodes=8)
         with pytest.raises(ValueError):
             ring.add_node(1)
-
-
-class TestNodeIndex:
-    def test_matches_flat_argmax(self):
-        # Above the build threshold the clustered index must still return
-        # the true nearest stored vector for near-duplicate queries (the
-        # cache's workload: re-served prompts query their own embedding).
-        vectors = _random_unit(4000, seed=1)
-        index = _NodeIndex(dim=64, clusters=16, nprobe=4)
-        for i, v in enumerate(vectors):
-            index.upsert(f"k{i}", v, i)
-        rng = np.random.default_rng(2)
-        for i in rng.integers(0, len(vectors), size=50):
-            [(key, sim, seq)] = index.search(vectors[i], top_k=1)
-            assert key == f"k{i}"
-            assert sim == pytest.approx(1.0)
-            assert seq == i
-
-    def test_tie_order_matches_flat_index(self):
-        # Identical vectors tie on similarity; the winner must be the
-        # earliest insertion (global seq asc), same as the flat index.
-        v = _random_unit(1, seed=3)[0]
-        index = _NodeIndex(dim=64, clusters=4, nprobe=2)
-        for i in (5, 2, 9):
-            index.upsert(f"k{i}", v, i)
-        [(key, _, seq)] = index.search(v, top_k=1)
-        assert (key, seq) == ("k2", 2)
-
-    def test_delete_swaps_and_stays_searchable(self):
-        vectors = _random_unit(300, seed=4)
-        index = _NodeIndex(dim=64, clusters=8, nprobe=8)
-        for i, v in enumerate(vectors):
-            index.upsert(f"k{i}", v, i)
-        for i in range(0, 300, 3):
-            assert index.delete(f"k{i}")
-            assert not index.delete(f"k{i}")
-        for i in range(300):
-            hits = index.search(vectors[i], top_k=1)
-            if i % 3 == 0:
-                assert not hits or hits[0][0] != f"k{i}"
-            else:
-                assert hits[0][0] == f"k{i}"
 
 
 def _tier(**kwargs) -> CacheTier:
@@ -172,6 +124,29 @@ class TestTierPlacementAndReplication:
             out = tier.retrieve(p, requested_skip=10, now_s=1.0 + i)
             assert out.hit
         assert sum(n.replica_reads for n in tier._nodes.values()) > 0
+
+    def test_equal_similarity_across_nodes_resolves_to_older_seq(self):
+        # Two entries with the same text and topic embed identically; when
+        # their owners differ, the fan-out merge must pick the older one,
+        # whichever node it lives on.
+        [template] = _prompts(1)
+        twins = [replace(template, prompt_id=i) for i in range(1, 40)]
+        tier = _tier(replication=0)
+        first = twins[0]
+        owner = tier.owner_shard(first.tenant, first.prompt_id)
+        second = next(p for p in twins if tier.owner_shard(p.tenant, p.prompt_id) != owner)
+        probe = replace(template, prompt_id=1000)
+        for older, newer in ((first, second), (second, first)):
+            tier = _tier(replication=0)
+            tier.store_states(older, now_s=0.0)
+            tier.store_states(newer, now_s=1.0)
+            assert tier.retrieve(probe, requested_skip=10, now_s=100.0).hit
+            hits = {
+                int(node_id): shard["hits"]
+                for node_id, shard in tier.tier_stats()["per_shard"].items()
+            }
+            assert hits[tier.owner_shard(older.tenant, older.prompt_id)] == 1
+            assert sum(hits.values()) == 1
 
     def test_retrieval_matches_flat_cache_semantics(self):
         # Same prompt stream through the flat cache and a sharded tier:
@@ -264,6 +239,16 @@ class TestQuotaAndTombstones:
         tier._compact(now_s=10_000.0)
         assert sum(len(n.tombstones) for n in tier._nodes.values()) == 0
         assert tier.tombstones_compacted >= live_tombstones
+
+    def test_tenant_name_with_colon_keeps_index_and_states_in_step(self):
+        spec = TenantSpec(name="team:a", cache_quota=5)
+        tier = _tier(shards=2, replication=1, tenants=(spec,))
+        for i, p in enumerate(_prompts(40)):
+            tier.store_states(replace(p, tenant="team:a"), now_s=float(i))
+        copies = sum(len(node.states) for node in tier._nodes.values())
+        rows = sum(len(index) for node in tier._nodes.values() for index in node.indexes.values())
+        assert tier.tenant_entries("team:a") == 5
+        assert copies == rows == 10
 
 
 class TestPoisoning:
@@ -391,16 +376,11 @@ class TestFactoryGating:
             ArgusConfig(cache_shards=0)
         with pytest.raises(ValueError):
             ArgusConfig(cache_shards=2, cache_replication=2)
-        with pytest.raises(ValueError):
-            ArgusConfig(cache_node_nprobe=0)
-        with pytest.raises(ValueError):
-            ArgusConfig(cache_node_clusters=4, cache_node_nprobe=8)
 
     def test_knobs_round_trip(self):
         config = ArgusConfig(
             cache_shards=4,
             cache_replication=2,
-            cache_node_vnodes=32,
             cache_replication_lag_s=12.5,
             cache_hot_shard_threshold=99,
         )

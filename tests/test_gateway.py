@@ -310,8 +310,8 @@ def test_gateway_warms_the_prompts_the_simulator_warms(warm, training):
     gateway = Gateway(config=config, time_scale=100.0)
     system = ArgusSystem(config=config, prompt_aware=False)
     expected = list(range(min(warm, training)))
-    assert list(gateway.cache.store._entries) == expected
-    assert list(system.cache.store._entries) == expected
+    assert list(gateway.cache._namespace("").store._entries) == expected
+    assert list(system.cache._namespace("").store._entries) == expected
 
 
 def test_gateway_memos_stay_bounded_on_free_text(monkeypatch):

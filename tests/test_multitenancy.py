@@ -19,8 +19,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.cache import build_cache, warm_cache
 from repro.cache.approximate import ApproximateCache
 from repro.cache.network import NetworkCondition, NetworkModel
+from repro.cache.store import NoiseStateStore
 from repro.core.admission import FairShareAdmission
 from repro.core.config import ArgusConfig
 from repro.core.oda import ShiftMap
@@ -398,8 +400,45 @@ class TestTenantCache:
         cache = self._cache(())
         prompt = _prompt("", prompt_id=5, text="plain old anonymous prompt")
         cache.store_states(prompt)
-        assert len(cache.store) == 1
+        assert len(cache._namespace("").store) == 1
         assert cache.tenant_entries("") == 1
+
+    def test_default_namespace_evictions_drop_their_vector_rows(self, monkeypatch):
+        # Every store holds five entries here, so the default namespace
+        # (anonymous and unconfigured tenants) overflows after five prompts.
+        monkeypatch.setattr(
+            NoiseStateStore,
+            "capacity_entries",
+            property(lambda store: 5, lambda store, value: None),
+            raising=False,
+        )
+        cache = self._cache((TenantSpec(name="a"),))
+        prompts = [
+            _prompt(tenant, prompt_id=i, text=f"free text {i} {tenant}")
+            for tenant in ("", "guest")
+            for i in range(20)
+        ]
+        for _ in range(2):
+            for prompt in prompts:
+                cache.store_states(prompt)
+        assert cache.tenant_entries("") == 5
+        for prompt in prompts:
+            cache.retrieve(prompt, requested_skip=10, now_s=0.0)
+        # An evicted prompt's row went with its state: no retrieval matches
+        # a row whose state is gone.
+        _, store_misses = cache.store_counts()
+        assert store_misses == 0
+
+    @pytest.mark.parametrize("cache_shards", [1, 2])
+    def test_anonymous_tenant_quota_is_enforced(self, cache_shards):
+        config = ArgusConfig(cache_shards=cache_shards, tenants=[{"name": "", "cache_quota": 5}])
+        cache = build_cache(config)
+        prompts = PromptDataset.synthetic(count=40, seed=0).prompts
+        warm_cache(cache, prompts, config.tenants)
+        assert cache.tenant_entries("") == 5
+        for prompt in prompts[::-1]:
+            cache.store_states(prompt)
+        assert cache.tenant_entries("") == 5
 
 
 # --------------------------------------------------------------------- #

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -346,6 +347,18 @@ def _tiered_slo_ok(run):
     )
 
 
+#: First 16 hex digits of the sha256 of each cache-tier scenario's small,
+#: seed-0 report (``json.dumps(report.to_dict(), sort_keys=True,
+#: default=str)``).  A change to the tier's placement, index or tie order
+#: that alters any retrieval moves them.
+TIER_REPORT_DIGESTS = {
+    "cache-node-failure": "5114dd92c4ebf243",
+    "cache-shard-rebalance": "42e4d59a38421189",
+    "cache-hot-shard": "37337fb16a1c9430",
+    "chaos-cache-poison": "d2c6097fa50b2e3e",
+}
+
+
 class TestRunScenarios:
     @pytest.mark.parametrize("name", scenario_names())
     def test_small_preset_completes_and_exercises(self, name):
@@ -357,6 +370,10 @@ class TestRunScenarios:
         assert report.preset == "small"
         assert report.seed == 0
         assert len(report.minutes) >= run.trace.duration_minutes
+        if name in TIER_REPORT_DIGESTS:
+            encoded = json.dumps(report.to_dict(), sort_keys=True, default=str).encode()
+            digest = hashlib.sha256(encoded).hexdigest()[:16]
+            assert digest == TIER_REPORT_DIGESTS[name]
         check = SCENARIO_CHECKS.get(name)
         if check is not None:
             assert check(run), f"behavioural check failed for {name}"
