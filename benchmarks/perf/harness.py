@@ -220,7 +220,7 @@ def bench_collector(preset: Preset) -> dict:
         return retained
 
     legacy_bytes = measure_retained(legacy.LegacyMetricsCollector)
-    columnar_bytes = measure_retained(lambda: MetricsCollector(retain_completed=False))
+    columnar_bytes = measure_retained(MetricsCollector)
     return {
         "completions": n,
         "legacy_s": legacy_s,

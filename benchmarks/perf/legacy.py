@@ -109,9 +109,7 @@ class LegacyMinuteStats:
 class LegacyMetricsCollector:
     """The seed per-request object-list collector (pre-columnar)."""
 
-    def __init__(self, slo: SloPolicy | None = None, retain_completed: bool = True) -> None:
-        # ``retain_completed`` is accepted for interface parity: the seed
-        # collector always keeps every sample.
+    def __init__(self, slo: SloPolicy | None = None) -> None:
         self.slo = slo or SloPolicy()
         self.samples: list[ServedSample] = []
         self._minutes: dict[int, LegacyMinuteStats] = {}

@@ -7,13 +7,14 @@ for similarity search, the blob store (EFS) holding the noise states, and
 the network between the GPU workers and both services — including the
 congestion and outage scenarios that trigger Argus's AC→SM switch.
 
-Two cache implementations share one surface and one vector index,
-:class:`VectorDatabase`: the in-process :class:`ApproximateCache` (one
-index per tenant) and the distributed :class:`CacheTier` (consistent-hash
-sharded and replicated, one index per tenant on each :class:`CacheNode`,
-with per-node network conditions).  :func:`build_cache` picks between them
-from config so every caller — workers, gateway interceptor, scenario
-runtime — stays a single code path.
+Two cache implementations share one vector index, :class:`VectorDatabase`,
+and one :class:`~repro.cache.approximate.CacheBase` (tenant namespaces, a
+quota LRU per namespace, the retrieval ledger): the in-process
+:class:`ApproximateCache` (one index per tenant) and the distributed
+:class:`CacheTier` (consistent-hash sharded and replicated, one index per
+tenant on each :class:`CacheNode`, with per-node network conditions).
+:func:`build_cache` picks between them from config so every caller —
+workers, gateway interceptor, scenario runtime — stays a single code path.
 """
 
 from dataclasses import replace

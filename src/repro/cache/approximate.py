@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 
 from repro.cache.network import NetworkModel
 from repro.cache.store import NoiseStateStore, StoredState
@@ -24,26 +25,6 @@ from repro.cache.vectordb import VectorDatabase
 from repro.prompts.embedding import PromptEmbedder
 from repro.prompts.generator import Prompt
 from repro.prompts.memo import PromptMemo
-
-
-class _TenantNamespace:
-    """One tenant's private slice of the cache: vector index + state store.
-
-    Index rows are keyed by prompt id.  The store is bounded (the tenant's
-    entry quota, or a default capacity) and each store eviction deletes the
-    matching index row, so the two structures always hold the same prompts
-    and a tenant's churn reshapes only its own working set.
-    """
-
-    def __init__(self, dim: int, quota: int | None) -> None:
-        self.vectordb = VectorDatabase(dim=dim)
-        self.store = NoiseStateStore(
-            capacity_entries=quota if quota is not None else 50_000,
-            on_evict=self._evict,
-        )
-
-    def _evict(self, prompt_id: int) -> None:
-        self.vectordb.delete(prompt_id)
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,9 +43,154 @@ class RetrievalOutcome:
     #: True when the retrieval failed because the network was unreachable.
     network_failed: bool = False
 
+    @classmethod
+    def miss(cls, requested_skip: int, latency_s: float, similarity=None) -> RetrievalOutcome:
+        """No usable state (or, at ``requested_skip`` 0, no retrieval asked)."""
+        return cls(requested_skip, 0, latency_s, False, similarity)
 
-class ApproximateCache:
-    """Coordinates the vector database, noise-state store and network model."""
+    @classmethod
+    def unreachable(cls, requested_skip: int) -> RetrievalOutcome:
+        """The network was down, so nothing was searched."""
+        return cls(requested_skip, 0, 0.0, False, None, True)
+
+
+class CacheBase:
+    """What the flat cache and the distributed tier share.
+
+    The anonymous tenant ``""`` and each configured tenant own a namespace:
+    retrievals only match its history, and a tag that is not configured is
+    served as ``""``.  Each namespace's :class:`NoiseStateStore` is its one
+    quota LRU (``cache_quota``, or the store's default bound); its evictions
+    go to the subclass's ``_evict(namespace, prompt_id)``.  Subclasses also
+    supply ``store_counts()``, the (hits, misses) of their state lookups.
+
+    The retrieval ledger counts every attempt with a positive requested
+    skip, whether it died at the network, the index, the store or the step
+    check; the store-level :attr:`hit_rate` only sees lookups that matched.
+    """
+
+    def __init__(
+        self,
+        embedder: PromptEmbedder | None,
+        network: NetworkModel | None,
+        similarity_threshold: float,
+        checkpoint_steps: tuple[int, ...],
+        tenants: tuple,
+    ) -> None:
+        self.embedder = embedder or PromptEmbedder()
+        self.network = network or NetworkModel()
+        self.similarity_threshold = float(similarity_threshold)
+        self.checkpoint_steps = tuple(sorted(checkpoint_steps))
+        quotas = {"": None, **{spec.name: spec.cache_quota for spec in tenants}}
+        self._stores: dict[str, NoiseStateStore] = {
+            name: NoiseStateStore(quota, on_evict=partial(self._evict, name))
+            for name, quota in quotas.items()
+        }
+        self.retrieval_attempts = 0
+        self.retrieval_hits = 0
+        self._tenant_attempts: dict[str, int] = defaultdict(int)
+        self._tenant_hits: dict[str, int] = defaultdict(int)
+
+    def _namespace(self, tenant: str) -> str:
+        """The namespace serving ``tenant``."""
+        return tenant if tenant in self._stores else ""
+
+    def _cached(self, prompt: Prompt) -> bool:
+        """True when ``prompt``'s states are already stored."""
+        return prompt.prompt_id in self._stores[self._namespace(prompt.tenant)]
+
+    def tenant_entries(self, tenant: str) -> int:
+        """Entries currently held in the namespace serving ``tenant``."""
+        return len(self._stores[self._namespace(tenant)])
+
+    def _tally(self, tenant: str, outcome: RetrievalOutcome) -> RetrievalOutcome:
+        """Count ``outcome`` in the retrieval ledger and pass it through."""
+        if outcome.requested_skip > 0:
+            self.retrieval_attempts += 1
+            self._tenant_attempts[tenant] += 1
+            if outcome.hit:
+                self.retrieval_hits += 1
+                self._tenant_hits[tenant] += 1
+        return outcome
+
+    def _state(self, prompt: Prompt) -> StoredState:
+        return StoredState(
+            prompt_id=prompt.prompt_id,
+            prompt_text=prompt.text,
+            available_steps=self.checkpoint_steps,
+        )
+
+    def _fresh_embedded(self, prompts: list[Prompt]):
+        """``(prompt, embedding)`` for each prompt a warm must store.
+
+        Already-cached prompts (and repeats within the batch) are skipped
+        exactly as per-prompt ``store_states`` calls would skip them; the
+        rest are embedded through the embedder's vectorized batch path.
+        """
+        fresh: list[Prompt] = []
+        seen: set[tuple[str, int]] = set()
+        for prompt in prompts:
+            key = (self._namespace(prompt.tenant), prompt.prompt_id)
+            if key in seen or prompt.prompt_id in self._stores[key[0]]:
+                continue
+            seen.add(key)
+            fresh.append(prompt)
+        return zip(fresh, self.embedder.embed_batch(fresh)) if fresh else ()
+
+    @property
+    def retrieval_hit_rate(self) -> float:
+        """Fraction of retrieval attempts that produced a usable state."""
+        if self.retrieval_attempts == 0:
+            return 0.0
+        return self.retrieval_hits / self.retrieval_attempts
+
+    @property
+    def smoothed_hit_rate(self) -> float:
+        """Retrieval hit rate with a prior of 5 hits in 10 attempts, so a
+        small sample reads near 0.5 (the admission capacity estimate)."""
+        hits, attempts = self.retrieval_hits, self.retrieval_attempts
+        return (hits + 5.0) / (attempts + 10.0)
+
+    def retrieval_hit_rate_for(self, tenant: str) -> float:
+        """Retrieval hit rate over one tenant's attempts."""
+        attempts = self._tenant_attempts.get(tenant, 0)
+        if attempts == 0:
+            return 0.0
+        return self._tenant_hits.get(tenant, 0) / attempts
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of state lookups that hit (the whole cache combined)."""
+        hits, misses = self.store_counts()
+        total = hits + misses
+        return hits / total if total else 0.0
+
+    def report_extras(self, tenants) -> dict:
+        """The report's cache block: retrieval totals, plus each configured
+        tenant's entries against its quota."""
+        extras: dict = {
+            "retrieval_hit_rate": self.retrieval_hit_rate,
+            "retrieval_attempts": self.retrieval_attempts,
+        }
+        if tenants:
+            extras["cache_tenants"] = {
+                spec.name: {"entries": self.tenant_entries(spec.name), "quota": spec.cache_quota}
+                for spec in tenants
+            }
+        return extras
+
+    def probe_network(self, now_s: float) -> float | None:
+        """Background network probe used by the strategy switcher."""
+        return self.network.probe(now_s)
+
+
+class ApproximateCache(CacheBase):
+    """Coordinates the vector database, noise-state store and network model.
+
+    Each namespace pairs its store with a vector index keyed by prompt id;
+    a store eviction deletes the matching index row, so the two always hold
+    the same prompts and a tenant's churn reshapes only its own working set.
+    """
 
     def __init__(
         self,
@@ -74,27 +200,10 @@ class ApproximateCache:
         checkpoint_steps: tuple[int, ...] = (5, 10, 15, 20, 25),
         tenants: tuple = (),
     ) -> None:
-        self.embedder = embedder or PromptEmbedder()
-        self.network = network or NetworkModel()
-        self.similarity_threshold = float(similarity_threshold)
-        self.checkpoint_steps = tuple(sorted(checkpoint_steps))
-        #: Private namespace per configured tenant (the anonymous tenant ""
-        #: included): a tenant's retrievals only match its own history and
-        #: its quota bounds only its own entries.  Every other tenant shares
-        #: the default namespace, so an empty tenant set is one namespace.
-        self._namespaces: dict[str, _TenantNamespace] = {
-            spec.name: _TenantNamespace(dim=self.embedder.dim, quota=spec.cache_quota)
-            for spec in tenants
+        super().__init__(embedder, network, similarity_threshold, checkpoint_steps, tenants)
+        self._indexes: dict[str, VectorDatabase] = {
+            name: VectorDatabase(dim=self.embedder.dim) for name in self._stores
         }
-        self._default = _TenantNamespace(dim=self.embedder.dim, quota=None)
-        #: End-to-end retrieval accounting: every attempt with a positive
-        #: requested skip counts, whether it died at the network, the vector
-        #: index, the state store or the step check.  (The store-level
-        #: ``hit_rate`` only sees lookups that already matched the index.)
-        self.retrieval_attempts = 0
-        self.retrieval_hits = 0
-        self._tenant_attempts: dict[str, int] = defaultdict(int)
-        self._tenant_hits: dict[str, int] = defaultdict(int)
         #: Nearest-match memo: (tenant, prompt hash) -> (db mutation counter
         #: at compute time, match).  The index search is a pure function of
         #: the stored vectors, and long traces cycle the same prompts while
@@ -102,62 +211,22 @@ class ApproximateCache:
         #: steady-state retrievals skip the embed + O(entries) scan entirely.
         self._nearest_memo = PromptMemo()
 
-    # ------------------------------------------------------------------ #
-    # Tenant namespacing
-    # ------------------------------------------------------------------ #
-    def _namespace(self, tenant: str) -> _TenantNamespace:
-        return self._namespaces.get(tenant, self._default)
+    def _evict(self, namespace: str, prompt_id: int) -> None:
+        self._indexes[namespace].delete(prompt_id)
 
-    def tenant_entries(self, tenant: str) -> int:
-        """Entries currently held in one tenant's namespace."""
-        return len(self._namespace(tenant).store)
-
-    # ------------------------------------------------------------------ #
-    # Retrieval path
-    # ------------------------------------------------------------------ #
     def retrieve(self, prompt: Prompt, requested_skip: int, now_s: float) -> RetrievalOutcome:
         """Attempt to retrieve a noise state enabling ``requested_skip``."""
-        outcome = self._retrieve(prompt, requested_skip, now_s)
-        if requested_skip > 0:
-            self.retrieval_attempts += 1
-            self._tenant_attempts[prompt.tenant] += 1
-            if outcome.hit:
-                self.retrieval_hits += 1
-                self._tenant_hits[prompt.tenant] += 1
-        return outcome
-
-    @property
-    def retrieval_hit_rate(self) -> float:
-        """Fraction of retrieval attempts that produced a usable state."""
-        if self.retrieval_attempts == 0:
-            return 0.0
-        return self.retrieval_hits / self.retrieval_attempts
-
-    def retrieval_hit_rate_for(self, tenant: str) -> float:
-        """Retrieval hit rate within one tenant's namespace."""
-        attempts = self._tenant_attempts.get(tenant, 0)
-        if attempts == 0:
-            return 0.0
-        return self._tenant_hits.get(tenant, 0) / attempts
+        return self._tally(prompt.tenant, self._retrieve(prompt, requested_skip, now_s))
 
     def _retrieve(self, prompt: Prompt, requested_skip: int, now_s: float) -> RetrievalOutcome:
         if requested_skip <= 0:
-            return RetrievalOutcome(
-                requested_skip=0, effective_skip=0, retrieval_latency_s=0.0, hit=False
-            )
-
+            return RetrievalOutcome.miss(0, 0.0)
         latency = self.network.retrieval_latency(now_s)
         if latency is None:
-            return RetrievalOutcome(
-                requested_skip=requested_skip,
-                effective_skip=0,
-                retrieval_latency_s=0.0,
-                hit=False,
-                network_failed=True,
-            )
+            return RetrievalOutcome.unreachable(requested_skip)
 
         namespace = self._namespace(prompt.tenant)
-        vectordb = namespace.vectordb
+        vectordb = self._indexes[namespace]
         memo_key = (prompt.tenant, prompt.content_hash())
         cached = self._nearest_memo.get(memo_key)
         if cached is not None and cached[0] == vectordb.mutations:
@@ -166,33 +235,14 @@ class ApproximateCache:
             match = vectordb.nearest(self.embedder.embed(prompt))
             self._nearest_memo.remember(memo_key, (vectordb.mutations, match))
         if match is None or match.similarity < self.similarity_threshold:
-            return RetrievalOutcome(
-                requested_skip=requested_skip,
-                effective_skip=0,
-                retrieval_latency_s=latency,
-                hit=False,
-                similarity=None if match is None else match.similarity,
+            return RetrievalOutcome.miss(
+                requested_skip, latency, None if match is None else match.similarity
             )
 
-        state = namespace.store.get(match.key)
-        if state is None:
-            return RetrievalOutcome(
-                requested_skip=requested_skip,
-                effective_skip=0,
-                retrieval_latency_s=latency,
-                hit=False,
-                similarity=match.similarity,
-            )
-
-        usable_step = state.best_step_for(requested_skip)
+        state = self._stores[namespace].get(match.key)
+        usable_step = None if state is None else state.best_step_for(requested_skip)
         if usable_step is None:
-            return RetrievalOutcome(
-                requested_skip=requested_skip,
-                effective_skip=0,
-                retrieval_latency_s=latency,
-                hit=False,
-                similarity=match.similarity,
-            )
+            return RetrievalOutcome.miss(requested_skip, latency, match.similarity)
         return RetrievalOutcome(
             requested_skip=requested_skip,
             effective_skip=usable_step,
@@ -201,21 +251,12 @@ class ApproximateCache:
             similarity=match.similarity,
         )
 
-    # ------------------------------------------------------------------ #
-    # Write-back path
-    # ------------------------------------------------------------------ #
     def _store_embedded(self, prompt: Prompt, embedding) -> None:
         """Index one prompt's embedding and record its noise states (in the
-        prompt's tenant namespace)."""
+        prompt's namespace)."""
         namespace = self._namespace(prompt.tenant)
-        namespace.vectordb.upsert(embedding, key=prompt.prompt_id)
-        namespace.store.put(
-            StoredState(
-                prompt_id=prompt.prompt_id,
-                prompt_text=prompt.text,
-                available_steps=self.checkpoint_steps,
-            )
-        )
+        self._indexes[namespace].upsert(embedding, key=prompt.prompt_id)
+        self._stores[namespace].put(self._state(prompt))
 
     def store_states(self, prompt: Prompt) -> None:
         """Record the intermediate states produced while serving ``prompt``.
@@ -223,49 +264,19 @@ class ApproximateCache:
         Re-serving a prompt that is already cached is a no-op so the vector
         index does not accumulate duplicates.
         """
-        if prompt.prompt_id in self._namespace(prompt.tenant).store:
-            return
-        self._store_embedded(prompt, self.embedder.embed(prompt))
+        if not self._cached(prompt):
+            self._store_embedded(prompt, self.embedder.embed(prompt))
 
     def warm(self, prompts: list[Prompt]) -> None:
-        """Pre-populate the cache with a prompt history.
-
-        Embeddings are computed through the embedder's vectorized batch
-        path; already-cached prompts (and duplicates within the batch) are
-        skipped exactly as per-prompt :meth:`store_states` calls would.
-        """
-        fresh: list[Prompt] = []
-        seen: set[tuple[str, int]] = set()
-        for prompt in prompts:
-            key = (prompt.tenant, prompt.prompt_id)
-            if key in seen or prompt.prompt_id in self._namespace(prompt.tenant).store:
-                continue
-            seen.add(key)
-            fresh.append(prompt)
-        if not fresh:
-            return
-        embeddings = self.embedder.embed_batch(fresh)
-        for prompt, embedding in zip(fresh, embeddings):
+        """Pre-populate the cache with a prompt history (batch-embedded,
+        duplicates skipped)."""
+        for prompt, embedding in self._fresh_embedded(prompts):
             self._store_embedded(prompt, embedding)
-
-    # ------------------------------------------------------------------ #
-    # Monitoring
-    # ------------------------------------------------------------------ #
-    def probe_network(self, now_s: float) -> float | None:
-        """Background network probe used by the strategy switcher."""
-        return self.network.probe(now_s)
 
     def store_counts(self) -> tuple[int, int]:
         """(hits, misses) over state-store lookups, all namespaces combined."""
         hits = misses = 0
-        for namespace in (self._default, *self._namespaces.values()):
-            hits += namespace.store.stats.hits
-            misses += namespace.store.stats.misses
+        for store in self._stores.values():
+            hits += store.stats.hits
+            misses += store.stats.misses
         return hits, misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of store lookups that hit (all namespaces combined)."""
-        hits, misses = self.store_counts()
-        total = hits + misses
-        return hits / total if total else 0.0

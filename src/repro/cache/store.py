@@ -67,15 +67,17 @@ class StoreStatistics:
 class NoiseStateStore:
     """LRU-bounded store of intermediate noise states keyed by prompt id.
 
+    ``capacity_entries`` None means the default bound of 50,000 entries.
     ``on_evict`` (if given) is called with each evicted prompt id — the
-    tenant-namespaced cache uses it to drop the matching vector-index entry
-    so quota evictions keep the two structures in sync.
+    caches use it to drop the evicted prompt's vector-index rows, so quota
+    evictions keep the index and the store in sync.
     """
 
-    def __init__(self, capacity_entries: int = 50_000, on_evict=None) -> None:
-        if capacity_entries <= 0:
+    def __init__(self, capacity_entries: int | None = None, on_evict=None) -> None:
+        capacity = 50_000 if capacity_entries is None else int(capacity_entries)
+        if capacity <= 0:
             raise ValueError("capacity must be positive")
-        self.capacity_entries = int(capacity_entries)
+        self.capacity_entries = capacity
         self.on_evict = on_evict
         self._entries: OrderedDict[int, StoredState] = OrderedDict()
         self.stats = StoreStatistics()
@@ -85,11 +87,6 @@ class NoiseStateStore:
 
     def __contains__(self, prompt_id: int) -> bool:
         return prompt_id in self._entries
-
-    @property
-    def total_size_kib(self) -> float:
-        """Total storage used, in KiB."""
-        return sum(entry.total_size_kib for entry in self._entries.values())
 
     def put(self, state: StoredState) -> None:
         """Insert or refresh a cached state, evicting LRU entries if full."""
@@ -113,10 +110,11 @@ class NoiseStateStore:
         self.stats.hits += 1
         return entry
 
-    def peek(self, prompt_id: int) -> StoredState | None:
-        """Fetch without touching LRU order or statistics."""
-        return self._entries.get(prompt_id)
+    def touch(self, prompt_id: int) -> None:
+        """Mark an entry most recently used, without counting a lookup."""
+        if prompt_id in self._entries:
+            self._entries.move_to_end(prompt_id)
 
-    def clear(self) -> None:
-        """Drop every entry (used when simulating storage loss)."""
-        self._entries.clear()
+    def discard(self, prompt_id: int) -> None:
+        """Drop an entry if present (not an eviction: ``on_evict`` is not called)."""
+        self._entries.pop(prompt_id, None)

@@ -20,8 +20,9 @@ into a service with placement semantics:
   ``replication_lag_s``; reads fall back to replicas when the owner is
   unreachable or *hot* (fetch rate above ``hot_shard_threshold`` per
   minute), counting ``replica_reads`` and ``stale_misses``.
-- **Cross-shard protocols.** Per-tenant quota eviction runs against a
-  global LRU (the owner drops the entry, replicas receive a tombstone;
+- **Cross-shard protocols.** Quota eviction runs against one LRU per
+  namespace across all shards, the same :class:`NoiseStateStore` the flat
+  cache uses (the owner drops the entry, replicas receive a tombstone;
   tombstones older than the staleness bound are compacted), and ring
   changes (``add_node`` / ``remove_node``) migrate exactly the entries
   whose owner moved.
@@ -31,26 +32,23 @@ into a service with placement semantics:
   (``network``) represents the client side and keeps the probe/strategy-
   switch path identical to the flat cache's.
 
-The tier implements the same surface the rest of the stack already programs
-against (``retrieve`` / ``store_states`` / ``warm`` / ``probe_network`` /
-hit-rate accounting), so workers, the gateway interceptor and the scenario
-runtime use one code path whichever cache is installed.  ``cache_shards=1``
-with replication off never builds a tier at all (see
-:func:`repro.cache.build_cache`), keeping that configuration bit-identical
-to the flat cache.
+The tier shares :class:`~repro.cache.approximate.CacheBase` with the flat
+cache (namespaces, quota LRUs, the retrieval ledger, the report block), so
+workers, the gateway interceptor and the scenario runtime use one code path
+whichever cache is installed.  ``cache_shards=1`` with replication off never
+builds a tier at all (see :func:`repro.cache.build_cache`), keeping that
+configuration bit-identical to the flat cache.
 """
 
 from __future__ import annotations
 
 import bisect
-from collections import OrderedDict, defaultdict
 from dataclasses import replace
 
 import numpy as np
 
-from repro.cache.approximate import RetrievalOutcome
+from repro.cache.approximate import CacheBase, RetrievalOutcome
 from repro.cache.network import NetworkCondition, NetworkModel
-from repro.cache.store import StoredState
 from repro.cache.vectordb import VectorDatabase
 from repro.prompts.embedding import PromptEmbedder
 from repro.prompts.generator import Prompt
@@ -143,10 +141,12 @@ class HashRing:
 class _Entry:
     """One stored copy (primary or replica) of a logical cache entry."""
 
-    __slots__ = ("tenant", "state", "checksum", "embedding", "seq", "visible_after_s", "corrupted")
+    __slots__ = (
+        "namespace", "state", "checksum", "embedding", "seq", "visible_after_s", "corrupted"
+    )
 
-    def __init__(self, tenant, state, checksum, embedding, seq, visible_after_s) -> None:
-        self.tenant = tenant
+    def __init__(self, namespace, state, checksum, embedding, seq, visible_after_s) -> None:
+        self.namespace = namespace
         self.state = state
         self.checksum = checksum
         self.embedding = embedding
@@ -162,7 +162,7 @@ class CacheNode:
     def __init__(self, node_id: int, dim: int, seed: int) -> None:
         self.node_id = int(node_id)
         self.network = NetworkModel(seed=stable_hash(f"cache-node-net:{seed}:{node_id}", bits=32))
-        #: Per-tenant index over this node's copies, one row per entry keyed
+        #: Per-namespace index over this node's copies, one row per entry keyed
         #: by its global insertion sequence, with the entry key as payload.
         self.indexes: dict[str, VectorDatabase] = {}
         self._dim = dim
@@ -184,15 +184,15 @@ class CacheNode:
         self._window_fetches = 0
 
     def index(self, key: str, entry: _Entry) -> None:
-        """Add (or replace) ``entry``'s row in its tenant's index."""
-        index = self.indexes.get(entry.tenant)
+        """Add (or replace) ``entry``'s row in its namespace's index."""
+        index = self.indexes.get(entry.namespace)
         if index is None:
-            index = self.indexes[entry.tenant] = VectorDatabase(dim=self._dim)
+            index = self.indexes[entry.namespace] = VectorDatabase(dim=self._dim)
         index.upsert(entry.embedding, payload=key, key=entry.seq)
 
     def unindex(self, entry: _Entry) -> None:
-        """Delete ``entry``'s row from its tenant's index, if it is there."""
-        self.indexes[entry.tenant].delete(entry.seq)
+        """Delete ``entry``'s row from its namespace's index, if it is there."""
+        self.indexes[entry.namespace].delete(entry.seq)
 
     def entries(self) -> int:
         """Primary entries held by this node."""
@@ -217,7 +217,7 @@ class CacheNode:
 # --------------------------------------------------------------------------- #
 
 
-class CacheTier:
+class CacheTier(CacheBase):
     """Consistent-hash sharded, replicated approximate cache.
 
     Drop-in for :class:`~repro.cache.approximate.ApproximateCache` — same
@@ -243,10 +243,7 @@ class CacheTier:
             raise ValueError("shards must be >= 1")
         if not 0 <= replication < max(shards, 1):
             raise ValueError("replication must be in [0, shards - 1]")
-        self.embedder = embedder or PromptEmbedder()
-        self.network = network or NetworkModel()
-        self.similarity_threshold = float(similarity_threshold)
-        self.checkpoint_steps = tuple(sorted(checkpoint_steps))
+        super().__init__(embedder, network, similarity_threshold, checkpoint_steps, tenants)
         self.replication = int(replication)
         self.replication_lag_s = float(replication_lag_s)
         self.hot_shard_threshold = int(hot_shard_threshold)
@@ -259,16 +256,6 @@ class CacheTier:
         self.ring = HashRing(list(range(shards)))
         for node_id in range(shards):
             self._nodes[node_id] = self._new_node(node_id)
-        #: Global per-tenant LRU (cross-shard): quota eviction pops from
-        #: here, whichever shard owns the entry.
-        self._tenant_lru: dict[str, OrderedDict[str, tuple[str, int]]] = defaultdict(OrderedDict)
-        self._tenant_quota: dict[str, int | None] = {
-            spec.name: spec.cache_quota for spec in tenants
-        }
-        self.retrieval_attempts = 0
-        self.retrieval_hits = 0
-        self._tenant_attempts: dict[str, int] = defaultdict(int)
-        self._tenant_hits: dict[str, int] = defaultdict(int)
         self._seq = 0
         self._mutations = 0
         self._now = 0.0
@@ -363,12 +350,12 @@ class CacheTier:
     # Placement helpers
     # ------------------------------------------------------------------ #
     @staticmethod
-    def entry_key(tenant: str, prompt_id: int) -> str:
-        return f"{tenant}:{prompt_id}"
+    def entry_key(namespace: str, prompt_id: int) -> str:
+        return f"{namespace}:{prompt_id}"
 
-    def owner_shard(self, tenant: str, prompt_id: int) -> int:
-        """The node id owning (tenant, prompt_id) under the current ring."""
-        return self.ring.owner(_key_hash(self.entry_key(tenant, prompt_id)))
+    def owner_shard(self, namespace: str, prompt_id: int) -> int:
+        """The node id owning (namespace, prompt_id) under the current ring."""
+        return self.ring.owner(_key_hash(self.entry_key(namespace, prompt_id)))
 
     def likely_shard(self, prompt: Prompt) -> int:
         """The shard a retrieval for ``prompt`` is most likely to land on.
@@ -377,7 +364,7 @@ class CacheTier:
         lives on their key's owner.  O(log vnodes) — cheap enough for the
         per-request scheduler path.
         """
-        return self.owner_shard(prompt.tenant, prompt.prompt_id)
+        return self.owner_shard(self._namespace(prompt.tenant), prompt.prompt_id)
 
     def worker_prefers(self, prompt: Prompt, worker_id: int) -> bool:
         """True when ``worker_id`` is placed near the shard likely to hit.
@@ -394,28 +381,7 @@ class CacheTier:
     # ------------------------------------------------------------------ #
     def retrieve(self, prompt: Prompt, requested_skip: int, now_s: float) -> RetrievalOutcome:
         """Attempt to retrieve a noise state enabling ``requested_skip``."""
-        outcome = self._retrieve(prompt, requested_skip, now_s)
-        if requested_skip > 0:
-            self.retrieval_attempts += 1
-            self._tenant_attempts[prompt.tenant] += 1
-            if outcome.hit:
-                self.retrieval_hits += 1
-                self._tenant_hits[prompt.tenant] += 1
-        return outcome
-
-    @property
-    def retrieval_hit_rate(self) -> float:
-        """Fraction of retrieval attempts that produced a usable state."""
-        if self.retrieval_attempts == 0:
-            return 0.0
-        return self.retrieval_hits / self.retrieval_attempts
-
-    def retrieval_hit_rate_for(self, tenant: str) -> float:
-        """Retrieval hit rate within one tenant's namespace."""
-        attempts = self._tenant_attempts.get(tenant, 0)
-        if attempts == 0:
-            return 0.0
-        return self._tenant_hits.get(tenant, 0) / attempts
+        return self._tally(prompt.tenant, self._retrieve(prompt, requested_skip, now_s))
 
     def _account(self, node: CacheNode, hit: bool, latency_s: float) -> None:
         node.lookups += 1
@@ -427,26 +393,19 @@ class CacheTier:
 
     def _miss(self, requested_skip, latency, similarity, node) -> RetrievalOutcome:
         self._account(node, False, latency)
-        return RetrievalOutcome(
-            requested_skip=requested_skip,
-            effective_skip=0,
-            retrieval_latency_s=latency,
-            hit=False,
-            similarity=similarity,
-        )
+        return RetrievalOutcome.miss(requested_skip, latency, similarity)
 
     def _retrieve(self, prompt: Prompt, requested_skip: int, now_s: float) -> RetrievalOutcome:
         self._now = now_s
         if requested_skip <= 0:
-            return RetrievalOutcome(
-                requested_skip=0, effective_skip=0, retrieval_latency_s=0.0, hit=False
-            )
+            return RetrievalOutcome.miss(0, 0.0)
         client_latency = self.network.retrieval_latency(now_s)
         if client_latency is None:
-            return self._network_failed(requested_skip)
+            return RetrievalOutcome.unreachable(requested_skip)
 
-        # Parallel fan-out: query every reachable node's tenant slice; the
+        # Parallel fan-out: query every reachable node's namespace slice; the
         # search phase costs the slowest responder (plus the client leg).
+        namespace = self._namespace(prompt.tenant)
         query = self.embedder.embed(prompt)
         reachable: dict[int, float] = {}
         candidates: list[tuple[float, int, str, int]] = []
@@ -456,17 +415,15 @@ class CacheTier:
             if node_latency is None:
                 continue
             reachable[node_id] = node_latency
-            index = node.indexes.get(prompt.tenant)
+            index = node.indexes.get(namespace)
             hit = index.nearest(query) if index is not None else None
             if hit is not None:
                 candidates.append((hit.similarity, hit.key, hit.payload, node_id))
         if not reachable:
-            return self._network_failed(requested_skip)
+            return RetrievalOutcome.unreachable(requested_skip)
         search_latency = max([client_latency, *reachable.values()])
 
-        fallback_node = self._nodes[
-            self.ring.owner(_key_hash(self.entry_key(prompt.tenant, prompt.prompt_id)))
-        ]
+        fallback_node = self._nodes[self.owner_shard(namespace, prompt.prompt_id)]
         if not candidates:
             return self._miss(requested_skip, search_latency, None, fallback_node)
         best_sim, best_seq, best_key, best_node = max(
@@ -490,10 +447,10 @@ class CacheTier:
             # every copy so the slot refills from live traffic.
             node.poisoned_detected += 1
             node.fetch_misses += 1
-            self._delete_entry(prompt.tenant, best_key)
+            self._delete_entry(namespace, entry.state.prompt_id)
             return self._miss(requested_skip, latency, best_sim, node)
         node.fetch_hits += 1
-        self._touch_lru(prompt.tenant, best_key)
+        self._stores[namespace].touch(entry.state.prompt_id)
         usable_step = entry.state.best_step_for(requested_skip)
         if usable_step is None:
             return self._miss(requested_skip, latency, best_sim, node)
@@ -504,15 +461,6 @@ class CacheTier:
             retrieval_latency_s=latency,
             hit=True,
             similarity=best_sim,
-        )
-
-    def _network_failed(self, requested_skip: int) -> RetrievalOutcome:
-        return RetrievalOutcome(
-            requested_skip=requested_skip,
-            effective_skip=0,
-            retrieval_latency_s=0.0,
-            hit=False,
-            network_failed=True,
         )
 
     def _fetch(
@@ -557,11 +505,6 @@ class CacheTier:
     # ------------------------------------------------------------------ #
     # Write path
     # ------------------------------------------------------------------ #
-    def _peek(self, tenant: str, prompt_id: int):
-        key = self.entry_key(tenant, prompt_id)
-        owner = self._nodes[self.ring.owner(_key_hash(key))]
-        return owner.states.get(key) if key in owner.primaries else None
-
     def store_states(self, prompt: Prompt, now_s: float | None = None) -> None:
         """Record the intermediate states produced while serving ``prompt``.
 
@@ -569,9 +512,10 @@ class CacheTier:
         flat cache.  The write lands on the ring owner immediately;
         replica copies become visible after the staleness bound.
         """
-        if self._peek(prompt.tenant, prompt.prompt_id) is not None:
-            return
-        self._store_embedded(prompt, self.embedder.embed(prompt), now_s)
+        if now_s is not None:
+            self._now = now_s
+        if not self._cached(prompt):
+            self._store_embedded(prompt, self.embedder.embed(prompt))
 
     def warm(self, prompts: list[Prompt]) -> None:
         """Pre-populate the tier (batch-embedded, duplicates skipped).
@@ -579,37 +523,22 @@ class CacheTier:
         Warm entries are visible on replicas immediately: they model a
         pre-loaded deployment, not live replication traffic.
         """
-        fresh: list[Prompt] = []
-        seen: set[tuple[str, int]] = set()
-        for prompt in prompts:
-            key = (prompt.tenant, prompt.prompt_id)
-            if key in seen or self._peek(prompt.tenant, prompt.prompt_id) is not None:
-                continue
-            seen.add(key)
-            fresh.append(prompt)
-        if not fresh:
-            return
-        embeddings = self.embedder.embed_batch(fresh)
-        for prompt, embedding in zip(fresh, embeddings):
-            self._store_embedded(prompt, embedding, now_s=None, warm=True)
+        for prompt, embedding in self._fresh_embedded(prompts):
+            self._store_embedded(prompt, embedding, warm=True)
 
-    def _store_embedded(self, prompt, embedding, now_s=None, warm=False) -> None:
-        now = self._now if now_s is None else now_s
-        state = StoredState(
-            prompt_id=prompt.prompt_id,
-            prompt_text=prompt.text,
-            available_steps=self.checkpoint_steps,
-        )
+    def _store_embedded(self, prompt, embedding, warm=False) -> None:
+        namespace = self._namespace(prompt.tenant)
+        state = self._state(prompt)
         self._seq += 1
         entry = _Entry(
-            tenant=prompt.tenant,
+            namespace=namespace,
             state=state,
             checksum=state.checksum(),
             embedding=embedding,
             seq=self._seq,
-            visible_after_s=0.0 if warm else now + self.replication_lag_s,
+            visible_after_s=0.0 if warm else self._now + self.replication_lag_s,
         )
-        key = self.entry_key(prompt.tenant, prompt.prompt_id)
+        key = self.entry_key(namespace, prompt.prompt_id)
         prefs = self.ring.preference(_key_hash(key), 1 + self.replication)
         owner = self._nodes[prefs[0]]
         owner.states[key] = entry
@@ -623,34 +552,22 @@ class CacheTier:
             # surfaces the key when the owner is dark; visibility of the
             # copy itself stays gated by the staleness bound at fetch time.
             replica.index(key, entry)
-        self._tenant_lru[prompt.tenant][key] = (prompt.tenant, prompt.prompt_id)
+        # The write counts before the quota evictions its put triggers.
         self._mutations += 1
-        self._enforce_quota(prompt.tenant, now)
+        self._stores[namespace].put(state)
         if self._mutations % 256 == 0:
-            self._compact(now)
+            self._compact(self._now)
 
     # ------------------------------------------------------------------ #
     # Quota eviction, tombstones, compaction
     # ------------------------------------------------------------------ #
-    def _touch_lru(self, tenant: str, key: str) -> None:
-        lru = self._tenant_lru.get(tenant)
-        if lru is not None and key in lru:
-            lru.move_to_end(key)
+    def _evict(self, namespace: str, prompt_id: int) -> None:
+        self.evictions += 1
+        self._delete_entry(namespace, prompt_id)
 
-    def _enforce_quota(self, tenant: str, now_s: float) -> None:
-        quota = self._tenant_quota.get(tenant)
-        if quota is None:
-            return
-        lru = self._tenant_lru[tenant]
-        while len(lru) > quota:
-            key, _ = lru.popitem(last=False)
-            self._delete_entry(tenant, key, now_s=now_s, evicted=True)
-
-    def _delete_entry(
-        self, tenant: str, key: str, now_s: float | None = None, evicted: bool = False
-    ) -> None:
+    def _delete_entry(self, namespace: str, prompt_id: int) -> None:
         """Cross-shard delete: owner drops the copy, replicas tombstone it."""
-        now = self._now if now_s is None else now_s
+        key = self.entry_key(namespace, prompt_id)
         prefs = self.ring.preference(_key_hash(key), 1 + self.replication)
         owner = self._nodes[prefs[0]]
         if key in owner.primaries:
@@ -660,12 +577,8 @@ class CacheTier:
             replica = self._nodes[node_id]
             if key in replica.states:
                 replica.unindex(replica.states.pop(key))
-                replica.tombstones[key] = now
-        lru = self._tenant_lru.get(tenant)
-        if lru is not None:
-            lru.pop(key, None)
-        if evicted:
-            self.evictions += 1
+                replica.tombstones[key] = self._now
+        self._stores[namespace].discard(prompt_id)
         self._mutations += 1
 
     def _compact(self, now_s: float) -> None:
@@ -718,10 +631,6 @@ class CacheTier:
         self._now = now_s
         return self.network.probe(now_s)
 
-    def tenant_entries(self, tenant: str) -> int:
-        """Logical entries currently held for one tenant."""
-        return len(self._tenant_lru.get(tenant, ()))
-
     def store_counts(self) -> tuple[int, int]:
         """(hits, misses) over state fetches, all nodes (incl. retired)."""
         nodes = list(self._nodes.values()) + list(self._retired.values())
@@ -730,12 +639,9 @@ class CacheTier:
             sum(n.fetch_misses for n in nodes),
         )
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of state fetches that hit (all nodes combined)."""
-        hits, misses = self.store_counts()
-        total = hits + misses
-        return hits / total if total else 0.0
+    def report_extras(self, tenants) -> dict:
+        """The shared cache block plus :meth:`tier_stats`."""
+        return {**super().report_extras(tenants), "cache_tier": self.tier_stats()}
 
     def tier_stats(self) -> dict:
         """Report-ready snapshot of the tier's placement and traffic."""

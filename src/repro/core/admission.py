@@ -26,9 +26,31 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.models.zoo import ModelZoo, Strategy
 from repro.prompts.generator import Prompt
 from repro.runtime.base import Runtime
 from repro.workloads.tenants import TenantSpec
+
+
+def hit_corrected_capacity_qps(
+    ceiling_qps: float, zoo: ModelZoo, strategy: Strategy, cache
+) -> float:
+    """Fleet throughput in requests/second the admission rate is based on.
+
+    ``ceiling_qps`` assumes every request serves at the fastest level's
+    nominal cost — for AC that means a cache *hit* on every request.  A
+    miss falls back to full generation, so real AC capacity degrades with
+    the miss rate; the estimate blends the fastest and exact level
+    latencies by the cache's smoothed retrieval hit rate so admission does
+    not wave through a crowd the fleet cannot actually serve.
+    """
+    if strategy is Strategy.AC and cache is not None:
+        fastest = zoo.fastest_level(strategy).latency_s
+        exact = zoo.exact_level(strategy).latency_s
+        hit = cache.smoothed_hit_rate
+        effective = hit * fastest + (1.0 - hit) * exact
+        ceiling_qps *= fastest / effective
+    return ceiling_qps
 
 
 @dataclass

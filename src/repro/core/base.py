@@ -17,7 +17,7 @@ from repro.cache import build_cache
 from repro.cache.network import NetworkModel
 from repro.cluster.cluster import GpuCluster
 from repro.cluster.requests import CompletedRequest, Request
-from repro.core.admission import FairShareAdmission
+from repro.core.admission import FairShareAdmission, hit_corrected_capacity_qps
 from repro.core.config import ArgusConfig
 from repro.metrics.collector import MetricsCollector, ServedSample
 from repro.metrics.report import RunSummary, summarize, tenant_breakdown
@@ -79,9 +79,7 @@ class BaseServingSystem(ABC):
         #: Resolved per-tenant runtime table (budgets, shares); empty when
         #: the deployment serves the anonymous single-tenant workload.
         self.tenant_runtimes = build_runtimes(self.config.tenants, self.config.slo)
-        self.collector = MetricsCollector(
-            slo=self.config.slo, retain_completed=self.config.retain_completed
-        )
+        self.collector = MetricsCollector(slo=self.config.slo)
         max_batch = self.config.max_batch_size if self.supports_batching else 1
         self.cluster = GpuCluster(
             engine=self.engine,
@@ -193,25 +191,11 @@ class BaseServingSystem(ABC):
         """Hook for load estimators (optional)."""
 
     def _admission_capacity_qps(self) -> float:
-        """Fleet throughput in requests/second the admission rate is based on.
-
-        The raw ceiling assumes every request serves at the fastest level's
-        nominal cost — for AC that means a cache *hit* on every request.  A
-        miss falls back to full generation, so real AC capacity degrades
-        with the miss rate; the estimate blends the fastest and exact level
-        latencies by the observed retrieval hit rate (Laplace-smoothed
-        towards 0.5 while the sample is small) so admission does not wave
-        through a crowd the fleet cannot actually serve.
-        """
+        """Hit-rate-corrected fleet throughput (see
+        :func:`~repro.core.admission.hit_corrected_capacity_qps`)."""
         strategy = getattr(self, "active_strategy", self.config.default_strategy)
         ceiling = self.cluster.fleet_ceiling_qpm(strategy) / 60.0
-        if strategy is Strategy.AC and self.cache is not None:
-            fastest = self.zoo.fastest_level(strategy).latency_s
-            exact = self.zoo.exact_level(strategy).latency_s
-            hit = (self.cache.retrieval_hits + 5.0) / (self.cache.retrieval_attempts + 10.0)
-            effective = hit * fastest + (1.0 - hit) * exact
-            ceiling *= fastest / effective
-        return ceiling
+        return hit_corrected_capacity_qps(ceiling, self.zoo, strategy, self.cache)
 
     def _handle_completion(self, completed: CompletedRequest) -> None:
         prompt = completed.request.prompt

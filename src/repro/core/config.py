@@ -144,11 +144,6 @@ class ArgusConfig:
     #: and exchange scale requests and grants with the coordinator's budget
     #: broker.  A fixed-fleet sharded run barriers only at its end.
     autoscale_epoch_s: float = 60.0
-    #: Keep a Python object per completed request in the metrics collector.
-    #: Summaries and minute series come from the columnar store either way;
-    #: disable for very long runs (e.g. the 10M-request fig16-xl trace)
-    #: where tens of millions of retained objects dominate memory and GC.
-    retain_completed: bool = True
     # ----------------------------------------------------------------- #
     # Distributed cache tier (cache/tier.py)
     # ----------------------------------------------------------------- #

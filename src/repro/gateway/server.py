@@ -36,7 +36,7 @@ from repro.cache.network import NetworkModel
 from repro.classifier.drift import DriftDetector
 from repro.cluster.requests import CompletedRequest, Request
 from repro.cluster.worker import FAILED_RETRIEVAL_PENALTY_S
-from repro.core.admission import FairShareAdmission
+from repro.core.admission import FairShareAdmission, hit_corrected_capacity_qps
 from repro.core.config import ArgusConfig
 from repro.core.scheduler import CACHE_AFFINITY_TOLERANCE_S
 from repro.gateway.interceptors import (
@@ -126,9 +126,7 @@ class Gateway:
             self.config, network=self.network, on_lookup=self._record_cache_lookup
         )
         self.tenant_runtimes = build_runtimes(self.config.tenants, self.config.slo)
-        self.collector = MetricsCollector(
-            slo=self.config.slo, retain_completed=self.config.retain_completed
-        )
+        self.collector = MetricsCollector(slo=self.config.slo)
         self.strategy = self.config.default_strategy
         self.workers = [
             StubWorker(worker_id=i, gpu=self.config.gpu, zoo=self.zoo, runtime=self.runtime)
@@ -288,16 +286,10 @@ class Gateway:
     # Control-plane helpers
     # ------------------------------------------------------------------ #
     def _admission_capacity_qps(self) -> float:
-        """Hit-rate-corrected fleet throughput (mirrors the simulator's
-        :meth:`~repro.core.base.BaseServingSystem._admission_capacity_qps`)."""
+        """Hit-rate-corrected fleet throughput, the simulator's rule (see
+        :func:`~repro.core.admission.hit_corrected_capacity_qps`)."""
         ceiling = fleet_ceiling_qps(self.workers, self.zoo, self.strategy)
-        if self.strategy is Strategy.AC:
-            fastest = self.zoo.fastest_level(self.strategy).latency_s
-            exact = self.zoo.exact_level(self.strategy).latency_s
-            hit = (self.cache.retrieval_hits + 5.0) / (self.cache.retrieval_attempts + 10.0)
-            effective = hit * fastest + (1.0 - hit) * exact
-            ceiling *= fastest / effective
-        return ceiling
+        return hit_corrected_capacity_qps(ceiling, self.zoo, self.strategy, self.cache)
 
     def _drift_for(self, tenant: str) -> DriftDetector:
         if not tenant:
@@ -355,20 +347,9 @@ class Gateway:
                 "worker_queues": sum(w.outstanding for w in self.workers),
                 "admission_backlog": self.gate.backlog(),
             },
-            "retrieval_hit_rate": self.cache.retrieval_hit_rate,
-            "retrieval_attempts": self.cache.retrieval_attempts,
             "drift_events": self.drift_events,
+            **self.cache.report_extras(self.config.tenants),
         }
-        if hasattr(self.cache, "tier_stats"):
-            extras["cache_tier"] = self.cache.tier_stats()
-        if self.config.tenants:
-            extras["cache_tenants"] = {
-                spec.name: {
-                    "entries": self.cache.tenant_entries(spec.name),
-                    "quota": spec.cache_quota,
-                }
-                for spec in self.config.tenants
-            }
         report = ScenarioReport(
             scenario=scenario,
             preset=preset,

@@ -8,9 +8,8 @@ passes over those arrays, and per-minute aggregates are maintained
 incrementally at record time, so nothing ever rescans N Python objects.
 At a million completions this is roughly an order of magnitude less memory
 than the previous object-list design and 10-100x faster to summarise.
-
-The :class:`ServedSample` API survives as a lazy view (``collector.samples``
-builds samples on access), so existing callers keep working unchanged.
+No per-request object is retained: :meth:`MetricsCollector.record_completion`
+hands its :class:`ServedSample` to the caller and keeps only the columns.
 """
 
 from __future__ import annotations
@@ -135,48 +134,15 @@ class MinuteStats:
         return float(np.mean(self.relative_qualities))
 
 
-class _LazySamples(Sequence):
-    """Sequence view reconstructing :class:`ServedSample` objects on access."""
-
-    __slots__ = ("_collector",)
-
-    def __init__(self, collector: "MetricsCollector") -> None:
-        self._collector = collector
-
-    def __len__(self) -> int:
-        return self._collector.total_completions
-
-    def __getitem__(self, index):
-        collector = self._collector
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError(index)
-        return ServedSample(
-            completed=collector._completed[index],
-            pickscore=float(collector._pick.view()[index]),
-            best_pickscore=float(collector._best.view()[index]),
-        )
-
-
 class MetricsCollector:
     """Collects per-request outcomes columnar and aggregates them per minute.
 
     Args:
         slo: latency SLO policy (defaults to the paper's 3x SD-XL budget).
-        retain_completed: keep a reference to every :class:`CompletedRequest`
-            so ``collector.samples`` can rebuild full :class:`ServedSample`
-            views.  Disable for long measurement-only runs (e.g. the perf
-            harness) to drop per-request Python objects entirely; scalar
-            summaries and minute series keep working.
     """
 
-    def __init__(self, slo: SloPolicy | None = None, retain_completed: bool = True) -> None:
+    def __init__(self, slo: SloPolicy | None = None) -> None:
         self.slo = slo or SloPolicy()
-        self.retain_completed = bool(retain_completed)
-        self._completed: list[CompletedRequest] = []
         self._lat = _Column()
         self._pick = _Column()
         self._best = _Column()
@@ -245,8 +211,6 @@ class MetricsCollector:
     ) -> ServedSample:
         """Record a served request with its quality outcome.  O(1)."""
         sample = ServedSample(completed=completed, pickscore=pickscore, best_pickscore=best_pickscore)
-        if self.retain_completed:
-            self._completed.append(completed)
         latency = sample.latency_s
         self._lat.append(latency)
         self._pick.append(pickscore)
@@ -272,9 +236,7 @@ class MetricsCollector:
         The snapshot is self-contained and picklable (numpy arrays plus
         plain dicts), so a shard process can ship its collector across a
         pipe and the coordinator can rebuild the union with
-        :meth:`absorb_state`.  Per-request ``CompletedRequest`` objects are
-        deliberately not part of the snapshot — merged collectors are
-        measurement-only.
+        :meth:`absorb_state`.
         """
         names = [""] * len(self._tenant_ids)
         for name, tenant_id in self._tenant_ids.items():
@@ -302,15 +264,8 @@ class MetricsCollector:
 
         Columns are appended in bulk and tenant indices are re-interned
         into this collector's namespace, so absorbing N shard snapshots in
-        shard order is deterministic.  Only collectors built with
-        ``retain_completed=False`` may absorb: the snapshot carries no
-        per-request objects, so a sample-retaining collector would end up
-        with columns longer than its ``_completed`` list.
+        shard order is deterministic.
         """
-        if self.retain_completed:
-            raise RuntimeError(
-                "absorb_state requires a collector built with retain_completed=False"
-            )
         self._lat.extend(state["lat"])
         self._pick.extend(state["pick"])
         self._best.extend(state["best"])
@@ -342,19 +297,6 @@ class MetricsCollector:
             counters[0] += lookups
             counters[1] += hits
             counters[2] += latency
-
-    # ------------------------------------------------------------------ #
-    # Sample access (compatibility view)
-    # ------------------------------------------------------------------ #
-    @property
-    def samples(self) -> Sequence[ServedSample]:
-        """Lazy per-request :class:`ServedSample` view (built on access)."""
-        if not self.retain_completed and self.total_completions:
-            raise RuntimeError(
-                "per-sample view unavailable: collector was built with "
-                "retain_completed=False"
-            )
-        return _LazySamples(self)
 
     # ------------------------------------------------------------------ #
     # Aggregation

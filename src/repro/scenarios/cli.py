@@ -5,12 +5,13 @@ Commands::
     python -m repro list [--json]
     python -m repro describe <scenario> [--json]
     python -m repro run --scenario <name> [--preset small|full] [--seed N]
-                        [--system argus] [--shards N] [--sync-window-s S]
+                        [--system argus] [--shards N]
                         [--output report.json] [--check-contracts]
     python -m repro serve [--host H] [--port P] [--time-scale X]
                           [--config-json config.json]
     python -m repro loadgen <scenario> [--preset small] [--url http://...]
-                            [--time-scale X] [--check-contracts]
+                            [--time-scale X] [--config-json config.json]
+                            [--output report.json] [--check-contracts]
 
 ``list --json`` prints the scenario names as a JSON array — the CI scenario
 matrix is generated from exactly that output.  ``run`` writes a
@@ -18,7 +19,7 @@ scenario-tagged :class:`~repro.metrics.report.ScenarioReport` JSON file that
 is byte-identical across repeated runs with the same arguments.  With
 ``--check-contracts`` the run's report is verified against the scenario's
 declared invariant contracts and the command exits 1 on any violation —
-the CI ``contract-check`` job is exactly that, over the whole catalog.
+the CI ``scenario-matrix`` job is exactly that, over the whole catalog.
 
 ``serve`` starts the live HTTP gateway (:mod:`repro.gateway`); ``loadgen``
 replays a scenario's request stream against it (in-process by default, or an

@@ -541,10 +541,7 @@ register(
         exercises=("sharded execution", "scale-out", "long traces", "cache locality"),
         contracts=("conservation",),
         trace=TraceSpec(source="library", name="twitter"),
-        # Completed requests are never replayed from an xl run; dropping the
-        # per-request objects keeps a 10M-request collector at six numpy
-        # columns instead of gigabytes of retained dataclasses.
-        config={"num_workers": 288, "retain_completed": False},
+        config={"num_workers": 288},
         presets={
             "small": Preset(
                 dataset_size=800,

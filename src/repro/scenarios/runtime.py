@@ -253,21 +253,10 @@ def _collect_extras(system: BaseServingSystem, result: ExperimentResult) -> dict
         "admission_backlog": admission.backlog() if admission is not None else 0,
     }
     if system.cache is not None:
-        extras["retrieval_hit_rate"] = system.cache.retrieval_hit_rate
-        extras["retrieval_attempts"] = system.cache.retrieval_attempts
-        if hasattr(system.cache, "tier_stats"):
-            extras["cache_tier"] = system.cache.tier_stats()
-            scheduler = getattr(system, "scheduler", None)
-            if scheduler is not None and hasattr(scheduler, "affinity_routed"):
-                extras["cache_tier"]["affinity_routed"] = scheduler.affinity_routed
-        if system.config.tenants:
-            extras["cache_tenants"] = {
-                spec.name: {
-                    "entries": system.cache.tenant_entries(spec.name),
-                    "quota": spec.cache_quota,
-                }
-                for spec in system.config.tenants
-            }
+        extras.update(system.cache.report_extras(system.config.tenants))
+        scheduler = getattr(system, "scheduler", None)
+        if "cache_tier" in extras and hasattr(scheduler, "affinity_routed"):
+            extras["cache_tier"]["affinity_routed"] = scheduler.affinity_routed
     if hasattr(system, "num_strategy_switches"):
         extras["strategy_switches"] = system.num_strategy_switches()
     if hasattr(system, "retraining_events"):

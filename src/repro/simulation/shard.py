@@ -540,11 +540,9 @@ def _finalize(serving, spec: ShardSpec, trace) -> _ShardResult:
             # Per-shard quota accounting: each shard's cache enforces the
             # tenant quota independently, so the merged cache-quota contract
             # checks every shard's entry count against the quota.
-            for tenant_spec in serving.config.tenants:
-                tenant_extras.setdefault(tenant_spec.name, {})["cache"] = {
-                    "entries": serving.cache.tenant_entries(tenant_spec.name),
-                    "quota": tenant_spec.cache_quota,
-                }
+            block = serving.cache.report_extras(serving.config.tenants)
+            for name, row in block["cache_tenants"].items():
+                tenant_extras.setdefault(name, {})["cache"] = row
     return _ShardResult(
         shard_id=spec.shard_id,
         system_name=serving.name,
@@ -788,9 +786,10 @@ def run_scenario_sharded(
     fault_map = _map_faults(faults, plan, config.num_workers)
     autoscale = bool(config.autoscale_enabled)
     scenario_dict = scenario.to_dict()
-    arrival_split = _partition_arrivals(
-        build_stream(scenario, preset_spec, config, trace, seed), plan
-    )
+    # Built once: partitioning reads the stream without consuming it, and
+    # the merge below reads its offered load.
+    stream = build_stream(scenario, preset_spec, config, trace, seed)
+    arrival_split = _partition_arrivals(stream, plan)
 
     start_methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in start_methods else "spawn")
@@ -879,17 +878,14 @@ def run_scenario_sharded(
     # ------------------------------------------------------------------ #
     # Deterministic merge (shard order)
     # ------------------------------------------------------------------ #
-    merged = MetricsCollector(slo=config.slo, retain_completed=False)
+    merged = MetricsCollector(slo=config.slo)
     for result in results:
         merged.absorb_state(result.collector_state)
 
     duration_minutes = trace.duration_minutes
     # The same full stream the shards filtered knows the exact offered load
     # (including per-tenant extra_qpm series), matching the sequential view.
-    full_stream = build_stream(scenario, preset_spec, config, trace, seed)
-    offered = {
-        minute: full_stream.offered_qpm(minute) for minute in range(duration_minutes)
-    }
+    offered = {minute: stream.offered_qpm(minute) for minute in range(duration_minutes)}
     fleet_minutes, fleet_by_minute = _merge_fleet_minutes(results)
     minute_series = merged.minute_series(offered=offered, fleet=fleet_by_minute)
 

@@ -244,7 +244,7 @@ class TestApproximateCache:
         cache = ApproximateCache(embedder=PromptEmbedder(dim=32))
         cache.store_states(prompts_small[0])
         cache.store_states(prompts_small[0])
-        assert len(cache._namespace(prompts_small[0].tenant).vectordb) == 1
+        assert len(cache._indexes[cache._namespace(prompts_small[0].tenant)]) == 1
 
     def test_effective_skip_capped_by_checkpoints(self, prompts_small):
         cache = ApproximateCache(

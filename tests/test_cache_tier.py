@@ -13,6 +13,7 @@ import pytest
 from repro.cache import build_cache
 from repro.cache.approximate import ApproximateCache
 from repro.cache.network import NetworkCondition, NetworkModel
+from repro.cache.store import NoiseStateStore
 from repro.cache.tier import CacheTier, HashRing, _key_hash
 from repro.core.config import ArgusConfig
 from repro.prompts.dataset import PromptDataset
@@ -404,3 +405,78 @@ class TestBitIdentity:
         assert digest == (
             "bc58c23ad4ba57cf4e19edc8919963d3e8e8920d83706965809799a8c102b6d7"
         )
+
+
+# One surface: the flat cache and the tier answer the same traffic alike.
+_CACHE_SHAPES = {
+    "flat": {},
+    "tier-2": {"cache_shards": 2},
+    "tier-3r1": {"cache_shards": 3, "cache_replication": 1},
+}
+
+
+def _cache(shape: str, tenants=()):
+    return build_cache(ArgusConfig(tenants=list(tenants), **_CACHE_SHAPES[shape]))
+
+
+class TestOneCacheSurface:
+    @pytest.mark.parametrize("shape", ["flat", "tier-2"])
+    def test_unconfigured_tags_share_the_anonymous_namespace(self, shape):
+        cache = _cache(shape)
+        prompts = _prompts(20)
+        for p in prompts:
+            cache.store_states(replace(p, tenant="x"))
+        hits = sum(
+            cache.retrieve(replace(p, tenant="y"), requested_skip=10, now_s=0.0).hit
+            for p in prompts
+        )
+        assert hits == 20
+        assert cache.tenant_entries("") == cache.tenant_entries("y") == 20
+
+    @pytest.mark.parametrize("shape", list(_CACHE_SHAPES))
+    def test_namespace_without_quota_is_bounded(self, shape, monkeypatch):
+        # Every store holds five entries here, so the unbounded-by-quota
+        # anonymous namespace overflows after five prompts.
+        monkeypatch.setattr(
+            NoiseStateStore,
+            "capacity_entries",
+            property(lambda store: 5, lambda store, value: None),
+            raising=False,
+        )
+        cache = _cache(shape)
+        prompts = _prompts(40)
+        for p in prompts:
+            cache.store_states(p)
+        assert cache.tenant_entries("") == 5
+        if isinstance(cache, CacheTier):
+            assert cache.evictions == 35
+            assert cache.tier_stats()["entries"] == 5
+            copies = sum(len(node.states) for node in cache._nodes.values())
+            rows = sum(len(i) for node in cache._nodes.values() for i in node.indexes.values())
+            assert copies == rows == 5 * (1 + cache.replication)
+        for p in prompts:
+            cache.retrieve(p, requested_skip=10, now_s=0.0)
+        # No index row outlived its state.
+        assert cache.store_counts()[1] == 0
+
+    def test_caches_agree_on_the_same_traffic(self):
+        tenants = [{"name": "a", "cache_quota": 8}, {"name": "b"}]
+        names = ("a", "b", "guest")
+        readings = {}
+        for shape in _CACHE_SHAPES:
+            cache = _cache(shape, tenants)
+            for p in _prompts(60):
+                for name in names:
+                    tagged = replace(p, tenant=name)
+                    cache.retrieve(tagged, requested_skip=10, now_s=0.0)
+                    cache.store_states(tagged)
+            readings[shape] = (
+                cache.retrieval_attempts,
+                cache.retrieval_hits,
+                [cache.retrieval_hit_rate_for(name) for name in names],
+                [cache.tenant_entries(name) for name in (*names, "")],
+            )
+        assert readings["flat"][0] == 180
+        assert readings["flat"][3] == [8, 60, 60, 60]
+        assert readings["tier-2"] == readings["flat"]
+        assert readings["tier-3r1"] == readings["flat"]

@@ -133,9 +133,15 @@ def test_render_prometheus_shape():
 # --------------------------------------------------------------------- #
 
 
-def test_gateway_smoke_replay_satisfies_contracts():
+@pytest.mark.parametrize(
+    "config",
+    [None, ArgusConfig(cache_shards=2, cache_replication=1)],
+    ids=["default", "tier"],
+)
+def test_gateway_smoke_replay_satisfies_contracts(config):
     """A time-compressed live replay of steady-baseline satisfies the same
-    contract set the simulated run certifies."""
+    contract set the simulated run certifies, over the flat cache and over
+    a cache tier (whose per-shard accounting must then be conserved)."""
     scenario = get_scenario("steady-baseline")
     result = asyncio.run(
         replay_async(
@@ -143,6 +149,7 @@ def test_gateway_smoke_replay_satisfies_contracts():
             preset="small",
             time_scale=300.0,
             max_minutes=2.0,
+            config=config,
             check_contracts=True,
         )
     )
@@ -152,6 +159,9 @@ def test_gateway_smoke_replay_satisfies_contracts():
     summary = result.report["summary"]
     assert summary["total_completions"] == result.requests_ok
     assert "repro_requests_served_total" in result.metrics_text
+    if config is not None:
+        checks = verify_report(result.report, ("conservation", "cache-tier"))
+        assert all(check.passed and not check.vacuous for check in checks), checks
 
 
 def test_gateway_config_endpoint_round_trips():
@@ -310,8 +320,8 @@ def test_gateway_warms_the_prompts_the_simulator_warms(warm, training):
     gateway = Gateway(config=config, time_scale=100.0)
     system = ArgusSystem(config=config, prompt_aware=False)
     expected = list(range(min(warm, training)))
-    assert list(gateway.cache._namespace("").store._entries) == expected
-    assert list(system.cache._namespace("").store._entries) == expected
+    assert list(gateway.cache._stores[""]._entries) == expected
+    assert list(system.cache._stores[""]._entries) == expected
 
 
 def test_gateway_memos_stay_bounded_on_free_text(monkeypatch):

@@ -382,7 +382,7 @@ class TestTenantCache:
             cache.store_states(_prompt("a", prompt_id=i, text=f"unique text {i} xyz"))
         assert cache.tenant_entries("a") == 5
         # The vector index shrank in lockstep with the store evictions.
-        assert len(cache._namespaces["a"].vectordb) == 5
+        assert len(cache._indexes["a"]) == 5
 
     def test_one_tenants_churn_cannot_evict_anothers_set(self):
         cache = self._cache(
@@ -400,7 +400,7 @@ class TestTenantCache:
         cache = self._cache(())
         prompt = _prompt("", prompt_id=5, text="plain old anonymous prompt")
         cache.store_states(prompt)
-        assert len(cache._namespace("").store) == 1
+        assert len(cache._stores[""]) == 1
         assert cache.tenant_entries("") == 1
 
     def test_default_namespace_evictions_drop_their_vector_rows(self, monkeypatch):

@@ -183,25 +183,6 @@ class TestColumnarCollectorEquivalence:
             assert stats_new.mean_relative_quality == stats_old.mean_relative_quality
             assert list(stats_new.latencies) == list(stats_old.latencies)
 
-    def test_lazy_sample_view(self, filled):
-        new, _ = filled
-        samples = new.samples
-        assert len(samples) == 3000
-        assert samples[0].completed.request.request_id == 0
-        assert samples[-1].completed.request.request_id == 2999
-        assert samples[5].latency_s == new.latency_percentile(0) or samples[5].latency_s > 0
-        ranks = {s.completed.effective_rank for s in samples}
-        assert ranks == {0}
-
-    def test_lean_mode_drops_objects_but_keeps_summaries(self):
-        collector = MetricsCollector(retain_completed=False)
-        prompt = PromptGenerator(seed=2).generate_one()
-        collector.record_completion(_make_completion(0, prompt, 0.0, 5.0), 20.0, 21.0)
-        assert collector.total_completions == 1
-        assert collector.mean_pickscore() == pytest.approx(20.0)
-        with pytest.raises(RuntimeError):
-            _ = collector.samples[0]
-
 
 class TestSolverCacheAndVectorization:
     QUALITY = np.array([21.0, 20.5, 20.0, 19.0, 18.0, 16.0])

@@ -264,6 +264,21 @@ class TestShardedRuns:
             "1e62cfa9da1dce7306e516f8d38bea3ea19ee56b94daa149049915e824872817"
         )
 
+    def test_coordinator_builds_the_stream_once(self, monkeypatch):
+        import repro.scenarios.runtime as runtime_mod
+
+        calls = []
+        build_stream = runtime_mod.build_stream
+
+        def counting_build_stream(*args, **kwargs):
+            calls.append(args[0].name)
+            return build_stream(*args, **kwargs)
+
+        # Shard processes rebuild the stream too, but in their own memory.
+        monkeypatch.setattr(runtime_mod, "build_stream", counting_build_stream)
+        run_scenario_sharded(_scenario(), preset="full", seed=1, shards=2)
+        assert len(calls) == 1
+
     def test_coordinator_partitioning_matches_shard_side_filtering(self, monkeypatch):
         scenario = _scenario()
         fast = run_scenario_sharded(scenario, preset="full", seed=5, shards=3)

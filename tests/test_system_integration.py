@@ -69,10 +69,17 @@ class TestArgusSystem:
         # 78 QPM on 4 workers exceeds the K=0 capacity (~57 QPM), so Argus
         # must raise approximation levels to keep serving within the SLO.
         system = ArgusSystem(config=small_config(), training_dataset=training_dataset)
+        served_ranks = set()
+        on_sample = system.on_sample
+
+        def record_rank(sample, completed):
+            served_ranks.add(completed.effective_rank)
+            on_sample(sample, completed)
+
+        system.on_sample = record_rank
         result = runner.run(system, heavy_trace)
         assert result.summary.mean_served_qpm > 70.0
         assert result.summary.slo_violation_ratio < 0.15
-        served_ranks = {s.completed.effective_rank for s in system.collector.samples}
         assert max(served_ranks) > 0
 
     def test_uses_approximate_caching_by_default(self, runner, heavy_trace, training_dataset):
