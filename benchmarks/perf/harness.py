@@ -81,6 +81,20 @@ def _timed(fn, repeats: int = 3) -> float:
     return best
 
 
+def _timed_pair(first, second, repeats: int = 7) -> tuple[float, float]:
+    """Best-of-N wall times of ``first()`` and ``second()``, run in turn
+    within each repetition, so a slow phase of the host lands on both sides
+    of the ratio rather than on one."""
+    best = [float("inf"), float("inf")]
+    for _ in range(repeats):
+        for side, fn in enumerate((first, second)):
+            gc.collect()
+            start = time.perf_counter()
+            fn()
+            best[side] = min(best[side], time.perf_counter() - start)
+    return best[0], best[1]
+
+
 def _clustered_vectors(n: int, dim: int, clusters: int, seed: int) -> np.ndarray:
     """Topic-clustered unit vectors shaped like prompt embeddings."""
     rng = np.random.default_rng(seed)
@@ -195,8 +209,9 @@ def bench_collector(preset: Preset) -> dict:
     legacy_collector = fill(legacy.LegacyMetricsCollector())
     new_collector = fill(MetricsCollector())
 
-    legacy_s = _timed(lambda: _summary_pass(legacy_collector))
-    optimized_s = _timed(lambda: _summary_pass(new_collector))
+    legacy_s, optimized_s = _timed_pair(
+        lambda: _summary_pass(legacy_collector), lambda: _summary_pass(new_collector)
+    )
     results_match = _summary_pass(legacy_collector) == _summary_pass(new_collector)
 
     # Memory: bytes the collector keeps ALIVE after recording n completions,

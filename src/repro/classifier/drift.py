@@ -96,6 +96,12 @@ class DriftDetector:
     # Introspection
     # ------------------------------------------------------------------ #
     @property
+    def until_window_closes(self) -> int:
+        """Observations still to come before the current window closes (the
+        one that brings this to zero closes it)."""
+        return self.window_size - len(self._current)
+
+    @property
     def windows_seen(self) -> int:
         """Number of completed observation windows."""
         return self._windows_seen

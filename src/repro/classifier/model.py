@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+#: Logits closer than this to the largest one make :meth:`SoftmaxClassifier.
+#: predict_one` defer to the softmax, whose rounding may tie them.
+_NEAR_TIE = 1e-9
 
 
 @dataclass
@@ -74,7 +79,17 @@ class SoftmaxClassifier:
         return np.argmax(self.predict_proba(features), axis=1)
 
     def predict_one(self, features: np.ndarray) -> int:
-        """Most likely class for a single feature vector."""
+        """Most likely class for a single feature vector.
+
+        The softmax keeps the logits' order, so the largest logit names the
+        class; only near-ties (which the softmax's rounding may merge, and
+        ``argmax`` then breaks towards the lower class) and non-finite
+        logits go through :meth:`predict`.
+        """
+        logits = self.logits(features)[0].tolist()
+        top = max(logits)
+        if math.isfinite(sum(logits)) and sorted(logits)[-2] < top - _NEAR_TIE:
+            return logits.index(top)
         return int(self.predict(np.atleast_2d(features))[0])
 
     # ------------------------------------------------------------------ #

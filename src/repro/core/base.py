@@ -28,6 +28,11 @@ from repro.runtime.sim import SimRuntime
 from repro.simulation.engine import SimulationEngine
 from repro.workloads.tenants import build_runtimes
 
+#: Completions whose quality waits to be settled, at most: enough for one
+#: seeding batch to cover hundreds of new prompts, few enough to keep the
+#: queue small.
+MAX_PENDING_COMPLETIONS = 1024
+
 
 @dataclass(frozen=True)
 class Route:
@@ -116,6 +121,9 @@ class BaseServingSystem(ABC):
             )
         self._request_ids = itertools.count()
         self._started = False
+        #: Completions not yet settled, oldest first, each as
+        #: ``(completed, prompt, strategy, effective_rank)``.
+        self._pending: list[tuple[CompletedRequest, Prompt, Strategy, int]] = []
 
     def _record_cache_lookup(self, shard: int, hit: bool, latency_s: float) -> None:
         """Cache-tier per-shard accounting hook (fires once per retrieval)."""
@@ -136,7 +144,14 @@ class BaseServingSystem(ABC):
         """Install periodic control loops on the engine (optional)."""
 
     def on_sample(self, sample: ServedSample, completed: CompletedRequest) -> None:
-        """Hook invoked after each completion is recorded (optional)."""
+        """Hook invoked after each completion is recorded (optional); it runs
+        when the completion is settled (see :meth:`settle`)."""
+
+    def _settle_due(self, completed: CompletedRequest) -> bool:
+        """Whether the just-queued ``completed`` must be settled at once
+        (optional): a subclass whose control reads qualities says so before
+        it would read one that is still queued."""
+        return False
 
     # ------------------------------------------------------------------ #
     # Request lifecycle
@@ -198,12 +213,31 @@ class BaseServingSystem(ABC):
         return hit_corrected_capacity_qps(ceiling, self.zoo, strategy, self.cache)
 
     def _handle_completion(self, completed: CompletedRequest) -> None:
-        prompt = completed.request.prompt
-        strategy = completed.request.strategy
-        score = self.pickscore.score(prompt, strategy, completed.effective_rank)
-        best = self.pickscore.best_score(prompt)
-        sample = self.collector.record_completion(completed, score, best)
-        self.on_sample(sample, completed)
+        """Queue the completion's quality accounting, settling when due."""
+        request = completed.request
+        rank = completed.effective_rank
+        self._pending.append((completed, request.prompt, request.strategy, rank))
+        if len(self._pending) >= MAX_PENDING_COMPLETIONS or self._settle_due(completed):
+            self.settle()
+
+    def settle(self) -> None:
+        """Score, record and hand to :meth:`on_sample` every queued
+        completion, in completion order.
+
+        A completion's PickScore is settled later than it is served, so the
+        streams of many new prompts are seeded as one batch
+        (:meth:`PickScoreModel.score_many`).  It is settled no later than
+        :meth:`_settle_due` asks, when :data:`MAX_PENDING_COMPLETIONS` are
+        queued, at the end of :meth:`run` and in :meth:`summary`; whoever
+        reads :attr:`collector` in the middle of a run settles first.
+        """
+        pending, self._pending = self._pending, []
+        if not pending:
+            return
+        qualities = self.pickscore.score_many([item[1:] for item in pending])
+        record = self.collector.record_completion
+        for (completed, _, _, _), (score, best) in zip(pending, qualities):
+            self.on_sample(record(completed, score, best), completed)
 
     def _handle_requeue(self, request: Request) -> None:
         """Re-route requests orphaned by a worker failure."""
@@ -256,9 +290,11 @@ class BaseServingSystem(ABC):
             self.start()
             self._started = True
         self.engine.run(until=duration_s + drain_s)
+        self.settle()
 
     def summary(self, workload: str, duration_minutes: float) -> RunSummary:
         """Summarise the run for reporting."""
+        self.settle()
         duration_s = duration_minutes * 60.0
         fleet_peak, fleet_mean = self.cluster.fleet_stats(duration_s)
         return summarize(

@@ -313,16 +313,11 @@ class ArgusSystem(BaseServingSystem):
             strategy=decision.strategy,
         )
 
-    def on_sample(self, sample: ServedSample, completed: CompletedRequest) -> None:
-        """React to a completion: drift detection and retrieval monitoring."""
+    def _handle_completion(self, completed: CompletedRequest) -> None:
+        """Remember the prompt for retraining, queue its quality (settled at
+        once when it may close a drift window), then watch its retrieval."""
         self._recent_prompts.append(completed.request.prompt)
-
-        if self.prompt_aware:
-            detector = self._drift_detector_for(completed.request.prompt.tenant)
-            drift = detector.observe(sample.pickscore)
-            if drift is not None:
-                self._retrain_classifiers(detector)
-
+        super()._handle_completion(completed)
         attempted_retrieval = (
             completed.request.strategy is Strategy.AC
             and (completed.retrieval_failed or completed.retrieval_latency_s > 0.0)
@@ -333,6 +328,27 @@ class ArgusSystem(BaseServingSystem):
             self.switcher.observe_retrieval(observed, self.engine.now)
             if self.switcher.active is not previous:
                 self._on_strategy_change(self.switcher.active)
+
+    def _settle_due(self, completed: CompletedRequest) -> bool:
+        """Whether a drift window may close with the completions queued so
+        far: settling then observes drift, and retrains, before the next
+        request is routed, just as scoring each completion at once would."""
+        if not self.prompt_aware:
+            return False
+        if not self.config.tenants:
+            return len(self._pending) >= self.drift_detector.until_window_closes
+        # Every detector a queued completion feeds exists by now.
+        self._drift_detector_for(completed.request.prompt.tenant)
+        closest = min(d.until_window_closes for d in self._drift_detectors.values())
+        return len(self._pending) >= closest
+
+    def on_sample(self, sample: ServedSample, completed: CompletedRequest) -> None:
+        """Drift detection on a settled completion's PickScore."""
+        if self.prompt_aware:
+            detector = self._drift_detector_for(completed.request.prompt.tenant)
+            drift = detector.observe(sample.pickscore)
+            if drift is not None:
+                self._retrain_classifiers(detector)
 
     def _drift_detector_for(self, tenant: str) -> DriftDetector:
         """The drift detector observing ``tenant``'s completions.

@@ -40,6 +40,11 @@ class PromptMemo(dict):
         self[key] = value
         return value
 
+    def fits(self, count: int) -> bool:
+        """Whether ``count`` more entries can be remembered without the
+        memo emptying."""
+        return len(self) + count <= MAX_ENTRIES
+
 
 class WordTable(dict):
     """``word -> entry``, each entry computed once by ``derive(word)``.

@@ -16,7 +16,8 @@ simulation runs agree.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import itertools
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +39,13 @@ _DEGRADATION_EXPONENT = 1.3
 #: Fraction of the best score retained when exactly at the tolerance edge.
 _TOLERABLE_FLOOR = 0.955
 
-#: Streams :meth:`PickScoreModel.score_levels` seeds in one batch, at most:
-#: enough to spread the fixed cost of a batch's array operations, few enough
-#: to keep its temporaries small.
+#: Streams seeded in one batch, and items :meth:`PickScoreModel.score_many`
+#: plans at once, at most: enough to spread the fixed cost of a batch's
+#: array operations, few enough to keep its temporaries small.
 _SEEDS_PER_BATCH = 1024
+
+#: Marks a score-memo slot that :meth:`PickScoreModel.score_many` is drawing.
+_DRAWING = object()
 
 
 def _best_from(rng: np.random.Generator) -> float:
@@ -117,10 +121,14 @@ class PickScoreModel:
     def _prompt_rng(self, prompt: Prompt, salt: str) -> np.random.Generator:
         return np.random.default_rng(self._seed_key(prompt, salt))
 
-    def _seeded(self, draws: list[tuple[Prompt, str]]) -> Iterator[np.random.Generator]:
-        """For each ``(prompt, salt)``, a generator in the state
-        ``_prompt_rng(prompt, salt)`` returns, all seeded as one batch."""
-        return seeded_generators([self._seed_key(prompt, salt) for prompt, salt in draws])
+    def _seeded(self, keys: list[int]) -> Iterator[np.random.Generator]:
+        """For each :meth:`_seed_key`, a generator in the state
+        ``_prompt_rng`` returns for it, seeded in batches of at most
+        ``_SEEDS_PER_BATCH`` (:func:`seeded_generators`)."""
+        return itertools.chain.from_iterable(
+            seeded_generators(keys[start : start + _SEEDS_PER_BATCH])
+            for start in range(0, len(keys), _SEEDS_PER_BATCH)
+        )
 
     def best_score(self, prompt: Prompt) -> float:
         """PickScore of the best (least approximate) generation for a prompt."""
@@ -189,56 +197,116 @@ class PickScoreModel:
         return score
 
     def score_levels(self, prompts: list[Prompt], strategy: Strategy | str) -> list[list[float]]:
-        """:meth:`score_all_levels` for each of ``prompts``.
+        """:meth:`score_all_levels` for each of ``prompts``, through
+        :meth:`score_many`."""
+        levels = self.num_levels
+        # Prompts per call: each call's items and results are freed before
+        # the next, so a training set's worth never reaches the garbage
+        # collector's older generations (that made builds slower).
+        step = _SEEDS_PER_BATCH // levels
+        rows: list[list[float]] = []
+        for start in range(0, len(prompts), step):
+            batch = prompts[start : start + step]
+            items = [(prompt, strategy, rank) for prompt in batch for rank in range(levels)]
+            scores = [score for score, _ in self.score_many(items)]
+            rows.extend(scores[i : i + levels] for i in range(0, len(scores), levels))
+        return rows
 
-        The same scores, memoised the same way, but the streams the memos
-        lack are seeded in batches (:func:`seeded_generators`) instead of by
-        one ``default_rng`` call each, which is most of the cost of
-        labelling a training set.
+    def score_many(
+        self, items: Sequence[tuple[Prompt, Strategy | str, int]]
+    ) -> list[tuple[float, float]]:
+        """``(score(prompt, strategy, rank), best_score(prompt))`` for each
+        ``(prompt, strategy, rank)`` of ``items``.
+
+        The same values, and the same memo contents, as making those two
+        calls for each item in order; but the streams the memos lack are
+        seeded in batches (:meth:`_seeded`) instead of by one
+        ``default_rng`` call each, which is most of the cost of scoring a
+        prompt for the first time.
         """
-        strategy = Strategy(strategy)
-        # Prompts that share a text share its memo entries, which the first
-        # of them fills, as in the scalar path (a tolerance also depends on
-        # the prompt's complexity).
-        first: dict[int, Prompt] = {}
-        for prompt in prompts:
-            first.setdefault(prompt.content_hash(), prompt)
-        distinct = list(first.values())
-        step = max(1, _SEEDS_PER_BATCH // self.num_levels)
-        levels: dict[int, list[float]] = {}
-        for start in range(0, len(distinct), step):
-            levels.update(self._score_batch(distinct[start : start + step], strategy))
-        return [levels[prompt.content_hash()] for prompt in prompts]
+        memos = (self._best_cache, self._tolerance_cache, self._score_cache)
+        scored: list[tuple[float, float]] = []
+        for start in range(0, len(items), _SEEDS_PER_BATCH):
+            chunk = items[start : start + _SEEDS_PER_BATCH]
+            # An item adds at most one entry to each memo.
+            if all(memo.fits(len(chunk)) for memo in memos):
+                scored.extend(self._score_chunk(chunk))
+            else:
+                # A memo may empty part-way through: the scalar path empties
+                # it at the very item where scoring one by one would.
+                scored.extend((self.score(p, s, r), self.best_score(p)) for p, s, r in chunk)
+        return scored
 
-    def _score_batch(self, prompts: list[Prompt], strategy: Strategy) -> dict[int, list[float]]:
-        """Scores at every rank of distinct ``prompts``, by content hash."""
-        keys = [prompt.content_hash() for prompt in prompts]
-        best = [self._best_cache.get(key) for key in keys]
-        tolerance = [self._tolerance_cache.get((key, strategy)) for key in keys]
-        # The latent quantities first: every score is drawn from them.
-        no_best = [i for i, value in enumerate(best) if value is None]
-        no_tolerance = [i for i, value in enumerate(tolerance) if value is None]
-        salt = f"tolerance-{strategy.value}"
-        rngs = self._seeded(
-            [(prompts[i], "best") for i in no_best] + [(prompts[i], salt) for i in no_tolerance]
-        )
-        for i in no_best:
-            best[i] = self._best_cache.remember(keys[i], _best_from(next(rngs)))
-        for i in no_tolerance:
-            tolerance[i] = self._tolerance_cache.remember(
-                (keys[i], strategy), self._tolerance_from(next(rngs), prompts[i], strategy)
+    def _score_chunk(
+        self, items: Sequence[tuple[Prompt, Strategy | str, int]]
+    ) -> list[tuple[float, float]]:
+        """:meth:`score_many` over a chunk that no memo empties in."""
+        levels = self.num_levels
+        best_memo, tolerance_memo = self._best_cache, self._tolerance_cache
+        seed_key = self._seed_key
+        salts = [
+            f"score-{strategy.value}-{rank}"
+            for strategy in (Strategy.AC, Strategy.SM)
+            for rank in range(levels)
+        ]
+        entries = []  # (score-memo entry, slot, content hash) per item
+        # What the memos lack, each with the prompt whose call would draw it:
+        # a prompt's best; its tolerance under a strategy, drawn by the first
+        # item whose score misses, so that item's complexity counts, as in
+        # the scalar path; and each score slot's first miss, with the seed
+        # of its stream.  A claimed slot holds _DRAWING until it is drawn,
+        # or None again if scoring fails.
+        no_best: dict[int, Prompt] = {}
+        no_tolerance: list[tuple[int, Strategy, Prompt]] = []
+        score_seeds: list[int] = []
+        score_draws: list[tuple[list, int, int, int, dict]] = []
+        # Content hash -> tolerance (None until drawn), for AC then SM: keyed
+        # by int, because hashing an Enum runs Python code.
+        tolerances: tuple[dict[int, int | None], dict[int, int | None]] = ({}, {})
+        last, ac = None, Strategy.AC
+        try:
+            for prompt, strategy, rank in items:
+                if strategy.__class__ is not Strategy:
+                    strategy = Strategy(strategy)
+                if rank < 0 or rank >= levels:
+                    raise ValueError(f"rank {rank} outside [0, {levels - 1}]")
+                if prompt is not last:  # runs of one prompt look it up once
+                    last, key = prompt, prompt.content_hash()
+                    scores = self._scores_of(key)
+                    if key not in best_memo and key not in no_best:
+                        no_best[key] = prompt
+                sm = strategy is not ac
+                slot = sm * levels + rank
+                entries.append((scores, slot, key))
+                if scores[slot] is None:
+                    scores[slot] = _DRAWING
+                    known = tolerances[sm]
+                    if key not in known:
+                        known[key] = tolerance = tolerance_memo.get((key, strategy))
+                        if tolerance is None:
+                            no_tolerance.append((key, strategy, prompt))
+                    score_seeds.append(seed_key(prompt, salts[slot]))
+                    score_draws.append((scores, slot, rank, key, known))
+            # Latent quantities first: every score is drawn from them.
+            rngs = self._seeded(
+                [seed_key(prompt, "best") for prompt in no_best.values()]
+                + [seed_key(prompt, f"tolerance-{s.value}") for _, s, prompt in no_tolerance]
+                + score_seeds
             )
-        entries = [self._scores_of(key) for key in keys]
-        ranks = range(self.num_levels)
-        offset = self._slot(strategy, 0)
-        levels = [scores[offset : offset + self.num_levels] for scores in entries]
-        missing = [(i, r) for i, row in enumerate(levels) for r in ranks if row[r] is None]
-        salts = [f"score-{strategy.value}-{rank}" for rank in ranks]
-        rngs = self._seeded([(prompts[i], salts[rank]) for i, rank in missing])
-        for (i, rank), rng in zip(missing, rngs):
-            score = _score_from(rng, best[i], tolerance[i], rank)
-            levels[i][rank] = entries[i][offset + rank] = score
-        return dict(zip(keys, levels))
+            for key in no_best:
+                best_memo.remember(key, _best_from(next(rngs)))
+            for key, strategy, prompt in no_tolerance:
+                tolerance = self._tolerance_from(next(rngs), prompt, strategy)
+                known = tolerances[strategy is not ac]
+                known[key] = tolerance_memo.remember((key, strategy), tolerance)
+            for scores, slot, rank, key, known in score_draws:
+                scores[slot] = _score_from(next(rngs), best_memo[key], known[key], rank)
+        except BaseException:
+            for scores, slot, *_ in score_draws:
+                if scores[slot] is _DRAWING:
+                    scores[slot] = None
+            raise
+        return [(scores[slot], best_memo[key]) for scores, slot, key in entries]
 
     def sample(self, prompt: Prompt, strategy: Strategy | str, rank: int) -> QualitySample:
         """Full quality sample including the best achievable score."""

@@ -459,6 +459,8 @@ def _shard_main(payload: dict, conn) -> None:
             if isinstance(message, _RunWindow):
                 window_end_s = message.end_s
                 serving.engine.run(until=window_end_s)
+                # The reply counts the collector's completions.
+                serving.settle()
                 scale_requests: tuple = ()
                 unapplied_scale_ins = 0
                 if autoscaler is not None:
@@ -492,6 +494,7 @@ def _shard_main(payload: dict, conn) -> None:
 
 def _finalize(serving, spec: ShardSpec, trace) -> _ShardResult:
     """Assemble the shard's closing :class:`_ShardResult`."""
+    serving.settle()
     duration_s = trace.duration_minutes * 60.0
     cluster = serving.cluster
     fleet_peak, fleet_mean = cluster.fleet_stats(duration_s)

@@ -47,6 +47,39 @@ class TestSoftmaxClassifier:
         model.fit(features, labels, epochs=30)
         assert 0 <= model.predict_one(features[0]) < 3
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_predict_one_matches_predict(self, seed):
+        rng = np.random.default_rng(seed)
+        model = SoftmaxClassifier(num_features=8, num_classes=6, seed=seed)
+        model.weights = rng.normal(0.0, rng.choice([1e-12, 1e-3, 1.0, 1e3]), size=(8, 6))
+        model.bias = rng.normal(0.0, 1.0, size=6)
+        for features in rng.normal(0.0, 1.0, size=(50, 8)):
+            assert model.predict_one(features) == model.predict(features)[0]
+
+    def test_predict_one_near_ties_follow_the_softmax(self):
+        model = SoftmaxClassifier(num_features=3, num_classes=4)
+        model.weights = np.zeros((3, 4))
+        features = np.ones(3)
+        # Equal top logits: the softmax ties them and argmax takes the first.
+        model.bias = np.array([0.1, 0.5, 0.5, 0.2])
+        assert model.predict_one(features) == model.predict(features)[0] == 1
+        # One ulp apart near 0.1: exp() of the gap rounds to 1.0, so the
+        # softmax ties them as well, unlike the logits.
+        model.bias = np.array([0.0, 0.1, np.nextafter(0.1, 1.0), 0.05])
+        assert model.predict_proba(features)[0, 1] == model.predict_proba(features)[0, 2]
+        assert model.predict_one(features) == model.predict(features)[0] == 1
+        # Just outside the near-tie band the larger logit wins on both paths.
+        model.bias = np.array([0.0, 0.1, 0.1 + 1e-6, 0.05])
+        assert model.predict_one(features) == model.predict(features)[0] == 2
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_predict_one_non_finite_weights_follow_the_softmax(self, bad):
+        model = SoftmaxClassifier(num_features=3, num_classes=4, seed=1)
+        model.weights[1, 2] = bad
+        features = np.array([0.5, 1.0, -0.25])
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert model.predict_one(features) == model.predict(features)[0]
+
     def test_validation_history_recorded(self):
         features, labels = _separable_data(n=200)
         model = SoftmaxClassifier(num_features=4, num_classes=3, seed=0)
@@ -185,6 +218,17 @@ class TestDriftDetector:
         detector = DriftDetector(window_size=10)
         detector.observe_many([20.0] * 35)
         assert detector.windows_seen == 3
+
+    def test_until_window_closes_counts_down_to_the_closing_observation(self):
+        detector = DriftDetector(window_size=4)
+        seen = []
+        for _ in range(9):
+            seen.append(detector.until_window_closes)
+            detector.observe(20.0)
+        assert seen == [4, 3, 2, 1, 4, 3, 2, 1, 4]
+        assert detector.windows_seen == 2
+        detector.reset()
+        assert detector.until_window_closes == 4
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

@@ -34,8 +34,10 @@ from repro.prompts.embedding import PromptEmbedder
 from repro.prompts.features import PromptFeaturizer
 from repro.prompts.generator import Prompt, PromptGenerator
 from repro.quality.optimal import OPTIMALITY_THRESHOLD, OptimalModelSelector
+from repro.quality import pickscore
 from repro.quality.pickscore import PickScoreModel
 from repro.simulation.engine import SimulationEngine
+from repro.simulation.randomness import seeded_generators
 
 
 def _clustered_vectors(n: int, dim: int = 32, clusters: int = 12, seed: int = 0):
@@ -498,6 +500,100 @@ class TestScoringEquivalence:
                     continue
                 want = legacy.legacy_pickscore_score(reference, first_of[key], strat, rank)
                 assert type(score) is float and score.hex() == want.hex()
+
+    @staticmethod
+    def _memo_state(model: PickScoreModel) -> tuple:
+        return (
+            {key: best.hex() for key, best in model._best_cache.items()},
+            dict(model._tolerance_cache),
+            {
+                key: [None if score is None else score.hex() for score in scores]
+                for key, scores in model._score_cache.items()
+            },
+        )
+
+    @pytest.mark.parametrize("max_entries", [None, 16])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_score_many_matches_the_scalar_path(self, monkeypatch, seed, max_entries):
+        """``score_many`` returns, and memoises, what ``score`` then
+        ``best_score`` return item by item, also when a memo empties."""
+        if max_entries is not None:
+            monkeypatch.setattr(memo, "MAX_ENTRIES", max_entries)
+        rng = np.random.default_rng(seed)
+        first: dict[str, Prompt] = {}
+        for prompt in PromptGenerator(seed=40 + seed).generate(80):
+            first.setdefault(prompt.text, prompt)
+        distinct = list(first.values())[:30]
+        # Texts shared by prompts of other complexities.
+        twins = [
+            dataclasses.replace(prompt, prompt_id=1_000 + i, complexity=float(rng.random()))
+            for i, prompt in enumerate(distinct[:8])
+        ]
+        pool = distinct + twins
+        model, reference = PickScoreModel(seed=seed), PickScoreModel(seed=seed)
+        levels = model.num_levels
+        items = [
+            (pool[rng.integers(len(pool))], strategy, rank)
+            for _ in range(4)
+            for strategy in (Strategy.AC, Strategy.SM, "AC", "SM")
+            for rank in range(levels)
+        ]
+        items += [
+            (pool[rng.integers(len(pool))], Strategy.AC, int(rng.integers(levels)))
+            for _ in range(200)
+        ]
+        items = [items[i] for i in rng.permutation(len(items))]
+        # Memos partly filled through the scalar path first, on both models.
+        for m in (model, reference):
+            for i, prompt in enumerate(distinct[:12]):
+                if i % 2 == 0:
+                    m.best_score(prompt)
+                if i % 3 == 0:
+                    m.tolerance_rank(prompt, Strategy.SM)
+                if i % 4 == 0:
+                    m.score(prompt, Strategy.AC, i % levels)
+        got = []
+        start = 0
+        while start < len(items):
+            size = int(rng.integers(1, 60))
+            got.extend(model.score_many(items[start : start + size]))
+            start += size
+        want = [(reference.score(p, s, r), reference.best_score(p)) for p, s, r in items]
+        assert [(score.hex(), best.hex()) for score, best in got] == [
+            (score.hex(), best.hex()) for score, best in want
+        ]
+        assert all(type(score) is float and type(best) is float for score, best in got)
+        assert self._memo_state(model) == self._memo_state(reference)
+
+    def test_score_many_seeds_in_batches(self, monkeypatch):
+        """Fresh prompts seed no stream one at a time, and no seeding batch
+        is larger than ``_SEEDS_PER_BATCH``."""
+        model = PickScoreModel(seed=8)
+        batches = []
+
+        def counting(keys):
+            batches.append(len(keys))
+            return seeded_generators(keys)
+
+        monkeypatch.setattr(pickscore, "seeded_generators", counting)
+        monkeypatch.setattr(model, "_prompt_rng", None)
+        prompts = PromptGenerator(seed=9).generate(700)
+        items = [(prompt, Strategy.AC, i % model.num_levels) for i, prompt in enumerate(prompts)]
+        model.score_many(items)
+        assert sum(batches) == len(model._best_cache) * 2 + sum(
+            score is not None for scores in model._score_cache.values() for score in scores
+        )
+        assert len(batches) > 1 and max(batches) <= pickscore._SEEDS_PER_BATCH
+
+    def test_score_many_failure_leaves_the_memos_usable(self):
+        prompts = PromptGenerator(seed=11).generate(3)
+        model, reference = PickScoreModel(seed=2), PickScoreModel(seed=2)
+        items = [(prompts[0], Strategy.AC, 1), (prompts[1], Strategy.SM, 2)]
+        with pytest.raises(ValueError):
+            model.score_many(items + [(prompts[2], Strategy.AC, model.num_levels)])
+        assert model.score_many(items) == [
+            (reference.score(p, s, r), reference.best_score(p)) for p, s, r in items
+        ]
 
     def test_score_memo_keeps_one_entry_per_prompt(self, monkeypatch):
         """Scoring fewer prompts than the memo bound at every (strategy,

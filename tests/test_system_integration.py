@@ -7,6 +7,10 @@ cache retrieval -> completion -> metrics.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import multiprocessing
+
 import pytest
 
 from repro.baselines.clipper import ClipperSystem
@@ -15,11 +19,14 @@ from repro.baselines.pac import PacSystem
 from repro.baselines.proteus import ProteusSystem
 from repro.baselines.sommelier import SommelierSystem
 from repro.cache.network import NetworkCondition
+from repro.core import base
 from repro.core.config import ArgusConfig
 from repro.core.system import ArgusSystem
 from repro.experiments.runner import ExperimentRunner, build_system
 from repro.models.zoo import Strategy
 from repro.prompts.dataset import PromptDataset
+from repro.scenarios import run_scenario
+from repro.simulation.shard import run_scenario_sharded
 from repro.workloads.traces import TraceLibrary
 
 
@@ -203,3 +210,79 @@ class TestEndToEndComparison:
         assert argus.mean_pickscore > proteus.mean_pickscore
         assert argus.mean_pickscore > clipper_ht.mean_pickscore
         assert argus.mean_served_qpm >= 0.95 * proteus.mean_served_qpm
+
+
+def _report_digest(run) -> str:
+    encoded = json.dumps(run.report().to_dict(), sort_keys=True, default=str).encode()
+    return hashlib.sha256(encoded).hexdigest()
+
+
+class TestDeferredQuality:
+    """Completions' PickScores are settled in batches, which no report may
+    notice: settling each completion at once gives the same bytes."""
+
+    #: (scenario, shards): a retrain; a retrain and load switches; retrieval
+    #: switches; per-tenant detectors; requeues; a 2-shard run.
+    CASES = [
+        ("drift-recalibration", None),
+        ("bursty-load-switch", None),
+        ("degraded-network", None),
+        ("tenant-noisy-neighbor", None),
+        ("fault-storm", None),
+        pytest.param(
+            "fig16-xl",
+            2,
+            marks=pytest.mark.skipif(
+                "fork" not in multiprocessing.get_all_start_methods(),
+                reason="shard processes see the patched bound only when forked",
+            ),
+        ),
+    ]
+
+    @staticmethod
+    def _run(name, shards):
+        if shards:
+            return run_scenario_sharded(name, preset="small", seed=0, shards=shards)
+        return run_scenario(name, preset="small", seed=0)
+
+    @pytest.mark.parametrize("name, shards", CASES)
+    def test_settling_each_completion_at_once_gives_the_same_report(
+        self, monkeypatch, name, shards
+    ):
+        deferred = _report_digest(self._run(name, shards))
+        monkeypatch.setattr(base, "MAX_PENDING_COMPLETIONS", 1)
+        assert _report_digest(self._run(name, shards)) == deferred
+
+    def test_on_sample_sees_each_completion_once_in_completion_order(self, monkeypatch):
+        completed_order, sampled_order, batch_sizes = [], [], []
+        handle, on_sample, settle = (
+            ArgusSystem._handle_completion,
+            ArgusSystem.on_sample,
+            ArgusSystem.settle,
+        )
+
+        def record_completion(self, completed):
+            completed_order.append(completed.request.request_id)
+            handle(self, completed)
+
+        def record_sample(self, sample, completed):
+            sampled_order.append(completed.request.request_id)
+            on_sample(self, sample, completed)
+
+        def record_batch(self):
+            if self._pending:
+                batch_sizes.append(len(self._pending))
+            settle(self)
+
+        monkeypatch.setattr(ArgusSystem, "_handle_completion", record_completion)
+        monkeypatch.setattr(ArgusSystem, "on_sample", record_sample)
+        monkeypatch.setattr(ArgusSystem, "settle", record_batch)
+        run = run_scenario("drift-recalibration", preset="small", seed=0)
+        assert run.system.retraining_events == 1
+        assert sampled_order == completed_order
+        assert len(set(completed_order)) == len(completed_order)
+        assert len(completed_order) == run.report().to_dict()["summary"]["total_completions"]
+        assert run.system._pending == []
+        # Deferred for real: completions are settled hundreds at a time.
+        assert sum(batch_sizes) == len(completed_order)
+        assert len(batch_sizes) < len(completed_order) / 100
