@@ -14,7 +14,7 @@ quota LRU per namespace, the retrieval ledger): the in-process
 :class:`CacheTier` (consistent-hash sharded and replicated, one index per
 tenant on each :class:`CacheNode`, with per-node network conditions).
 :func:`build_cache` picks between them from config so every caller —
-workers, gateway interceptor, scenario runtime — stays a single code path.
+workers, gateway, scenario runtime — stays a single code path.
 """
 
 from dataclasses import replace

@@ -34,7 +34,7 @@ into a service with placement semantics:
 
 The tier shares :class:`~repro.cache.approximate.CacheBase` with the flat
 cache (namespaces, quota LRUs, the retrieval ledger, the report block), so
-workers, the gateway interceptor and the scenario runtime use one code path
+workers, the gateway and the scenario runtime use one code path
 whichever cache is installed.  ``cache_shards=1`` with replication off never
 builds a tier at all (see :func:`repro.cache.build_cache`), keeping that
 configuration bit-identical to the flat cache.

@@ -115,3 +115,41 @@ class DriftDetector:
         """Forget all state (e.g. right after retraining)."""
         self._current = []
         self._window_medians.clear()
+
+
+class TenantDrift:
+    """One drift detector per tenant namespace.
+
+    Each configured tenant's prompt mix drifts independently, so one
+    tenant's shift must neither hide in another's median history nor fire
+    on its behalf.  The anonymous tenant ``""`` and any tag that is not
+    configured share one detector, the cache's namespace rule; an
+    untenanted deployment therefore has exactly that detector.  Detectors
+    of configured tenants appear with their first observation.
+    """
+
+    def __init__(self, tenants) -> None:
+        self._tenants = frozenset(spec.name for spec in tenants)
+        self.detectors: dict[str, DriftDetector] = {}
+        if not self._tenants:
+            self.detectors[""] = DriftDetector()
+
+    def detector_for(self, tenant: str) -> DriftDetector:
+        """The detector observing ``tenant``'s completions."""
+        key = tenant if tenant in self._tenants else ""
+        detector = self.detectors.get(key)
+        if detector is None:
+            detector = self.detectors[key] = DriftDetector()
+        return detector
+
+    @property
+    def until_window_closes(self) -> int:
+        """Observations until the first of the detectors closes a window."""
+        return min(d.until_window_closes for d in self.detectors.values())
+
+    def events(self) -> dict[str, int]:
+        """Drift events detected so far, keyed by tenant namespace."""
+        return {
+            name: detector.num_drift_events
+            for name, detector in sorted(self.detectors.items())
+        }

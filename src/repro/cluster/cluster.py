@@ -286,9 +286,11 @@ class GpuCluster:
         Heterogeneity-aware: each worker contributes the fastest level's
         batched peak scaled by its GPU speed.
         """
-        batch = max(1, self.max_batch_size)
-        peak = self.zoo.batched_peak_qpm(self.zoo.fastest_level(strategy), batch)
-        return peak * self.total_speed_factor(include_provisioning)
+        return self.zoo.max_cluster_throughput_qpm(
+            strategy,
+            self.total_speed_factor(include_provisioning),
+            max(1, self.max_batch_size),
+        )
 
     def workers_at_level(self, rank: int, strategy: Strategy | str | None = None) -> list[Worker]:
         """Healthy workers serving at approximation rank ``rank``, in id order."""

@@ -37,6 +37,7 @@ from repro.models.gpus import GpuSpec, gpu_by_name
 from repro.models.latency import LatencyModel
 from repro.models.variants import SM_VARIANTS
 from repro.models.zoo import ApproximationLevel, ModelZoo, Strategy
+from repro.prompts.generator import Prompt
 from repro.simulation.engine import Event, SimulationEngine
 
 #: Added seconds of service when a cache retrieval attempt hits a network
@@ -81,8 +82,6 @@ class WorkerStats:
     busy_time_s: float = 0.0
     model_loads: int = 0
     load_time_s: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: Number of GPU passes (batches) executed; at batch size 1 this equals
     #: ``requests_served``.
     batches_served: int = 0
@@ -95,6 +94,65 @@ class WorkerStats:
         if self.batches_served == 0:
             return 1.0
         return self.requests_served / self.batches_served
+
+
+def service_profile(
+    zoo: ModelZoo,
+    latency_model: LatencyModel,
+    cache: ApproximateCache | None,
+    level: ApproximationLevel,
+    prompt: Prompt,
+    now_s: float,
+    speed_factor: float = 1.0,
+    degrade_factor: float | None = None,
+    jitter: float = 1.0,
+) -> ServiceProfile:
+    """Price one request at ``level``: the simulator's workers and the live
+    gateway both serve with this.
+
+    An SM level, an AC level that skips nothing, or a deployment without a
+    cache costs the level's latency on a GPU ``speed_factor`` times the
+    reference speed.  Otherwise the prompt's cache retrieval sets the
+    effective skip K, and ``latency_model`` prices SD-XL resumed from step
+    K (the full base pass on a miss) plus the retrieval time, and the
+    outage penalty when the network failed.  A gray failure
+    (``degrade_factor``) slows the GPU compute, not the network time.
+    ``jitter`` scales the whole cost.
+    """
+    if level.strategy is Strategy.SM or level.skip_steps in (None, 0) or cache is None:
+        return ServiceProfile(
+            service_time_s=level.latency_s / speed_factor * jitter,
+            effective_rank=level.rank,
+            retrieval_latency_s=0.0,
+            cache_hit=False,
+            retrieval_failed=False,
+        )
+
+    outcome = cache.retrieve(prompt, level.skip_steps, now_s)
+    effective_skip = outcome.effective_skip
+    spec = zoo.ac_level_spec(effective_skip) if effective_skip else None
+    base_variant = zoo.sm_variant(level.variant_name or "SD-XL")
+    overhead = 0.0
+    if spec is None:
+        latency = latency_model.variant_latency(base_variant)
+        effective_rank = 0
+    else:
+        latency = latency_model.ac_latency(spec, base_variant, outcome.retrieval_latency_s)
+        effective_rank = spec.approximation_rank
+        overhead = outcome.retrieval_latency_s
+    if degrade_factor is not None:
+        latency = overhead + (latency - overhead) / degrade_factor
+    if outcome.network_failed:
+        latency += FAILED_RETRIEVAL_PENALTY_S
+        overhead += FAILED_RETRIEVAL_PENALTY_S
+    return ServiceProfile(
+        service_time_s=latency * jitter,
+        effective_rank=effective_rank,
+        retrieval_latency_s=outcome.retrieval_latency_s,
+        cache_hit=outcome.hit,
+        retrieval_failed=outcome.network_failed,
+        overhead_s=overhead * jitter,
+    )
 
 
 class Worker:
@@ -481,43 +539,17 @@ class Worker:
             and 0 <= request.assigned_rank < self.zoo.num_levels(Strategy.AC)
         ):
             level = self.zoo.level(Strategy.AC, request.assigned_rank)
-        jitter = 1.0 + float(self._jitter_rng.normal(0.0, self.service_jitter))
-        jitter = max(0.8, jitter)
-        if level.strategy is Strategy.SM or level.skip_steps in (None, 0) or self.cache is None:
-            return ServiceProfile(
-                service_time_s=self.level_latency_s(level) * jitter,
-                effective_rank=level.rank,
-                retrieval_latency_s=0.0,
-                cache_hit=False,
-                retrieval_failed=False,
-            )
-
-        outcome = self.cache.retrieve(request.prompt, level.skip_steps, self.engine.now)
-        effective_skip = outcome.effective_skip
-        spec = self.zoo.ac_level_spec(effective_skip) if effective_skip else None
-        base_variant = self.zoo.sm_variant(level.variant_name or "SD-XL")
-        overhead = 0.0
-        if spec is None:
-            latency = self.latency_model.variant_latency(base_variant)
-            effective_rank = 0
-        else:
-            latency = self.latency_model.ac_latency(spec, base_variant, outcome.retrieval_latency_s)
-            effective_rank = spec.approximation_rank
-            overhead = outcome.retrieval_latency_s
-        if outcome.network_failed:
-            latency += FAILED_RETRIEVAL_PENALTY_S
-            overhead += FAILED_RETRIEVAL_PENALTY_S
-        if outcome.hit:
-            self.stats.cache_hits += 1
-        else:
-            self.stats.cache_misses += 1
-        return ServiceProfile(
-            service_time_s=latency * jitter,
-            effective_rank=effective_rank,
-            retrieval_latency_s=outcome.retrieval_latency_s,
-            cache_hit=outcome.hit,
-            retrieval_failed=outcome.network_failed,
-            overhead_s=overhead * jitter,
+        jitter = max(0.8, 1.0 + float(self._jitter_rng.normal(0.0, self.service_jitter)))
+        return service_profile(
+            self.zoo,
+            self.latency_model,
+            self.cache,
+            level,
+            request.prompt,
+            self.engine.now,
+            speed_factor=self.speed_factor,
+            degrade_factor=self._degrade_factor,
+            jitter=jitter,
         )
 
     def _finish_batch(

@@ -45,9 +45,12 @@ class WorkerSelector:
     disabled the estimate reduces to ``outstanding * level.latency_s``.
     The scheduler reads the plain Eq. 3 choice from the cluster's fleet
     index and scans candidates here only for a cache-affinity preference.
+    The live gateway selects among its sleep-based executors here too; a
+    candidate needs only ``worker_id`` and ``estimated_backlog_s()``.
     """
 
-    def select(self, candidates: Sequence[Worker], prefer=None) -> Worker:
+    @staticmethod
+    def select(candidates: Sequence[Worker], prefer=None) -> Worker:
         """Worker with the smallest expected completion time for a new request.
 
         ``prefer`` (a ``worker_id -> bool`` predicate) marks workers placed
@@ -251,7 +254,7 @@ class PromptScheduler:
             rank = min(ranks, key=lambda r: (abs(r - target_rank), r))
         if prefer is None:
             return fleet.least_backlogged(rank)
-        return WorkerSelector().select(self.cluster.workers_at_level(rank), prefer=prefer)
+        return WorkerSelector.select(self.cluster.workers_at_level(rank), prefer=prefer)
 
     def _protect_slo(
         self,

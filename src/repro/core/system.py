@@ -17,7 +17,7 @@ from collections import deque
 import numpy as np
 
 from repro.cache import warm_cache
-from repro.classifier.drift import DriftDetector
+from repro.classifier.drift import DriftDetector, TenantDrift
 from repro.classifier.trainer import ClassifierTrainer, TrainedPredictor
 from repro.cluster.requests import CompletedRequest
 from repro.core.allocator import Allocator
@@ -108,12 +108,9 @@ class ArgusSystem(BaseServingSystem):
             allow_switching=allow_strategy_switching,
             active=self.config.default_strategy,
         )
-        self.drift_detector = DriftDetector()
-        #: Per-tenant drift state (tenanted runs only): each tenant's prompt
-        #: mix drifts independently, so one tenant's shift must neither hide
-        #: in another's median history nor fire on its behalf.  Untenanted
-        #: runs keep the single shared detector above (bit-pinned).
-        self._drift_detectors: dict[str, DriftDetector] = {}
+        #: Drift state per tenant namespace (one shared detector when
+        #: untenanted).
+        self.drift = TenantDrift(self.config.tenants)
         #: Closed-loop horizontal scaler (§6); None keeps the fixed pool.
         self.autoscaler: Autoscaler | None = None
         if self.config.autoscale_enabled:
@@ -335,40 +332,22 @@ class ArgusSystem(BaseServingSystem):
         request is routed, just as scoring each completion at once would."""
         if not self.prompt_aware:
             return False
-        if not self.config.tenants:
-            return len(self._pending) >= self.drift_detector.until_window_closes
         # Every detector a queued completion feeds exists by now.
-        self._drift_detector_for(completed.request.prompt.tenant)
-        closest = min(d.until_window_closes for d in self._drift_detectors.values())
-        return len(self._pending) >= closest
+        self.drift.detector_for(completed.request.prompt.tenant)
+        return len(self._pending) >= self.drift.until_window_closes
 
     def on_sample(self, sample: ServedSample, completed: CompletedRequest) -> None:
         """Drift detection on a settled completion's PickScore."""
         if self.prompt_aware:
-            detector = self._drift_detector_for(completed.request.prompt.tenant)
+            detector = self.drift.detector_for(completed.request.prompt.tenant)
             drift = detector.observe(sample.pickscore)
             if drift is not None:
                 self._retrain_classifiers(detector)
 
-    def _drift_detector_for(self, tenant: str) -> DriftDetector:
-        """The drift detector observing ``tenant``'s completions.
-
-        Untenanted runs share the single :attr:`drift_detector` (the
-        bit-pinned original path); tenanted runs key detector state by
-        tenant so each tenant's PickScore history is compared only against
-        its own past.
-        """
-        if not self.config.tenants:
-            return self.drift_detector
-        detector = self._drift_detectors.get(tenant)
-        if detector is None:
-            detector = self._drift_detectors[tenant] = DriftDetector()
-        return detector
-
     # ------------------------------------------------------------------ #
     # Classifier retraining (off the critical path)
     # ------------------------------------------------------------------ #
-    def _retrain_classifiers(self, detector: DriftDetector | None = None) -> None:
+    def _retrain_classifiers(self, detector: DriftDetector) -> None:
         prompts = list(self._recent_prompts)
         if len(prompts) < 50 or not self.prompt_aware:
             return
@@ -384,7 +363,7 @@ class ArgusSystem(BaseServingSystem):
         # Retraining is global (the classifiers are shared) but only the
         # detector that fired resets: the other tenants' windows keep
         # accumulating evidence against their own history.
-        (detector or self.drift_detector).reset()
+        detector.reset()
 
     # ------------------------------------------------------------------ #
     # Introspection helpers used by the benchmarks
@@ -399,9 +378,4 @@ class ArgusSystem(BaseServingSystem):
 
     def drift_events(self) -> dict[str, int]:
         """Drift events observed, keyed by tenant ("" = shared detector)."""
-        if not self.config.tenants:
-            return {"": self.drift_detector.num_drift_events}
-        return {
-            name: detector.num_drift_events
-            for name, detector in sorted(self._drift_detectors.items())
-        }
+        return self.drift.events()

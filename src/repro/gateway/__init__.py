@@ -1,32 +1,21 @@
 """Live-mode HTTP gateway: wall-clock serving of the modeled stack.
 
-See :mod:`repro.gateway.server` for the gateway itself,
-:mod:`repro.gateway.interceptors` for the composable request pipeline and
-:mod:`repro.gateway.loadgen` for scenario replay against a live server.
+The gateway keeps only what the wall clock changes: the HTTP server and
+the admission bridge in :mod:`repro.gateway.server`, and the sleep-based
+executors in :mod:`repro.gateway.workers`.  Worker choice, pricing and
+drift keying are the simulator's own code.  :mod:`repro.gateway.loadgen`
+replays a scenario against a live server.
 """
 
-from repro.gateway.interceptors import (
-    AdmissionGate,
-    Handler,
-    Interceptor,
-    RequestContext,
-    compose,
-)
 from repro.gateway.loadgen import LoadgenResult, replay, replay_async
-from repro.gateway.server import Gateway, prompt_from_payload
-from repro.gateway.workers import StubJob, StubWorker, least_backlog_worker
+from repro.gateway.server import AdmissionGate, Gateway, prompt_from_payload
+from repro.gateway.workers import StubWorker
 
 __all__ = [
     "AdmissionGate",
     "Gateway",
-    "Handler",
-    "Interceptor",
     "LoadgenResult",
-    "RequestContext",
-    "StubJob",
     "StubWorker",
-    "compose",
-    "least_backlog_worker",
     "prompt_from_payload",
     "replay",
     "replay_async",

@@ -2,11 +2,22 @@
 
 The gateway is the live-mode counterpart of a simulated serving system: the
 same :class:`~repro.core.config.ArgusConfig`, model zoo, approximate cache,
-fair-share admission controller and metrics collector — but running on a
-:class:`~repro.runtime.wall.WallClockRuntime` with sleep-based stub workers
-instead of the event-heap cluster.  Requests enter over HTTP, travel the
-interceptor chain (tenant resolution -> admission -> routing -> cache
-lookup -> dispatch), and land on the worker with the least backlog.
+fair-share admission controller and metrics collector, running on a
+:class:`~repro.runtime.wall.WallClockRuntime` with sleep-based executors
+(:class:`~repro.gateway.workers.StubWorker`) instead of the event-heap
+cluster.  It keeps only what the wall clock changes: the HTTP server, the
+:class:`AdmissionGate` that turns admission callbacks into futures, and the
+executors.  Each ``POST /v1/generate`` takes one straight path through the
+simulator's own rules:
+
+    tenant check -> AdmissionGate.offer (FairShareAdmission)
+      -> WorkerSelector.select (Eq. 3, cache affinity)
+      -> service_profile (cache retrieval + latency model)
+      -> await the executor -> record (PickScore, collector, TenantDrift)
+
+The stub fleet serves every request at the zoo's fastest level (the exact
+level under SM, or when the fastest AC level skips nothing), with no
+service jitter.
 
 The HTTP layer is a minimal dependency-free HTTP/1.1 server on
 ``asyncio.start_server`` (keep-alive, Content-Length framing only), which is
@@ -28,33 +39,20 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import math
+from functools import partial
 from typing import Mapping
 from urllib.parse import parse_qs
 
 from repro.cache import build_cache, warm_cache
 from repro.cache.network import NetworkModel
-from repro.classifier.drift import DriftDetector
+from repro.classifier.drift import TenantDrift
 from repro.cluster.requests import CompletedRequest, Request
-from repro.cluster.worker import FAILED_RETRIEVAL_PENALTY_S
+from repro.cluster.worker import service_profile
 from repro.core.admission import FairShareAdmission, hit_corrected_capacity_qps
 from repro.core.config import ArgusConfig
-from repro.core.scheduler import CACHE_AFFINITY_TOLERANCE_S
-from repro.gateway.interceptors import (
-    AdmissionGate,
-    Interceptor,
-    RequestContext,
-    admission,
-    cache_lookup,
-    compose,
-    routing,
-    tenant_resolution,
-)
-from repro.gateway.workers import (
-    StubJob,
-    StubWorker,
-    fleet_ceiling_qps,
-    least_backlog_worker,
-)
+from repro.core.scheduler import WorkerSelector
+from repro.gateway.workers import StubWorker
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.prometheus import render_prometheus
 from repro.metrics.report import ScenarioReport, summarize, tenant_breakdown
@@ -94,8 +92,57 @@ def prompt_from_payload(payload: Mapping) -> Prompt:
     return Prompt(**data)
 
 
+class AdmissionGate:
+    """Adapts the synchronous DRR admission controller to async callers.
+
+    ``FairShareAdmission.offer`` either admits immediately or parks the
+    prompt in a tenant queue and later invokes its ``admit`` callback from a
+    runtime-scheduled drain pump.  Here each parked prompt gets an
+    :class:`asyncio.Future`; the pump's callback (which runs in-loop, via
+    ``loop.call_later``) resolves it with the original offer time, and the
+    awaiting request task resumes.  The same controller object, the same
+    token buckets and quanta — only the notification mechanism differs.
+    """
+
+    def __init__(self) -> None:
+        self.controller: FairShareAdmission | None = None
+        self._waiters: dict[int, asyncio.Future] = {}
+
+    def attach(self, controller: FairShareAdmission | None) -> None:
+        self.controller = controller
+
+    def on_admit(self, prompt: Prompt, offer_time_s: float) -> None:
+        """``admit`` callback handed to :class:`FairShareAdmission`."""
+        future = self._waiters.pop(id(prompt), None)
+        if future is not None and not future.done():
+            future.set_result(offer_time_s)
+
+    async def offer(self, now: float, prompt: Prompt) -> tuple[float, bool]:
+        """Admit ``prompt``, waiting out any fair-share delay.
+
+        Returns ``(offer_time_s, delayed)``: the latency clock start (always
+        the original offer time, so queueing at admission is charged to the
+        request) and whether the request actually waited.
+        """
+        if self.controller is None:
+            return now, False
+        if self.controller.offer(now, prompt):
+            return now, False
+        future = asyncio.get_running_loop().create_future()
+        self._waiters[id(prompt)] = future
+        try:
+            return await future, True
+        finally:
+            self._waiters.pop(id(prompt), None)
+
+    def backlog(self, tenant: str | None = None) -> int:
+        if self.controller is None:
+            return 0
+        return self.controller.backlog(tenant)
+
+
 class Gateway:
-    """Live serving gateway over the stub worker fleet.
+    """Live serving gateway over the stub executor fleet.
 
     Construction wires the same component set as
     :class:`~repro.core.base.BaseServingSystem`, swapping the simulation
@@ -106,12 +153,7 @@ class Gateway:
 
     name = "gateway"
 
-    def __init__(
-        self,
-        config: ArgusConfig | None = None,
-        time_scale: float = 1.0,
-        interceptors: list[Interceptor] | None = None,
-    ) -> None:
+    def __init__(self, config: ArgusConfig | None = None, time_scale: float = 1.0) -> None:
         if time_scale <= 0:
             raise ValueError("time_scale must be positive")
         self.config = config or ArgusConfig()
@@ -125,11 +167,20 @@ class Gateway:
         self.cache = build_cache(
             self.config, network=self.network, on_lookup=self._record_cache_lookup
         )
+        #: Shard-aware routing over a cache tier (None for the flat cache).
+        self._prefers = getattr(self.cache, "worker_prefers", None)
         self.tenant_runtimes = build_runtimes(self.config.tenants, self.config.slo)
         self.collector = MetricsCollector(slo=self.config.slo)
         self.strategy = self.config.default_strategy
+        level = self.zoo.fastest_level(self.strategy)
+        if self.strategy is not Strategy.AC or level.skip_steps in (None, 0):
+            # SM (or an AC zoo whose fastest level skips nothing): serve the
+            # exact variant so quality matches the modeled baseline.
+            level = self.zoo.exact_level(self.strategy)
+        #: The one level the stub fleet serves at.
+        self.level = level
         self.workers = [
-            StubWorker(worker_id=i, gpu=self.config.gpu, zoo=self.zoo, runtime=self.runtime)
+            StubWorker(worker_id=i, runtime=self.runtime)
             for i in range(self.config.num_workers)
         ]
         self.gate = AdmissionGate()
@@ -144,15 +195,11 @@ class Gateway:
                 burst_s=self.config.admission_burst_s,
             )
         self.gate.attach(self.admission)
-        self._drift = DriftDetector()
-        self._drift_detectors: dict[str, DriftDetector] = {}
-        self.drift_events = 0
+        self.drift = TenantDrift(self.config.tenants)
         self._request_ids = itertools.count()
         self._known_tenants = frozenset(
             spec.name for spec in self.config.tenants if spec.name
         )
-        chain = interceptors if interceptors is not None else self.default_interceptors()
-        self._handler = compose(list(chain), self._dispatch)
         self._server: asyncio.base_events.Server | None = None
         self.host: str | None = None
         self.port: int | None = None
@@ -165,140 +212,14 @@ class Gateway:
             )
             warm_cache(self.cache, warm.prompts, self.config.tenants)
 
-    # ------------------------------------------------------------------ #
-    # Interceptor chain
-    # ------------------------------------------------------------------ #
-    def default_interceptors(self) -> list[Interceptor]:
-        """The standard chain; operators may prepend/replace stages."""
-        return [
-            tenant_resolution(self._known_tenants),
-            admission(self.gate),
-            routing(self._pick_worker),
-            cache_lookup(self._profile),
-        ]
-
     def _record_cache_lookup(self, shard: int, hit: bool, latency_s: float) -> None:
         self.collector.record_cache_lookup(shard, hit, latency_s)
 
-    def _pick_worker(self, ctx: RequestContext) -> int | None:
-        if not self.workers:
-            return None
-        best = least_backlog_worker(self.workers)
-        if hasattr(self.cache, "worker_prefers"):
-            # Shard-aware routing, same rule as the simulator's scheduler:
-            # the cheapest worker near the likely-hit cache shard wins when
-            # its backlog is within the tolerance of the global minimum.
-            preferred = [
-                w
-                for w in self.workers
-                if self.cache.worker_prefers(ctx.prompt, w.worker_id)
-            ]
-            if preferred:
-                near = least_backlog_worker(preferred)
-                limit = best.estimated_backlog_s() + CACHE_AFFINITY_TOLERANCE_S
-                if near.estimated_backlog_s() <= limit:
-                    return near.worker_id
-        return best.worker_id
-
-    def _profile(self, ctx: RequestContext) -> None:
-        """Cache retrieval + latency model: the stub analogue of
-        :meth:`repro.cluster.worker.Worker._service_profile` (no jitter)."""
-        worker = self.workers[ctx.worker_id]
-        level = self.zoo.fastest_level(self.strategy)
-        ctx.level = level
-        if self.strategy is not Strategy.AC or level.skip_steps in (None, 0):
-            # SM (or an AC zoo whose fastest level skips nothing): serve the
-            # exact variant so quality matches the modeled baseline.
-            level = self.zoo.exact_level(self.strategy)
-            ctx.level = level
-            ctx.service_time_s = worker.level_latency_s(level)
-            ctx.effective_rank = level.rank
-            return
-        outcome = self.cache.retrieve(ctx.prompt, level.skip_steps, self.runtime.now())
-        spec = self.zoo.ac_level_spec(outcome.effective_skip) if outcome.effective_skip else None
-        base_variant = self.zoo.sm_variant(level.variant_name or "SD-XL")
-        if spec is None:
-            latency = self.zoo.latency_model.variant_latency(base_variant)
-            ctx.effective_rank = 0
-        else:
-            latency = self.zoo.latency_model.ac_latency(
-                spec, base_variant, outcome.retrieval_latency_s
-            )
-            ctx.effective_rank = spec.approximation_rank
-        if outcome.network_failed:
-            latency += FAILED_RETRIEVAL_PENALTY_S
-        ctx.cache_hit = outcome.hit
-        ctx.retrieval_latency_s = outcome.retrieval_latency_s
-        ctx.retrieval_failed = outcome.network_failed
-        ctx.service_time_s = latency * worker.speed_scale
-
-    async def _dispatch(self, ctx: RequestContext) -> None:
-        """Terminal stage: queue on the chosen worker, await completion."""
-        worker = self.workers[ctx.worker_id]
-        request = Request(
-            request_id=next(self._request_ids),
-            prompt=ctx.prompt,
-            arrival_time_s=ctx.arrival_time_s,
-            strategy=self.strategy,
-            predicted_rank=ctx.level.rank,
-            assigned_rank=ctx.level.rank,
-        )
-        done = asyncio.get_running_loop().create_future()
-
-        def finish(worker_id: int, start_s: float) -> None:
-            completed = CompletedRequest(
-                request=request,
-                worker_id=worker_id,
-                start_time_s=start_s,
-                completion_time_s=self.runtime.now(),
-                effective_rank=ctx.effective_rank,
-                service_time_s=ctx.service_time_s,
-                retrieval_latency_s=ctx.retrieval_latency_s,
-                cache_hit=ctx.cache_hit,
-                retrieval_failed=ctx.retrieval_failed,
-            )
-            if self.strategy is Strategy.AC:
-                self.cache.store_states(ctx.prompt)
-            score = self.pickscore.score(ctx.prompt, self.strategy, ctx.effective_rank)
-            best = self.pickscore.best_score(ctx.prompt)
-            sample = self.collector.record_completion(completed, score, best)
-            if self._drift_for(ctx.tenant).observe(score) is not None:
-                self.drift_events += 1
-            ctx.response = {
-                "request_id": request.request_id,
-                "tenant": ctx.tenant,
-                "worker_id": worker_id,
-                "strategy": self.strategy.value,
-                "effective_rank": ctx.effective_rank,
-                "cache_hit": ctx.cache_hit,
-                "admission_delayed": ctx.admission_delayed,
-                "service_time_s": ctx.service_time_s,
-                "latency_s": completed.latency_s,
-                "relative_quality": sample.relative_quality,
-            }
-            if not done.done():
-                done.set_result(None)
-
-        worker.enqueue(StubJob(service_time_s=ctx.service_time_s, done=finish))
-        await done
-
-    # ------------------------------------------------------------------ #
-    # Control-plane helpers
-    # ------------------------------------------------------------------ #
     def _admission_capacity_qps(self) -> float:
         """Hit-rate-corrected fleet throughput, the simulator's rule (see
         :func:`~repro.core.admission.hit_corrected_capacity_qps`)."""
-        ceiling = fleet_ceiling_qps(self.workers, self.zoo, self.strategy)
+        ceiling = self.zoo.max_cluster_throughput_qpm(self.strategy, len(self.workers)) / 60.0
         return hit_corrected_capacity_qps(ceiling, self.zoo, self.strategy, self.cache)
-
-    def _drift_for(self, tenant: str) -> DriftDetector:
-        if not tenant:
-            return self._drift
-        detector = self._drift_detectors.get(tenant)
-        if detector is None:
-            detector = DriftDetector()
-            self._drift_detectors[tenant] = detector
-        return detector
 
     # ------------------------------------------------------------------ #
     # Reporting
@@ -347,7 +268,7 @@ class Gateway:
                 "worker_queues": sum(w.outstanding for w in self.workers),
                 "admission_backlog": self.gate.backlog(),
             },
-            "drift_events": self.drift_events,
+            "drift_events": self.drift.events(),
             **self.cache.report_extras(self.config.tenants),
         }
         report = ScenarioReport(
@@ -377,19 +298,64 @@ class Gateway:
     # Request handling
     # ------------------------------------------------------------------ #
     async def handle_generate(self, payload: Mapping) -> tuple[int, dict]:
-        """Serve one prompt through the interceptor chain."""
+        """Serve one prompt: tenant check, fair-share admission, Eq. 3
+        worker choice, pricing, the GPU pass, then the record."""
         try:
             prompt = prompt_from_payload(payload)
         except (KeyError, TypeError, ValueError) as exc:
             return 400, {"error": f"bad prompt payload: {exc}"}
+        tenant = prompt.tenant
         now = self.runtime.now()
-        self.collector.record_arrival(now, tenant=prompt.tenant)
-        ctx = RequestContext(prompt=prompt, received_at_s=now)
-        await self._handler(ctx)
-        if ctx.dropped:
-            self.collector.record_drop(tenant=ctx.tenant)
-            return 422, {"dropped": True, "reason": ctx.drop_reason}
-        return 200, ctx.response
+        self.collector.record_arrival(now, tenant=tenant)
+        if self._known_tenants and tenant and tenant not in self._known_tenants:
+            # The live analogue of a 403; the anonymous deployment serves
+            # every tag.
+            self.collector.record_drop(tenant=tenant)
+            return 422, {"dropped": True, "reason": f"unknown tenant {tenant!r}"}
+        arrival_s, delayed = await self.gate.offer(now, prompt)
+        prefer = None if self._prefers is None else partial(self._prefers, prompt)
+        worker = WorkerSelector.select(self.workers, prefer=prefer)
+        profile = service_profile(
+            self.zoo, self.zoo.latency_model, self.cache, self.level, prompt, self.runtime.now()
+        )
+        request = Request(
+            request_id=next(self._request_ids),
+            prompt=prompt,
+            arrival_time_s=arrival_s,
+            strategy=self.strategy,
+            predicted_rank=self.level.rank,
+            assigned_rank=self.level.rank,
+        )
+        start_s, end_s = await worker.submit(profile.service_time_s)
+        completed = CompletedRequest(
+            request=request,
+            worker_id=worker.worker_id,
+            start_time_s=start_s,
+            completion_time_s=end_s,
+            effective_rank=profile.effective_rank,
+            service_time_s=profile.service_time_s,
+            retrieval_latency_s=profile.retrieval_latency_s,
+            cache_hit=profile.cache_hit,
+            retrieval_failed=profile.retrieval_failed,
+        )
+        if self.strategy is Strategy.AC:
+            self.cache.store_states(prompt)
+        score = self.pickscore.score(prompt, self.strategy, profile.effective_rank)
+        best = self.pickscore.best_score(prompt)
+        sample = self.collector.record_completion(completed, score, best)
+        self.drift.detector_for(tenant).observe(score)
+        return 200, {
+            "request_id": request.request_id,
+            "tenant": tenant,
+            "worker_id": worker.worker_id,
+            "strategy": self.strategy.value,
+            "effective_rank": profile.effective_rank,
+            "cache_hit": profile.cache_hit,
+            "admission_delayed": delayed,
+            "service_time_s": profile.service_time_s,
+            "latency_s": completed.latency_s,
+            "relative_quality": sample.relative_quality,
+        }
 
     async def handle(self, method: str, target: str, body: bytes) -> tuple[int, str, bytes]:
         """Route one HTTP request; returns (status, content-type, payload)."""
@@ -416,6 +382,11 @@ class Gateway:
                 duration_minutes = float(duration) if duration else None
             except ValueError as exc:
                 return _json_response(400, {"error": f"bad report parameter: {exc}"})
+            if duration_minutes is not None and not (
+                math.isfinite(duration_minutes) and duration_minutes > 0
+            ):
+                message = f"duration_minutes={duration} must be finite and positive"
+                return _json_response(400, {"error": f"bad report parameter: {message}"})
             return _json_response(
                 200,
                 self.report_dict(

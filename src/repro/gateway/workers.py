@@ -1,45 +1,30 @@
-"""Stub sleep-based workers for the live gateway.
+"""Sleep-based GPU executors for the live gateway.
 
-A :class:`StubWorker` is the wall-clock analogue of the simulator's
-:class:`~repro.cluster.worker.Worker`: it serves requests one at a time from
-a FIFO queue, and "serving" is an ``await runtime.sleep(service_time)`` whose
-duration comes from the same :class:`~repro.models.zoo.ModelZoo` /
-:class:`~repro.models.gpus.GpuSpec` latency model the simulation uses —
-AC-level latencies shrink with the effective denoising skip, SM variants pay
-their own inference cost, and a non-reference GPU scales every latency by
-its relative speed.  No images are generated; the point is that queueing,
-service and latency SLOs behave like the modeled fleet's.
+A :class:`StubWorker` is the part of a simulated
+:class:`~repro.cluster.worker.Worker` that the wall clock changes: it runs
+one GPU pass at a time from a FIFO queue, and a pass is an
+``await runtime.sleep(service_time_s)``.  What a pass costs is priced by the
+gateway with the simulator's own
+:func:`~repro.cluster.worker.service_profile`, and which executor gets it is
+chosen with the simulator's Eq. 3 rule
+(:class:`~repro.core.scheduler.WorkerSelector`) over
+:meth:`estimated_backlog_s`.  No images are generated; queueing, service and
+latency SLOs behave like the modeled fleet's.
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable
 
-from repro.models.gpus import gpu_by_name
-from repro.models.zoo import ApproximationLevel, ModelZoo, Strategy
 from repro.runtime.wall import WallClockRuntime
 
 
 @dataclass
-class StubJob:
-    """One request staged onto a stub worker's queue."""
-
-    #: Total model-time the GPU pass takes (retrieval overhead included).
-    service_time_s: float
-    #: Resolution callback invoked in-loop when service finishes; receives
-    #: (worker_id, start_time_s) so the caller can build the completion.
-    done: Callable[[int, float], Awaitable[None] | None]
-
-
-@dataclass
 class StubWorker:
-    """Single-slot sleep-based worker with a FIFO queue."""
+    """Single-slot sleep-based executor with a FIFO queue."""
 
     worker_id: int
-    gpu: str
-    zoo: ModelZoo
     runtime: WallClockRuntime
     _queue: asyncio.Queue = field(default_factory=asyncio.Queue, repr=False)
     #: Model-seconds of queued-plus-in-service work (Eq. 3 backlog signal).
@@ -49,25 +34,10 @@ class StubWorker:
     busy_s: float = 0.0
     _task: asyncio.Task | None = field(default=None, repr=False)
 
-    def __post_init__(self) -> None:
-        reference = self.zoo.latency_model.gpu
-        #: Latency multiplier vs the zoo's reference GPU (<1 = faster).
-        self.speed_scale = reference.relative_speed / gpu_by_name(self.gpu).relative_speed
-
-    # ------------------------------------------------------------------ #
-    # Latency model
-    # ------------------------------------------------------------------ #
-    def level_latency_s(self, level: ApproximationLevel) -> float:
-        """Nominal single-request latency for ``level`` on this worker."""
-        return level.latency_s * self.speed_scale
-
     def estimated_backlog_s(self) -> float:
         """Model-seconds of work ahead of a newly enqueued request."""
         return self.backlog_s
 
-    # ------------------------------------------------------------------ #
-    # Serving
-    # ------------------------------------------------------------------ #
     def start(self) -> None:
         self._task = asyncio.get_running_loop().create_task(self._serve_loop())
 
@@ -78,33 +48,26 @@ class StubWorker:
         await self._task
         self._task = None
 
-    def enqueue(self, job: StubJob) -> None:
+    def submit(self, service_time_s: float) -> asyncio.Future:
+        """Queue one GPU pass; the future resolves to its model-time
+        ``(start_s, end_s)``."""
+        done = asyncio.get_running_loop().create_future()
         self.outstanding += 1
-        self.backlog_s += job.service_time_s
-        self._queue.put_nowait(job)
+        self.backlog_s += service_time_s
+        self._queue.put_nowait((service_time_s, done))
+        return done
 
     async def _serve_loop(self) -> None:
         while True:
             job = await self._queue.get()
             if job is None:
                 return
+            service_time_s, done = job
             start = self.runtime.now()
-            await self.runtime.sleep(job.service_time_s)
+            await self.runtime.sleep(service_time_s)
             self.outstanding -= 1
-            self.backlog_s = max(0.0, self.backlog_s - job.service_time_s)
+            self.backlog_s = max(0.0, self.backlog_s - service_time_s)
             self.served += 1
-            self.busy_s += job.service_time_s
-            result = job.done(self.worker_id, start)
-            if asyncio.iscoroutine(result):
-                await result
-
-
-def least_backlog_worker(workers: list[StubWorker]) -> StubWorker:
-    """Eq. 3 worker selection: least estimated backlog, id as tie-break."""
-    return min(workers, key=lambda w: (w.estimated_backlog_s(), w.worker_id))
-
-
-def fleet_ceiling_qps(workers: list[StubWorker], zoo: ModelZoo, strategy: Strategy) -> float:
-    """Aggregate requests/second with every worker at the fastest level."""
-    fastest = zoo.fastest_level(strategy)
-    return sum(1.0 / max(w.level_latency_s(fastest), 1e-9) for w in workers)
+            self.busy_s += service_time_s
+            if not done.done():
+                done.set_result((start, self.runtime.now()))

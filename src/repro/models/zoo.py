@@ -168,10 +168,14 @@ class ModelZoo:
         raise KeyError(f"unknown AC skip level {skip_steps}")
 
     def max_cluster_throughput_qpm(
-        self, strategy: Strategy | str, num_workers: int, batch_size: int = 1
+        self, strategy: Strategy | str, num_workers: float, batch_size: int = 1
     ) -> float:
         """Upper bound on cluster QPM with every worker at the fastest level,
-        optionally running full ``batch_size`` batches."""
+        optionally running full ``batch_size`` batches.
+
+        ``num_workers`` counts reference-GPU workers; a heterogeneous fleet
+        passes its summed relative speed instead.
+        """
         return self.batched_peak_qpm(self.fastest_level(strategy), batch_size) * num_workers
 
     # ------------------------------------------------------------------ #

@@ -507,6 +507,9 @@ def _finalize(serving, spec: ShardSpec, trace) -> _ShardResult:
             else None
         ),
         "retraining_events": getattr(serving, "retraining_events", None),
+        "drift_events": (
+            serving.drift_events() if hasattr(serving, "drift_events") else None
+        ),
         # Conservation inputs for the contract layer: every worker's
         # outstanding work (draining/failed included — total_queue_length()
         # counts only healthy workers) plus the shard's admission backlog.
@@ -977,6 +980,13 @@ def run_scenario_sharded(
     retrains = [r.extras.get("retraining_events") for r in results]
     if any(s is not None for s in retrains):
         extras["retraining_events"] = sum(s or 0 for s in retrains)
+    drifts = [r.extras.get("drift_events") for r in results]
+    if any(d is not None for d in drifts):
+        merged: dict[str, int] = {}
+        for events in drifts:
+            for name, count in (events or {}).items():
+                merged[name] = merged.get(name, 0) + count
+        extras["drift_events"] = dict(sorted(merged.items()))
     if config.tenants:
         extras["fair_share_index"] = summary.fair_share_index
         admission = {

@@ -244,6 +244,39 @@ class TestWorkerFailure:
         engine.run()
         assert len(completed) == 1
 
+    @pytest.mark.parametrize("rank", [5, 0])
+    def test_gray_failure_slows_ac_compute_not_retrieval(self, zoo, prompts, rank):
+        """A worker degraded to 0.4x takes 1/0.4 of the healthy GPU time
+        on an AC pass, cache hits included; retrieval is network time."""
+
+        def serve(factor):
+            engine = SimulationEngine(seed=0)
+            cache = ApproximateCache()
+            cache.warm(prompts)
+            completed = []
+            worker = Worker(
+                0,
+                engine,
+                zoo,
+                level=zoo.level(Strategy.AC, rank),
+                cache=cache,
+                on_complete=completed.append,
+                service_jitter=0.0,
+            )
+            if factor is not None:
+                worker.degrade(factor)
+            worker.enqueue(make_request(prompts[0], rank=rank))
+            engine.run()
+            return completed[0]
+
+        healthy, degraded = serve(None), serve(0.4)
+        assert healthy.cache_hit == degraded.cache_hit == (rank > 0)
+        assert degraded.retrieval_latency_s == healthy.retrieval_latency_s
+        compute = healthy.service_time_s - healthy.retrieval_latency_s
+        assert degraded.service_time_s - degraded.retrieval_latency_s == pytest.approx(
+            compute / 0.4
+        )
+
     def test_inflight_request_lost_on_failure(self, engine, zoo, prompts):
         completed = []
         worker = Worker(

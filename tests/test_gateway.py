@@ -1,87 +1,102 @@
-"""Tests for the live-mode gateway: interceptors, HTTP endpoints, loadgen."""
+"""Tests for the live-mode gateway: request path, HTTP endpoints, loadgen."""
 
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from repro.core.config import ArgusConfig
+from repro.core.scheduler import WorkerSelector
 from repro.core.system import ArgusSystem
-from repro.gateway.interceptors import RequestContext, compose, tenant_resolution
 from repro.gateway.loadgen import replay_async
 from repro.gateway.server import Gateway, prompt_from_payload
-from repro.gateway.workers import StubWorker, least_backlog_worker
+from repro.gateway.workers import StubWorker
 from repro.metrics.prometheus import render_prometheus
-from repro.models.zoo import ModelZoo
 from repro.prompts import memo
 from repro.prompts.dataset import PromptDataset
-from repro.prompts.generator import Prompt
 from repro.runtime.wall import WallClockRuntime
 from repro.scenarios import get_scenario, verify_report, violations
+from repro.scenarios.runtime import build_config, build_stream
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def _prompt(tenant: str = "") -> Prompt:
-    return replace(PromptDataset.synthetic(count=1, seed=7).prompts[0], tenant=tenant)
-
-
 # --------------------------------------------------------------------- #
-# Interceptor chain
+# Request path
 # --------------------------------------------------------------------- #
 
 
-def test_compose_runs_interceptors_outermost_first():
-    order: list[str] = []
-
-    def make(tag):
-        async def layer(ctx, call_next):
-            order.append(f"{tag}:in")
-            await call_next(ctx)
-            order.append(f"{tag}:out")
-
-        return layer
-
-    async def terminal(ctx):
-        order.append("terminal")
-
-    handler = compose([make("a"), make("b")], terminal)
-    asyncio.run(handler(RequestContext(prompt=_prompt(), received_at_s=0.0)))
-    assert order == ["a:in", "b:in", "terminal", "b:out", "a:out"]
-
-
-def test_tenant_resolution_drops_unknown_tenant():
-    async def terminal(ctx):
-        ctx.response["reached"] = True
-
-    handler = compose([tenant_resolution(frozenset({"gold"}))], terminal)
-
-    ctx = RequestContext(prompt=_prompt(tenant="intruder"), received_at_s=0.0)
-    asyncio.run(handler(ctx))
-    assert ctx.dropped and "intruder" in ctx.drop_reason
-
-    ok = RequestContext(prompt=_prompt(tenant="gold"), received_at_s=0.0)
-    asyncio.run(handler(ok))
-    assert not ok.dropped and ok.response["reached"]
-
-
-def test_least_backlog_worker_prefers_idle_then_lowest_id():
-    zoo = ModelZoo()
+def test_worker_selector_picks_idle_stub_worker_then_lowest_id():
     runtime = WallClockRuntime()
-    workers = [
-        StubWorker(worker_id=i, gpu="A100", zoo=zoo, runtime=runtime) for i in range(3)
-    ]
-    assert least_backlog_worker(workers).worker_id == 0
+    workers = [StubWorker(worker_id=i, runtime=runtime) for i in range(3)]
+    assert WorkerSelector.select(workers).worker_id == 0
     workers[0].backlog_s = 5.0
-    assert least_backlog_worker(workers).worker_id == 1
+    assert WorkerSelector.select(workers).worker_id == 1
+    # Cache affinity wins within the tolerance of the least backlog only.
+    workers[2].backlog_s = 0.3
+    assert WorkerSelector.select(workers, prefer=lambda wid: wid == 2).worker_id == 2
+    workers[2].backlog_s = 0.6
+    assert WorkerSelector.select(workers, prefer=lambda wid: wid == 2).worker_id == 1
+
+
+#: First 16 hex digits of the sha256 of the gateway's per-request outputs
+#: for the first 300 prompts of a scenario's small-preset stream at seed 0,
+#: each awaited before the next is sent: ``json.dumps`` of one row per
+#: request, ``(status, worker_id, effective_rank, cache_hit,
+#: service_time_s.hex(), relative_quality.hex())``.  Sequential sends keep
+#: the cache state and the worker choice independent of wall time.
+GATEWAY_REQUEST_DIGESTS = [
+    ("steady-baseline", None, "0962ee87ee2cf76f"),
+    ("steady-baseline", {"cache_warm_prompts": 0}, "2cb272c792f23f19"),
+    ("tenant-fair-share", None, "e7ed907af87c63a7"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, extra, digest", GATEWAY_REQUEST_DIGESTS, ids=["warm", "cold", "tenanted"]
+)
+def test_gateway_per_request_outputs_are_pinned(name, extra, digest):
+    scenario = get_scenario(name)
+    preset = scenario.preset("small")
+    config = build_config(scenario, preset, 0, extra=extra)
+    trace = scenario.trace.build(seed=0, **preset.trace_params)
+    prompts = [timed.prompt for timed in build_stream(scenario, preset, config, trace, 0)]
+
+    async def serve():
+        gateway = Gateway(config=config, time_scale=100000.0)
+        await gateway.start()
+        rows = []
+        try:
+            for prompt in prompts[:300]:
+                status, _, body = await gateway.handle(
+                    "POST", "/v1/generate", json.dumps(asdict(prompt)).encode()
+                )
+                out = json.loads(body)
+                rows.append(
+                    (
+                        status,
+                        out["worker_id"],
+                        out["effective_rank"],
+                        out["cache_hit"],
+                        float(out["service_time_s"]).hex(),
+                        float(out["relative_quality"]).hex(),
+                    )
+                )
+        finally:
+            await gateway.stop()
+        return rows
+
+    rows = asyncio.run(serve())
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == digest
 
 
 def test_prompt_from_payload_round_trips_and_accepts_text_shorthand():
@@ -222,11 +237,21 @@ def test_gateway_rejects_non_object_json_body(body):
     assert "JSON object" in payload["error"]
 
 
-@pytest.mark.parametrize("query", ["seed=abc", "duration_minutes=abc"])
+@pytest.mark.parametrize(
+    "query",
+    [
+        "seed=abc",
+        "duration_minutes=abc",
+        "duration_minutes=nan",
+        "duration_minutes=inf",
+        "duration_minutes=-1",
+        "duration_minutes=0",
+    ],
+)
 def test_gateway_rejects_non_numeric_report_parameters(query):
     status, payload = _handle("GET", f"/report?{query}")
     assert status == 400
-    assert "abc" in payload["error"]
+    assert query.partition("=")[2] in payload["error"]
 
 
 def test_gateway_answers_bad_content_length_over_socket():
@@ -271,6 +296,7 @@ def test_gateway_report_passes_verify_report_dict_shape():
         "worker_queues": 0,
         "admission_backlog": 0,
     }
+    assert report["extras"]["drift_events"] == {"": 0}
 
 
 def test_gateway_tenanted_config_reports_cache_tenants():
@@ -290,6 +316,8 @@ def test_gateway_tenanted_config_reports_cache_tenants():
                 {"text": "tenant traffic", "tenant": "gold"}
             )
             assert status == 200
+            status_anonymous, _ = await gateway.handle_generate({"text": "untagged"})
+            assert status_anonymous == 200
             status_bad, payload_bad = await gateway.handle_generate(
                 {"text": "who dis", "tenant": "intruder"}
             )
@@ -299,6 +327,9 @@ def test_gateway_tenanted_config_reports_cache_tenants():
 
     report, status_bad, payload_bad = asyncio.run(scenario())
     assert status_bad == 422 and payload_bad["dropped"]
+    # Drift keys follow the cache's namespace rule: untagged traffic counts
+    # under "", and a refused tenant under nothing.
+    assert report["extras"]["drift_events"] == {"": 0, "gold": 0}
     cache_tenants = report["extras"]["cache_tenants"]
     assert set(cache_tenants) == {"gold", "bronze"}
     assert cache_tenants["gold"]["entries"] <= cache_tenants["gold"]["quota"]

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import re
 
 import pytest
 
+from repro.classifier.drift import TenantDrift
 from repro.core.config import ArgusConfig
 from repro.scenarios.spec import FaultEvent, Preset, Scenario, TraceSpec
 from repro.scenarios.runtime import build_config, build_stream, run_scenario
@@ -263,6 +265,18 @@ class TestShardedRuns:
         assert _digest(run) == (
             "1e62cfa9da1dce7306e516f8d38bea3ea19ee56b94daa149049915e824872817"
         )
+
+    def test_drift_events_merge_per_tenant(self, monkeypatch):
+        run = run_scenario_sharded("tenant-fair-share", preset="small", seed=0, shards=2)
+        assert set(run.extras["drift_events"]) == {"alpha", "beta"}
+        run = run_scenario_sharded("fig16-xl", preset="small", seed=0, shards=2)
+        assert run.extras["drift_events"] == {"": 0}
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("shards inherit the patch below only when forked")
+        # Each forked shard reports one event; the merge sums them.
+        monkeypatch.setattr(TenantDrift, "events", lambda self: {"": 1})
+        run = run_scenario_sharded("fig16-xl", preset="small", seed=0, shards=2)
+        assert run.extras["drift_events"] == {"": 2}
 
     def test_coordinator_builds_the_stream_once(self, monkeypatch):
         import repro.scenarios.runtime as runtime_mod
