@@ -406,7 +406,8 @@ def bench_end_to_end(preset: Preset) -> dict:
 
     The legacy variant swaps the seed implementations back in at the same
     call sites (engine, collector, solver enumeration, vector search,
-    embed, condition lookup) and replays the identical seeded workload.
+    embed, featurize, condition lookup, and no arrival read-ahead) and
+    replays the identical seeded workload.
     """
     from unittest import mock
 
@@ -429,10 +430,14 @@ def bench_end_to_end(preset: Preset) -> dict:
 
     def legacy_patches():
         from repro.core.oda import ShiftMap
+        from repro.core.system import ArgusSystem
         from repro.prompts.features import PromptFeaturizer
         from repro.quality.pickscore import PickScoreModel
 
         return [
+            # The read-ahead fills the rank and embedding memos without
+            # calling featurize or embed; the seed derived them per request.
+            mock.patch.object(ArgusSystem, "prepare", lambda self, prompts: None),
             mock.patch.object(ShiftMap, "sample_target", legacy.legacy_sample_target),
             mock.patch("repro.core.base.SimulationEngine", legacy.LegacySimulationEngine),
             mock.patch("repro.core.base.MetricsCollector", legacy.LegacyMetricsCollector),

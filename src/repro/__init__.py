@@ -12,8 +12,10 @@ Quickstart (the :mod:`repro.api` facade)::
     print(result.report["summary"]["total_completions"])  # live gateway
 
 Deep imports (``from repro.core.system import ArgusSystem``) remain public
-and stable.  See DESIGN.md for the full system inventory and EXPERIMENTS.md
-for the paper-figure reproduction index.
+and stable.  README.md holds the system inventory: its "Architecture map"
+section lists every package, and "Scenario catalog", "Performance" and
+"Live-mode gateway" cover the workloads, the hot paths and live mode.
+EXPERIMENTS.md is the paper-figure reproduction index.
 """
 
 from repro.api import load_scenario, replay, run, serve

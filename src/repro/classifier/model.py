@@ -92,6 +92,31 @@ class SoftmaxClassifier:
             return logits.index(top)
         return int(self.predict(np.atleast_2d(features))[0])
 
+    def predict_rows(self, features: np.ndarray) -> list[int]:
+        """:meth:`predict_one` of each row of a feature matrix, from one
+        batched product.
+
+        The batched logits may round apart from a 1-row product in the last
+        bits, so a row takes its argmax only when its top two logits are
+        further apart than the near-tie guard plus what rounding can move
+        them; any other row, or one with a non-finite logit, goes through
+        :meth:`predict_one`.
+        """
+        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        with np.errstate(invalid="ignore", over="ignore"):
+            logits = self.logits(features)
+            top_two = np.partition(logits, -2, axis=1)[:, -2:]
+            # Twice as far as any logit of the row can round from its exact
+            # value, whatever the order of the product's sums.
+            scale = np.abs(features) @ np.abs(self.weights) + np.abs(self.bias)
+            bound = (features.shape[1] + 2) * np.finfo(np.float64).eps * scale.max(axis=1)
+            gap = top_two[:, 1] - top_two[:, 0]
+            sure = np.isfinite(logits).all(axis=1) & (gap > _NEAR_TIE + 4.0 * bound)
+        ranks = np.argmax(logits, axis=1).tolist()
+        for row in np.flatnonzero(~sure).tolist():
+            ranks[row] = self.predict_one(features[row])
+        return ranks
+
     # ------------------------------------------------------------------ #
     # Training
     # ------------------------------------------------------------------ #

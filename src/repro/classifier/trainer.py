@@ -62,12 +62,20 @@ class TrainedPredictor:
         features = self.featurizer.featurize(prompt)
         return self.classifier.predict_one(features)
 
-    def predict_ranks(self, prompts: list[Prompt]) -> list[int]:
-        """Predicted optimal ranks for a batch of prompts."""
+    def predict_ranks(self, prompts: list[Prompt | str]) -> list[int]:
+        """:meth:`predict_rank` of each prompt, from one feature matrix and
+        one batched product (the rank memo is neither read nor filled)."""
         if not prompts:
             return []
-        features = self.featurizer.featurize_batch(list(prompts))
-        return [int(r) for r in self.classifier.predict(features)]
+        return self.classifier.predict_rows(self.featurizer.featurize_batch(list(prompts)))
+
+    def remember_ranks(self, prompts: list[Prompt]) -> None:
+        """Fill the rank memo as :meth:`predict_rank` on each prompt in
+        order would, predicting every miss in one :meth:`predict_ranks`."""
+        self._rank_memo.remember_many(
+            [prompt.content_hash() for prompt in prompts],
+            lambda missed: self.predict_ranks([prompts[i] for i in missed]),
+        )
 
     def accuracy_against(self, labeled: LabeledPrompts) -> float:
         """Accuracy against ground-truth optimal levels."""

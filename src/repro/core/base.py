@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
+from collections import deque
 from dataclasses import dataclass
 
 from repro.cache import build_cache
@@ -32,6 +33,10 @@ from repro.workloads.tenants import build_runtimes
 #: seeding batch to cover hundreds of new prompts, few enough to keep the
 #: queue small.
 MAX_PENDING_COMPLETIONS = 1024
+
+#: Arrivals read ahead of the engine at most: each block's prompts go to
+#: :meth:`BaseServingSystem.prepare` together.
+PREPARE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -205,6 +210,18 @@ class BaseServingSystem(ABC):
     def observe_arrival(self, now: float, prompt: Prompt) -> None:
         """Hook for load estimators (optional)."""
 
+    def prepare(self, prompts: list[Prompt]) -> None:
+        """Fill, in one batch, the memos that serving ``prompts`` will read
+        (called by :meth:`schedule_arrivals` for each block it reads ahead).
+
+        Only memos of pure per-prompt functions fill, so what is served is
+        the same without it: here the cache embeddings, while the system
+        serves AC from a cache.
+        """
+        strategy = getattr(self, "active_strategy", self.config.default_strategy)
+        if self.cache is not None and strategy is Strategy.AC:
+            self.cache.embedder.embed_batch(prompts)
+
     def _admission_capacity_qps(self) -> float:
         """Hit-rate-corrected fleet throughput (see
         :func:`~repro.core.admission.hit_corrected_capacity_qps`)."""
@@ -258,18 +275,26 @@ class BaseServingSystem(ABC):
 
         Only the next arrival is ever resident in the event heap: each
         arrival callback submits its prompt and schedules the one after it.
-        Million-request traces therefore cost O(1) heap space instead of one
-        pre-materialised event per request.
+        The source is read ahead in blocks of :data:`PREPARE_BLOCK`, so at
+        most that many arrivals wait in a buffer, and a block's prompts go
+        to :meth:`prepare` before its first arrival is scheduled.
+        Million-request traces therefore cost O(1) memory instead of one
+        pre-materialised event per request.  Every source owns its random
+        streams, so reading ahead draws nothing out of order.
 
         ``timed_prompts`` must yield arrivals in nondecreasing time order
         (every arrival process in :mod:`repro.workloads` does).
         """
         iterator = iter(timed_prompts)
+        block: deque = deque()
 
         def schedule_next() -> None:
-            timed = next(iterator, None)
-            if timed is None:
-                return
+            if not block:
+                block.extend(itertools.islice(iterator, PREPARE_BLOCK))
+                if not block:
+                    return
+                self.prepare([timed.prompt for timed in block])
+            timed = block.popleft()
             if timed.arrival_time_s < self.engine.now:
                 raise ValueError(
                     "schedule_arrivals requires nondecreasing arrival times: "

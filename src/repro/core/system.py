@@ -211,6 +211,14 @@ class ArgusSystem(BaseServingSystem):
             min(10.0, self.config.reallocation_interval_s), first_tick, name="argus-allocator-warmup"
         )
 
+    def prepare(self, prompts: list[Prompt]) -> None:
+        """Also fill the active classifier's rank memo (see
+        :meth:`TrainedPredictor.remember_ranks`)."""
+        super().prepare(prompts)
+        predictor = self.classifiers.get(self.active_strategy)
+        if predictor is not None:
+            predictor.remember_ranks(prompts)
+
     def observe_arrival(self, now: float, prompt: Prompt) -> None:
         """Feed the load estimator and watch for backlog build-up."""
         self.allocator.observe_arrival(now)

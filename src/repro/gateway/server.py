@@ -197,9 +197,8 @@ class Gateway:
         self.gate.attach(self.admission)
         self.drift = TenantDrift(self.config.tenants)
         self._request_ids = itertools.count()
-        self._known_tenants = frozenset(
-            spec.name for spec in self.config.tenants if spec.name
-        )
+        #: Configured tenant names; empty for the anonymous deployment.
+        self._known_tenants = frozenset(spec.name for spec in self.config.tenants)
         self._server: asyncio.base_events.Server | None = None
         self.host: str | None = None
         self.port: int | None = None
@@ -307,9 +306,9 @@ class Gateway:
         tenant = prompt.tenant
         now = self.runtime.now()
         self.collector.record_arrival(now, tenant=tenant)
-        if self._known_tenants and tenant and tenant not in self._known_tenants:
-            # The live analogue of a 403; the anonymous deployment serves
-            # every tag.
+        if self._known_tenants and tenant not in self._known_tenants:
+            # The live analogue of a 403, untagged posts included unless ""
+            # is configured; the anonymous deployment serves every tag.
             self.collector.record_drop(tenant=tenant)
             return 422, {"dropped": True, "reason": f"unknown tenant {tenant!r}"}
         arrival_s, delayed = await self.gate.offer(now, prompt)

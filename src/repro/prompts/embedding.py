@@ -10,6 +10,7 @@ caching useful hit rates.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -69,31 +70,44 @@ class PromptEmbedder:
         return self._normalize(mixed)
 
     def embed_batch(self, prompts: list[Prompt]) -> np.ndarray:
-        """Embed a list of prompts into an (n, dim) matrix.
+        """Embed a list of prompts into an (n, dim) matrix whose row i is
+        ``embed(prompts[i])``, memo included.
 
-        Vectorized path used by cache warming: uncached prompts are mixed
-        against the topic matrix in one batched operation (tokenisation is
-        inherently per-prompt), then normalised row-wise with the same
-        scalar norm the single-prompt path uses so both paths produce
-        bit-identical vectors.
+        Every prompt the memo misses is embedded in one vectorised pass: one
+        ``bincount`` sums the signed word counts of all of them, and the
+        token and mixed vectors are normalised by :meth:`_normalize_rows`,
+        so each row is bit-identical to :meth:`_embed_uncached`.  The
+        serving loop embeds the arrivals it reads ahead here, and cache
+        warming stores what it returns.
         """
         if not prompts:
             return np.zeros((0, self.dim), dtype=np.float64)
         keys = [(p.content_hash(), p.topic) for p in prompts]
-        rows: dict[tuple[int, int], np.ndarray | None] = {}
-        fresh: list[tuple[tuple[int, int], Prompt]] = []
-        for key, prompt in zip(keys, prompts):
-            if key not in rows:
-                rows[key] = self._cache.get(key)
-                if rows[key] is None:
-                    fresh.append((key, prompt))
-        if fresh:
-            token_matrix = np.stack([self.embed_text(p.text) for _, p in fresh])
-            topic_matrix = np.stack([self._topic_vector(p.topic) for _, p in fresh])
-            mixed = (1.0 - self.topic_weight) * token_matrix + self.topic_weight * topic_matrix
-            for (key, _), row in zip(fresh, mixed):
-                rows[key] = self._cache.remember(key, self._normalize(row))
-        return np.stack([rows[key] for key in keys])
+
+        def derive(missed: list[int]) -> np.ndarray:
+            fresh = [prompts[i] for i in missed]
+            tokens = self._embed_texts([p.text for p in fresh])
+            topics = np.array([self._topic_vector(p.topic) for p in fresh])
+            mixed = (1.0 - self.topic_weight) * tokens + self.topic_weight * topics
+            return self._normalize_rows(mixed)
+
+        return np.stack(self._cache.remember_many(keys, derive))
+
+    def _embed_texts(self, texts: list[str]) -> np.ndarray:
+        """:meth:`embed_text` of each text, as the rows of one matrix."""
+        table = self._words
+        dim = self.dim
+        entries: list[tuple[int, float]] = []
+        per_text: list[int] = []
+        for text in texts:
+            before = len(entries)
+            entries.extend(map(table.__getitem__, tokenize(text)))
+            per_text.append(len(entries) - before)
+        n = len(texts)
+        flat = np.fromiter(chain.from_iterable(entries), np.float64, 2 * len(entries))
+        buckets = np.repeat(np.arange(n) * dim, per_text) + flat[0::2].astype(np.intp)
+        counts = np.bincount(buckets, weights=flat[1::2], minlength=n * dim)
+        return self._normalize_rows(counts.reshape(n, dim))
 
     def _topic_vector(self, topic: int) -> np.ndarray:
         vector = self._topic_cache.get(topic)
@@ -112,6 +126,18 @@ class PromptEmbedder:
             unit[0] = 1.0
             return unit
         return vector / norm
+
+    @staticmethod
+    def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
+        """:meth:`_normalize` of each row.  ``vecdot`` runs the 1-D ``dot``
+        on each row; ``einsum`` or ``sum(axis=1)`` may sum in another order
+        and round apart."""
+        norms = np.sqrt(np.vecdot(matrix, matrix))
+        zero = norms == 0
+        unit = matrix / np.where(zero, 1.0, norms)[:, None]
+        unit[zero] = 0.0
+        unit[zero, 0] = 1.0
+        return unit
 
     @staticmethod
     def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

@@ -9,6 +9,8 @@ sparsity and lets property tests exercise larger feature spaces.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from repro.prompts.generator import ATTRIBUTES, Prompt
@@ -84,10 +86,23 @@ class PromptFeaturizer:
         return cached
 
     def featurize_batch(self, prompts: list[Prompt | str]) -> np.ndarray:
-        """Feature matrix of shape (n, dim)."""
+        """Feature matrix of shape (n, dim) whose row i is
+        ``featurize(prompts[i])``, memo included.
+
+        Every prompt the memo misses (and every raw text) is featurised in
+        one vectorised pass, :meth:`_featurize_texts`.
+        """
         if not prompts:
             return np.zeros((0, self.dim), dtype=np.float64)
-        return np.stack([self.featurize(p) for p in prompts])
+        texts = [p.text if isinstance(p, Prompt) else str(p) for p in prompts]
+
+        def derive(missed: list[int]) -> np.ndarray:
+            features = self._featurize_texts([texts[i] for i in missed])
+            features.setflags(write=False)
+            return features
+
+        keys = [p.content_hash() if isinstance(p, Prompt) else None for p in prompts]
+        return np.stack(self._cache.remember_many(keys, derive))
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -117,6 +132,40 @@ class PromptFeaturizer:
         if peak > 0:
             hashed = [count / peak for count in hashed]
         return np.array(structural + hashed)
+
+    def _featurize_texts(self, texts: list[str]) -> np.ndarray:
+        """:meth:`_featurize_text` of each text, as the rows of one matrix.
+
+        The word slots of all texts are counted by one ``bincount``, and the
+        counts are scaled column by column with the same float operations,
+        so each row is bit-identical to the single-text path.
+        """
+        table = self._words
+        dim = self.dim
+        slots: list[int] = []
+        per_text: list[int] = []
+        num_words: list[int] = []
+        for text in texts:
+            words = tokenize(text)
+            num_words.append(len(words))
+            before = len(slots)
+            slots.extend(chain.from_iterable(map(table.__getitem__, words)))
+            per_text.append(len(slots) - before)
+        n = len(texts)
+        rows = np.repeat(np.arange(n) * dim, per_text)
+        counts = np.bincount(rows + np.array(slots, dtype=np.intp), minlength=n * dim)
+        counts = counts.reshape(n, dim).astype(np.float64)
+        features = np.empty((n, dim))
+        features[:, 0] = np.array(num_words) / 20.0
+        features[:, 1] = np.array([text.count(",") for text in texts]) / 4.0
+        features[:, 2:4] = counts[:, 2:4]
+        features[:, 4] = counts[:, 4] / 3.0
+        features[:, 5:7] = counts[:, 5:7] > 0
+        features[:, 7] = counts[:, 7] / 3.0
+        hashed = counts[:, 8:]
+        peak = hashed.max(axis=1, initial=0.0)[:, None]
+        features[:, 8:] = np.divide(hashed, peak, out=hashed, where=peak > 0)
+        return features
 
     def _word_slots(self, word: str) -> tuple[int, ...]:
         slots = tuple(

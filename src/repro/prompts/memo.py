@@ -11,7 +11,7 @@ table shares one bound, :data:`MAX_ENTRIES`.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 #: Entries one memo or word table keeps: repeated-prompt workloads fit
 #: easily, while a stream of millions of unique prompts cannot grow it
@@ -44,6 +44,40 @@ class PromptMemo(dict):
         """Whether ``count`` more entries can be remembered without the
         memo emptying."""
         return len(self) + count <= MAX_ENTRIES
+
+    def remember_many(self, keys: list, derive_many: Callable[[list[int]], Sequence]) -> list:
+        """The value of each of ``keys``, with every miss derived in one call.
+
+        The memo is left as a loop of ``get`` and, on a miss,
+        ``remember(key, derive(key))`` would leave it.  ``derive_many(missed)``
+        gets the positions in ``keys`` that miss, in order (a key the memo
+        lost to emptying misses again), and returns their values in that
+        order.  A key of None is never memoised.
+        """
+        values = []
+        missed = []
+        for position, key in enumerate(keys):
+            if key is None or key not in self:
+                missed.append(position)
+                if key is not None:
+                    # Held by None until derived: a repeat of the key hits it.
+                    self.remember(key, None)
+            values.append(self.get(key))
+        try:
+            derived = derive_many(missed) if missed else ()
+        except BaseException:
+            for key in {keys[position] for position in missed} - {None}:
+                if self.get(key, 0) is None:
+                    del self[key]
+            raise
+        fresh = {}
+        for position, value in zip(missed, derived):
+            key = keys[position]
+            values[position] = fresh[key] = value
+            if key is not None and key in self:
+                self[key] = value
+        # The rest still at None hit a key held for a miss before them.
+        return [fresh[key] if value is None else value for key, value in zip(keys, values)]
 
 
 class WordTable(dict):

@@ -316,8 +316,6 @@ def test_gateway_tenanted_config_reports_cache_tenants():
                 {"text": "tenant traffic", "tenant": "gold"}
             )
             assert status == 200
-            status_anonymous, _ = await gateway.handle_generate({"text": "untagged"})
-            assert status_anonymous == 200
             status_bad, payload_bad = await gateway.handle_generate(
                 {"text": "who dis", "tenant": "intruder"}
             )
@@ -327,15 +325,51 @@ def test_gateway_tenanted_config_reports_cache_tenants():
 
     report, status_bad, payload_bad = asyncio.run(scenario())
     assert status_bad == 422 and payload_bad["dropped"]
-    # Drift keys follow the cache's namespace rule: untagged traffic counts
-    # under "", and a refused tenant under nothing.
-    assert report["extras"]["drift_events"] == {"": 0, "gold": 0}
+    # Drift keys follow the cache's namespace rule; a refused tenant counts
+    # under nothing.
+    assert report["extras"]["drift_events"] == {"gold": 0}
     cache_tenants = report["extras"]["cache_tenants"]
     assert set(cache_tenants) == {"gold", "bronze"}
     assert cache_tenants["gold"]["entries"] <= cache_tenants["gold"]["quota"]
     results = verify_report(report, ("conservation", "cache-quota"))
     assert not violations(results)
     assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("names", [("gold", "bronze"), ("",), ()])
+def test_gateway_refuses_tags_of_no_configured_tenant(names):
+    """A tenanted gateway refuses every tag naming no configured tenant,
+    the empty one included unless "" is configured, with a counted drop,
+    so no post bypasses fair-share admission; the anonymous gateway serves
+    every tag."""
+    config = ArgusConfig(
+        num_workers=2, cache_warm_prompts=0, tenants=[{"name": name} for name in names]
+    )
+    posts = [{"text": f"untagged {i}"} for i in range(50)]
+    posts.append({"text": "tagged", "tenant": "intruder"})
+
+    async def scenario():
+        gateway = Gateway(config=config, time_scale=100000.0)
+        await gateway.start()
+        try:
+            return gateway, [(await gateway.handle_generate(post))[0] for post in posts]
+        finally:
+            await gateway.stop()
+
+    gateway, statuses = asyncio.run(scenario())
+    untagged, tagged = statuses[:-1], statuses[-1]
+    collector = gateway.collector
+    if not names:
+        assert statuses == [200] * 51 and collector.dropped_requests == 0
+        return
+    assert tagged == 422 and collector.tenant_stats("intruder")["dropped"] == 1
+    if "" in names:
+        assert untagged == [200] * 50 and collector.tenant_stats("")["dropped"] == 0
+        return
+    assert untagged == [422] * 50
+    assert collector.tenant_stats("")["dropped"] == 50 and collector.dropped_requests == 51
+    assert all(gateway.admission.stats_for(name).offered == 0 for name in names)
+    assert collector.total_completions == 0
 
 
 @pytest.mark.parametrize("warm, training", [(300, 2000), (500, 200)])

@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 from benchmarks.perf import legacy
 from repro.cache.network import NetworkCondition, NetworkModel
 from repro.cache.vectordb import VectorDatabase
+from repro.classifier.model import SoftmaxClassifier, TrainingHistory
+from repro.classifier.trainer import TrainedPredictor
 from repro.cluster.cluster import FleetIndex, GpuCluster
 from repro.cluster.requests import CompletedRequest, Request
 from repro.core.oda import ShiftMap
@@ -430,6 +432,178 @@ class TestTextEquivalence:
         assert expected.shape == (featurizer.dim,)
         assert featurizer.featurize(text).tobytes() == expected.tobytes()
         assert featurizer.featurize(text).tobytes() == expected.tobytes()
+
+
+#: Texts the word tables must get right in a batch: empty, punctuation
+#: only, repeated words, mixed case, context-dependent lowercase.
+_ODD_TEXTS = ("", ",. ..", "AND the, a. and", "dog dog, dog.", "İstanbul ΑΣ. ß", " ,\t.")
+
+
+class TestBatchedFrontEnd:
+    """The read-ahead's batch paths (``featurize_batch``, ``embed_batch``,
+    ``predict_rows`` and the rank fill) give, bit for bit, what the
+    per-prompt paths give, and leave every memo and word table as the
+    per-prompt paths would, also when a memo empties or a word table is
+    full in the middle of a batch."""
+
+    @staticmethod
+    def _block(seed: int, extra_texts=()) -> list:
+        rng = np.random.default_rng(seed)
+        prompts = PromptGenerator(seed=seed).generate(60)
+        odd = [
+            dataclasses.replace(prompts[i % 60], prompt_id=5_000 + i, text=text)
+            for i, text in enumerate(_ODD_TEXTS + tuple(extra_texts))
+        ]
+        block = prompts + odd
+        block += [block[i] for i in rng.integers(len(block), size=25)]
+        return [block[i] for i in rng.permutation(len(block))]
+
+    @staticmethod
+    def _same_memo(got: dict, want: dict) -> bool:
+        """Same keys in the same order, and bit-identical values."""
+
+        def encode(table: dict) -> list:
+            return [(k, v.tobytes() if isinstance(v, np.ndarray) else v) for k, v in table.items()]
+
+        return encode(got) == encode(want)
+
+    @pytest.mark.parametrize("max_entries", [None, 16])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_featurize_batch_rows_equal_the_text_path(self, monkeypatch, seed, max_entries):
+        if max_entries is not None:
+            monkeypatch.setattr(memo, "MAX_ENTRIES", max_entries)
+        block = self._block(seed)
+        inputs = block[:40] + [prompt.text for prompt in block[:6]] + block[40:]
+        hashed_dim = (48, 5, 0)[seed % 3]
+        batched, scalar, reference = (PromptFeaturizer(hashed_dim) for _ in range(3))
+        # Memos partly filled through the scalar path first, on both.
+        for prompt in block[::7]:
+            batched.featurize(prompt)
+            scalar.featurize(prompt)
+        matrix = batched.featurize_batch(inputs)
+        for row, item in zip(matrix, inputs):
+            text = item.text if isinstance(item, Prompt) else item
+            assert row.tobytes() == reference._featurize_text(text).tobytes()
+        for item in inputs:
+            scalar.featurize(item)
+        assert self._same_memo(batched._cache, scalar._cache)
+        assert dict(batched._words) == dict(scalar._words)
+        assert all(not vector.flags.writeable for vector in batched._cache.values())
+
+    @pytest.mark.parametrize("max_entries", [None, 16])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_embed_batch_rows_equal_the_prompt_path(self, monkeypatch, seed, max_entries):
+        if max_entries is not None:
+            monkeypatch.setattr(memo, "MAX_ENTRIES", max_entries)
+        dim = 8
+        # Two words in one bucket with opposite signs: a zero token vector.
+        entries = {}
+        for word in (f"w{i}" for i in itertools.count()):
+            index, sign = PromptEmbedder(dim=dim)._word_entry(word)
+            other = entries.get((index, -sign))
+            if other is not None:
+                break
+            entries[index, sign] = word
+        block = self._block(seed, extra_texts=(f"{word} {other}", f"{other}, {word}."))
+        batched, scalar, reference = PromptEmbedder(dim), PromptEmbedder(dim), PromptEmbedder(dim)
+        for prompt in block[::7]:
+            batched.embed(prompt)
+            scalar.embed(prompt)
+        matrix = batched.embed_batch(block)
+        for row, prompt in zip(matrix, block):
+            assert row.tobytes() == reference._embed_uncached(prompt).tobytes()
+        assert reference.embed_text(f"{word} {other}").tobytes() == np.eye(dim)[0].tobytes()
+        for prompt in block:
+            scalar.embed(prompt)
+        assert self._same_memo(batched._cache, scalar._cache)
+        assert self._same_memo(batched._topic_cache, scalar._topic_cache)
+        assert dict(batched._words) == dict(scalar._words)
+
+    @staticmethod
+    def _classifier(seed: int, kind: str) -> tuple[SoftmaxClassifier, np.ndarray]:
+        rng = np.random.default_rng(seed)
+        classifier = SoftmaxClassifier(num_features=12, num_classes=6, seed=seed)
+        classifier.weights = rng.normal(size=(12, 6)) * 10.0 ** rng.integers(-2, 3)
+        classifier.bias = rng.normal(size=6)
+        features = rng.normal(size=(120, 12))
+        if kind in ("tie", "near-tie"):
+            # Classes 1 and 4 score alike and top every row: exact ties,
+            # or gaps around the near-tie guard.
+            classifier.weights[:, 4] = classifier.weights[:, 1]
+            classifier.bias[[1, 4]] = 1e3
+            if kind == "near-tie":
+                classifier.bias[4] += rng.choice([-2e-9, -1e-9, -5e-10, 5e-10, 1e-9, 2e-9])
+        elif kind == "rounding-tie":
+            # Each row ties classes 1 and 4 exactly, at a scale where the
+            # batched and 1-row products round further apart than the guard.
+            classifier.weights *= 1e8
+            classifier.bias = rng.normal(size=6) * 1e8
+            classifier.bias[[1, 4]] += 1e10
+            diff = classifier.weights[:, 1] - classifier.weights[:, 4]
+            gap = features[:, 1:] @ diff[1:] + classifier.bias[1] - classifier.bias[4]
+            features[:, 0] = -gap / diff[0]
+        elif kind == "non-finite":
+            classifier.weights[rng.integers(12), rng.integers(6)] = rng.choice([np.inf, -np.inf])
+            classifier.weights[rng.integers(12), rng.integers(6)] = np.nan
+            features[rng.random(features.shape) < 0.1] = 0.0
+        return classifier, features
+
+    @pytest.mark.parametrize("kind", ["random", "tie", "near-tie", "rounding-tie", "non-finite"])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_predict_rows_equal_predict_one(self, seed, kind):
+        classifier, features = self._classifier(seed, kind)
+        with np.errstate(all="ignore"):
+            want = [classifier.predict_one(row) for row in features]
+            got = classifier.predict_rows(features)
+        assert got == want
+        assert all(type(rank) is int for rank in got)
+
+    @pytest.mark.parametrize("max_entries", [None, 16])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rank_fill_leaves_what_predict_rank_leaves(self, monkeypatch, seed, max_entries):
+        if max_entries is not None:
+            monkeypatch.setattr(memo, "MAX_ENTRIES", max_entries)
+        classifier, _ = self._classifier(seed, ["random", "tie", "near-tie"][seed % 3])
+        classifier.weights = np.resize(classifier.weights, (PromptFeaturizer().dim, 6))
+
+        def predictor() -> TrainedPredictor:
+            return TrainedPredictor(
+                strategy=Strategy.AC,
+                classifier=copy.deepcopy(classifier),
+                featurizer=PromptFeaturizer(),
+                history=TrainingHistory(),
+            )
+
+        batched, scalar = predictor(), predictor()
+        block = self._block(seed)
+        for prompt in block[::5]:
+            batched.predict_rank(prompt)
+            scalar.predict_rank(prompt)
+        batched.remember_ranks(block)
+        want = [scalar.predict_rank(prompt) for prompt in block]
+        assert self._same_memo(batched._rank_memo, scalar._rank_memo)
+        assert self._same_memo(batched.featurizer._cache, scalar.featurizer._cache)
+        assert batched.predict_ranks(block) == want
+        if max_entries is None:
+            assert [batched._rank_memo[prompt.content_hash()] for prompt in block] == want
+
+    def test_a_failed_fill_leaves_no_placeholder(self, monkeypatch):
+        featurizer = PromptFeaturizer()
+        block = self._block(0)
+        featurizer.featurize_batch(block[:5])
+        before = list(featurizer._cache)
+
+        def fail(texts):
+            raise RuntimeError("featurising failed")
+
+        monkeypatch.setattr(featurizer, "_featurize_texts", fail)
+        with pytest.raises(RuntimeError):
+            featurizer.featurize_batch(block)
+        assert list(featurizer._cache) == before
+        monkeypatch.undo()
+        assert featurizer.featurize_batch(block).tobytes() == (
+            np.stack([PromptFeaturizer().featurize(prompt) for prompt in block]).tobytes()
+        )
 
 
 class TestScoringEquivalence:

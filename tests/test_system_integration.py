@@ -8,6 +8,7 @@ cache retrieval -> completion -> metrics.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import multiprocessing
 
@@ -27,6 +28,7 @@ from repro.models.zoo import Strategy
 from repro.prompts.dataset import PromptDataset
 from repro.scenarios import run_scenario
 from repro.simulation.shard import run_scenario_sharded
+from repro.workloads.replay import TimedPrompt
 from repro.workloads.traces import TraceLibrary
 
 
@@ -286,3 +288,99 @@ class TestDeferredQuality:
         # Deferred for real: completions are settled hundreds at a time.
         assert sum(batch_sizes) == len(completed_order)
         assert len(batch_sizes) < len(completed_order) / 100
+
+
+def _no_read_ahead(monkeypatch) -> None:
+    """Serve without filling any memo ahead: every derivation per request."""
+    for system in (base.BaseServingSystem, ArgusSystem):
+        monkeypatch.setattr(system, "prepare", lambda self, prompts: None)
+
+
+class TestReadAhead:
+    """Arrivals are read ahead in blocks whose ranks and embeddings are
+    derived together, which no report may notice."""
+
+    #: (scenario, shards): a retrain, strategy switches (retrieval and
+    #: load), per-tenant admission and a 2-shard run, each in mid-block.
+    CASES = [
+        ("drift-recalibration", None),
+        ("degraded-network", None),
+        ("bursty-load-switch", None),
+        ("tenant-noisy-neighbor", None),
+        pytest.param(
+            "fig16-xl",
+            2,
+            marks=pytest.mark.skipif(
+                "fork" not in multiprocessing.get_all_start_methods(),
+                reason="shard processes see the patched hook only when forked",
+            ),
+        ),
+    ]
+
+    @pytest.mark.parametrize("name, shards", CASES)
+    def test_serving_without_read_ahead_gives_the_same_report(self, monkeypatch, name, shards):
+        run = TestDeferredQuality._run(name, shards)
+        if name == "drift-recalibration":
+            assert run.system.retraining_events >= 1
+        if name in ("degraded-network", "bursty-load-switch"):
+            assert run.system.num_strategy_switches() >= 1
+        ahead = _report_digest(run)
+        _no_read_ahead(monkeypatch)
+        assert _report_digest(TestDeferredQuality._run(name, shards)) == ahead
+
+    def test_prepare_sees_each_block_once_in_stream_order(self, monkeypatch):
+        log = []
+        prepare, submit = ArgusSystem.prepare, ArgusSystem.submit
+
+        def record_prepare(self, prompts):
+            log.append(("prepare", list(prompts)))
+            prepare(self, prompts)
+
+        def record_submit(self, prompt):
+            log.append(("submit", prompt))
+            return submit(self, prompt)
+
+        monkeypatch.setattr(ArgusSystem, "prepare", record_prepare)
+        monkeypatch.setattr(ArgusSystem, "submit", record_submit)
+        run = run_scenario("drift-recalibration", preset="small", seed=0)
+        blocks = [prompts for kind, prompts in log if kind == "prepare"]
+        submitted = [prompt for kind, prompt in log if kind == "submit"]
+        read = [prompt for block in blocks for prompt in block]
+        assert len(read) == len(submitted) == run.system.collector.total_arrivals
+        assert all(a is b for a, b in zip(read, submitted))
+        assert len(blocks) > 2
+        assert all(len(block) == base.PREPARE_BLOCK for block in blocks[:-1])
+        assert 0 < len(blocks[-1]) <= base.PREPARE_BLOCK
+        # Each block is read while its predecessor's last arrival is being
+        # served, just before that arrival is submitted.
+        served_before, served = [], 0
+        for kind, _ in log:
+            if kind == "prepare":
+                served_before.append(served)
+            else:
+                served += 1
+        ends = list(itertools.accumulate(len(block) for block in blocks))
+        assert served_before == [0] + [end - 1 for end in ends[:-1]]
+
+    @pytest.mark.parametrize("read_ahead", [True, False])
+    def test_a_decreasing_timestamp_raises_at_the_same_arrival(
+        self, monkeypatch, training_dataset, read_ahead
+    ):
+        if not read_ahead:
+            _no_read_ahead(monkeypatch)
+        prompts = PromptDataset.synthetic(count=300, seed=5).prompts
+        times = [0.1 * i for i in range(300)]
+        times[270] = times[269] - 0.05
+        system = ArgusSystem(config=small_config(), training_dataset=training_dataset)
+        submitted = []
+        submit = system.submit
+
+        def record(prompt):
+            submitted.append(prompt)
+            return submit(prompt)
+
+        monkeypatch.setattr(system, "submit", record)
+        system.schedule_arrivals(TimedPrompt(t, p) for t, p in zip(times, prompts))
+        with pytest.raises(ValueError, match=r"got 26\.850000s after 26\.900000s"):
+            system.run(duration_s=60.0)
+        assert submitted == prompts[:269]
