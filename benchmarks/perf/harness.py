@@ -129,8 +129,7 @@ def bench_vectordb(preset: Preset) -> dict:
         for query in queries:
             legacy.legacy_flat_search(db, query, top_k=1)
 
-    optimized_s = _timed(run_optimized)
-    legacy_s = _timed(run_legacy)
+    legacy_s, optimized_s = _timed_pair(run_legacy, run_optimized)
     agree = sum(
         1
         for query in queries
@@ -348,8 +347,10 @@ def bench_network(preset: Preset) -> dict:
     times = rng.uniform(0, 6000, size=preset.network_lookups)
     network.condition_at(0.0)  # build the segment timeline outside the timing
 
-    legacy_s = _timed(lambda: [legacy.legacy_condition_at(network, t) for t in times])
-    optimized_s = _timed(lambda: [network.condition_at(t) for t in times])
+    legacy_s, optimized_s = _timed_pair(
+        lambda: [legacy.legacy_condition_at(network, t) for t in times],
+        lambda: [network.condition_at(t) for t in times],
+    )
     mismatches = sum(
         1
         for t in times[:2000]
@@ -371,8 +372,10 @@ def bench_embedder(preset: Preset) -> dict:
 
     legacy_embedder = PromptEmbedder(dim=64)
     optimized_embedder = PromptEmbedder(dim=64)
-    legacy_s = _timed(lambda: [legacy.legacy_embed(legacy_embedder, p) for p in lookups])
-    optimized_s = _timed(lambda: [optimized_embedder.embed(p) for p in lookups])
+    legacy_s, optimized_s = _timed_pair(
+        lambda: [legacy.legacy_embed(legacy_embedder, p) for p in lookups],
+        lambda: [optimized_embedder.embed(p) for p in lookups],
+    )
 
     batch_embedder = PromptEmbedder(dim=64)
     batch_s = _timed(lambda: batch_embedder.embed_batch(prompts), repeats=1)

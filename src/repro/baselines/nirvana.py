@@ -23,10 +23,6 @@ class NirvanaSystem(BaseServingSystem):
     """Cluster-replicated NIRVANA with uniform load spreading."""
 
     name = "NIRVANA"
-    #: The original NIRVANA is a single-request pipeline (one retrieval +
-    #: one resume per pass); replicating it across the cluster does not give
-    #: it a batched execution path.
-    supports_batching = False
 
     def __init__(
         self,

@@ -1,10 +1,11 @@
 """Simulated GPU cluster substrate.
 
 Workers are event-driven queueing stations attached to the shared
-:class:`~repro.simulation.engine.SimulationEngine`.  Each worker serves
-dynamic batches at a single approximation level, holds one or two models in
-GPU memory, pays the Table-2 load latency when switching SM variants, and
-can be failed / recovered to reproduce the fault experiments (Fig. 20).
+:class:`~repro.simulation.engine.SimulationEngine`.  Each worker serves one
+request per GPU pass at a single approximation level, holds one or two
+models in GPU memory, pays the Table-2 load latency when switching SM
+variants, and can be failed / recovered to reproduce the fault experiments
+(Fig. 20).
 The fleet is elastic and heterogeneous: workers carry per-type GPU specs
 (Fig. 5 relative speeds, native memory sizes) and can be provisioned or
 drained at runtime by the autoscaler.

@@ -3,10 +3,10 @@ injection and utilisation/cost accounting.
 
 The cluster started life as a fixed homogeneous pool; it now supports an
 elastic fleet: workers carry a per-type :class:`~repro.models.gpus.GpuSpec`
-(service times scale with the Fig. 5 relative speeds, memory defaults to the
-GPU's native HBM size), new workers can be provisioned at runtime (node
+(service times scale with the Fig. 5 relative speeds, memory is the GPU's
+native HBM size), new workers can be provisioned at runtime (node
 provisioning delay plus model warm-up before entering rotation) and drained
-out on scale-in without dropping their in-flight batch.  A fleet log records
+out on scale-in without dropping their in-flight request.  A fleet log records
 every rotation change so experiments can report fleet-size minute series,
 GPU-hours and dollar cost.  With a homogeneous reference-GPU fleet and no
 scaling events the behaviour is bit-for-bit the original fixed pool.
@@ -58,7 +58,7 @@ class FleetIndex:
     """The workers in rotation, kept current by the workers themselves.
 
     Each worker reports every change to its rotation membership, level,
-    speed or queue/batch contents through :meth:`update`, so fleet queries
+    speed or outstanding requests through :meth:`update`, so fleet queries
     read maintained state instead of scanning the fleet.  Per rank, a
     min-heap of ``(estimated_backlog_s, worker_id, version)`` entries yields
     the Eq. 3 choice in O(log W): an update supersedes a worker's previous
@@ -164,12 +164,9 @@ class GpuCluster:
         num_workers: int = 8,
         initial_level: ApproximationLevel | None = None,
         cache: ApproximateCache | None = None,
-        memory_capacity_gib: float | None = 80.0,
         on_complete: Callable[[CompletedRequest], None] | None = None,
         on_requeue: Callable[[Request], None] | None = None,
         blocking_loads: bool = False,
-        max_batch_size: int = 1,
-        batch_timeout_s: float = 0.0,
         gpu_types: Sequence[GpuSpec | str] | None = None,
         queue_policy: str = "fifo",
         tenant_weights: dict[str, float] | None = None,
@@ -181,11 +178,7 @@ class GpuCluster:
         self.engine = engine
         self.zoo = zoo
         self.cache = cache
-        #: Per-worker dynamic-batching knobs (1 / 0.0 = batch-size-1 serving).
-        self.max_batch_size = int(max_batch_size)
-        self.batch_timeout_s = float(batch_timeout_s)
         # Construction parameters reused verbatim for workers added later.
-        self._memory_capacity_gib = memory_capacity_gib
         self._on_complete = on_complete
         self._on_requeue = on_requeue
         self._blocking_loads = blocking_loads
@@ -225,12 +218,9 @@ class GpuCluster:
             zoo=self.zoo,
             level=level,
             cache=self.cache,
-            memory_capacity_gib=self._memory_capacity_gib,
             on_complete=self._on_complete,
             on_requeue=self._on_requeue,
             blocking_load=self._blocking_loads,
-            max_batch_size=self.max_batch_size,
-            batch_timeout_s=self.batch_timeout_s,
             gpu=gpu,
             provisioning=provisioning,
             queue_policy=self._queue_policy,
@@ -284,12 +274,10 @@ class GpuCluster:
         """Max sustainable QPM with every worker at the fastest level.
 
         Heterogeneity-aware: each worker contributes the fastest level's
-        batched peak scaled by its GPU speed.
+        peak scaled by its GPU speed.
         """
         return self.zoo.max_cluster_throughput_qpm(
-            strategy,
-            self.total_speed_factor(include_provisioning),
-            max(1, self.max_batch_size),
+            strategy, self.total_speed_factor(include_provisioning)
         )
 
     def workers_at_level(self, rank: int, strategy: Strategy | str | None = None) -> list[Worker]:
@@ -317,28 +305,24 @@ class GpuCluster:
     def total_queue_length(self) -> int:
         """Total requests queued **or in service** across healthy workers.
 
-        Includes in-flight batch members; for a backlog signal use
+        Includes requests in a GPU pass; for a backlog signal use
         :meth:`total_queued_requests`, which counts only waiting requests.
         """
         return sum(w.outstanding for w in self.healthy_workers)
 
     def total_queued_requests(self) -> int:
-        """Requests waiting in queues (excluding in-service batch members).
-
-        The backlog signal for control loops: with batching enabled a busy
-        worker legitimately holds up to ``max_batch_size`` requests in
-        service, so counting those as backlog would misread steady state.
-        """
+        """Requests waiting in queues (excluding those in a GPU pass): the
+        backlog signal for control loops, which must not read a busy
+        worker's in-flight request as backlog."""
         return self.fleet_index.queued
 
     def backlog_slack(self, per_worker: float = 1.0) -> float:
         """Queued requests the cluster holds in normal operation.
 
-        Up to one full batch legitimately waits behind each in-flight GPU
-        pass, so the slack scales with the batch limit; control loops treat
-        only queue depth beyond this as backlog.
+        ``per_worker`` requests may wait behind each worker's in-flight GPU
+        pass; control loops treat only queue depth beyond this as backlog.
         """
-        return per_worker * len(self.fleet_index.active) * max(1, self.max_batch_size)
+        return per_worker * len(self.fleet_index.active)
 
     # ------------------------------------------------------------------ #
     # Placement
@@ -414,7 +398,7 @@ class GpuCluster:
         """Remove a worker from rotation gracefully (scale-in).
 
         The worker stops taking new requests immediately; queued requests
-        are requeued for re-routing and the in-flight batch completes before
+        are requeued for re-routing and the in-flight request completes before
         the worker retires.  Returns the requeued requests.
         """
         worker = self.workers[worker_id]
@@ -597,14 +581,3 @@ class GpuCluster:
     def total_model_loads(self) -> int:
         """Model load operations performed across all workers."""
         return sum(w.stats.model_loads for w in self.workers)
-
-    def total_batches_served(self) -> int:
-        """GPU passes executed across all workers."""
-        return sum(w.stats.batches_served for w in self.workers)
-
-    def mean_batch_occupancy(self) -> float:
-        """Mean requests per GPU pass across the cluster (1.0 when idle)."""
-        batches = self.total_batches_served()
-        if batches == 0:
-            return 1.0
-        return self.total_requests_served() / batches

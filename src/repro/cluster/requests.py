@@ -45,8 +45,6 @@ class CompletedRequest:
     #: True when the request attempted cache retrieval but the network was
     #: unreachable (drives the AC -> SM switch decision).
     retrieval_failed: bool = False
-    #: Number of requests in the GPU pass that served this one.
-    batch_size: int = 1
 
     @property
     def latency_s(self) -> float:

@@ -1,11 +1,9 @@
-"""An event-driven GPU worker with dynamic batching.
+"""An event-driven GPU worker serving one request per GPU pass.
 
-A worker drains its queue into batches of up to ``max_batch_size`` requests,
-optionally waiting ``batch_timeout_s`` for a batch to form, and serves every
-request in a batch in one GPU pass whose cost follows the model's Fig. 14
-batching profile (diffusion models plateau quickly, so batches buy a modest
-but real throughput gain).  With ``max_batch_size=1`` the worker behaves
-exactly like the original batch-size-1 serving path.
+Diffusion models are compute-bound: their batching speed-up plateaus
+below 2x (Fig. 14, Observation 5), so Argus serves batch size 1.  A worker
+pops the next request from its queue, prices it with
+:func:`service_profile` and completes it one service time later.
 
 The worker operates at a single approximation level set by the allocator and
 pays the model-load latency when asked to switch to a different SM variant.
@@ -19,7 +17,7 @@ Fig. 5 latency matrix applied per worker).  They also have an elastic
 lifecycle: a worker may be created in the ``PROVISIONING`` state (outside
 the serving rotation until its node and model warm-up are ready) and later
 drained out of rotation (``DRAINING`` → ``RETIRED``) without dropping its
-in-flight batch.
+in-flight request.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ class WorkerState(str, Enum):
     IDLE = "idle"
     BUSY = "busy"
     FAILED = "failed"
-    #: Finishing its in-flight batch, accepting no new requests.
+    #: Finishing its in-flight request, accepting no new requests.
     DRAINING = "draining"
     #: Permanently removed from the fleet (scale-in completed).
     RETIRED = "retired"
@@ -61,7 +59,7 @@ class WorkerState(str, Enum):
 
 @dataclass(frozen=True, slots=True)
 class ServiceProfile:
-    """Per-request serving cost computed at batch launch."""
+    """Per-request serving cost computed when the GPU pass starts."""
 
     #: Full single-request wall time (compute + overheads), jittered.
     service_time_s: float
@@ -69,9 +67,6 @@ class ServiceProfile:
     retrieval_latency_s: float
     cache_hit: bool
     retrieval_failed: bool
-    #: Non-compute portion of ``service_time_s`` (cache retrieval and outage
-    #: penalty); batching amortises compute, not this.
-    overhead_s: float = 0.0
 
 
 @dataclass
@@ -82,18 +77,6 @@ class WorkerStats:
     busy_time_s: float = 0.0
     model_loads: int = 0
     load_time_s: float = 0.0
-    #: Number of GPU passes (batches) executed; at batch size 1 this equals
-    #: ``requests_served``.
-    batches_served: int = 0
-    #: Largest batch this worker has executed.
-    max_batch_served: int = 0
-
-    @property
-    def mean_batch_occupancy(self) -> float:
-        """Mean requests per executed batch (1.0 when nothing served yet)."""
-        if self.batches_served == 0:
-            return 1.0
-        return self.requests_served / self.batches_served
 
 
 def service_profile(
@@ -132,26 +115,25 @@ def service_profile(
     effective_skip = outcome.effective_skip
     spec = zoo.ac_level_spec(effective_skip) if effective_skip else None
     base_variant = zoo.sm_variant(level.variant_name or "SD-XL")
-    overhead = 0.0
+    # Network time inside ``latency``, which a gray failure does not slow.
+    network_s = 0.0
     if spec is None:
         latency = latency_model.variant_latency(base_variant)
         effective_rank = 0
     else:
         latency = latency_model.ac_latency(spec, base_variant, outcome.retrieval_latency_s)
         effective_rank = spec.approximation_rank
-        overhead = outcome.retrieval_latency_s
+        network_s = outcome.retrieval_latency_s
     if degrade_factor is not None:
-        latency = overhead + (latency - overhead) / degrade_factor
+        latency = network_s + (latency - network_s) / degrade_factor
     if outcome.network_failed:
         latency += FAILED_RETRIEVAL_PENALTY_S
-        overhead += FAILED_RETRIEVAL_PENALTY_S
     return ServiceProfile(
         service_time_s=latency * jitter,
         effective_rank=effective_rank,
         retrieval_latency_s=outcome.retrieval_latency_s,
         cache_hit=outcome.hit,
         retrieval_failed=outcome.network_failed,
-        overhead_s=overhead * jitter,
     )
 
 
@@ -165,14 +147,11 @@ class Worker:
         zoo: ModelZoo,
         level: ApproximationLevel,
         cache: ApproximateCache | None = None,
-        memory_capacity_gib: float | None = 80.0,
         on_complete: Callable[[CompletedRequest], None] | None = None,
         on_requeue: Callable[[Request], None] | None = None,
         service_jitter: float = 0.03,
         honor_request_rank: bool = False,
         blocking_load: bool = False,
-        max_batch_size: int = 1,
-        batch_timeout_s: float = 0.0,
         gpu: GpuSpec | str | None = None,
         provisioning: bool = False,
         queue_policy: str = "fifo",
@@ -197,9 +176,7 @@ class Worker:
         #: active degradation multiplier (``None`` while healthy).
         self._base_speed_factor = self.speed_factor
         self._degrade_factor: float | None = None
-        if memory_capacity_gib is None:
-            memory_capacity_gib = self.gpu.memory_gib
-        self.memory = GpuMemory(memory_capacity_gib)
+        self.memory = GpuMemory(self.gpu.memory_gib)
         self.latency_model = LatencyModel(self.gpu)
         self.on_complete = on_complete
         self.on_requeue = on_requeue
@@ -209,15 +186,6 @@ class Worker:
         self.honor_request_rank = bool(honor_request_rank)
         #: When True, serving pauses while a model load is in progress.
         self.blocking_load = bool(blocking_load)
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
-        if batch_timeout_s < 0:
-            raise ValueError("batch_timeout_s must be non-negative")
-        #: Upper bound on requests served per GPU pass.
-        self.max_batch_size = int(max_batch_size)
-        #: How long an under-full batch may wait for more arrivals before
-        #: being launched anyway.  Zero launches immediately (greedy drain).
-        self.batch_timeout_s = float(batch_timeout_s)
 
         self.state = WorkerState.PROVISIONING if provisioning else WorkerState.IDLE
         self.stats = WorkerStats()
@@ -232,17 +200,16 @@ class Worker:
             if queue_policy == "tenant-priority"
             else deque()
         )
-        self._batch: list[Request] = []
-        self._forming_event: Event | None = None
+        #: The request in its GPU pass, and the event that completes it.
+        self._current: Request | None = None
         self._serve_event: Event | None = None
-        #: Hot-path caches: the jitter stream and event names are fixed per
+        #: Hot-path caches: the jitter stream and event name are fixed per
         #: worker, so resolving them once avoids a registry lookup and an
-        #: f-string format on every batch launch.  The stream object is the
+        #: f-string format on every GPU pass.  The stream object is the
         #: registry's own singleton, so draws are bit-identical to looking
         #: it up by name each time.
         self._jitter_rng = engine.rng(f"jitter-w{self.worker_id}")
         self._serve_event_name = f"serve-w{self.worker_id}"
-        self._forming_event_name = f"batch-form-w{self.worker_id}"
         self._level = level
         self._pending_level: ApproximationLevel | None = None
         self._load_complete_time: float | None = None
@@ -263,8 +230,8 @@ class Worker:
         #: worker was failed; invoked on recovery to enroll it then.
         self._deferred_enroll: Callable[[], None] | None = None
         #: The owning cluster's fleet index (None for a standalone worker).
-        #: Every change to rotation membership, level, speed or queue/batch
-        #: contents is reported to it through :meth:`_changed`.
+        #: Every change to rotation membership, level, speed or outstanding
+        #: requests is reported to it through :meth:`_changed`.
         self._fleet = None
 
     def _changed(self) -> None:
@@ -349,7 +316,7 @@ class Worker:
                 self.memory.unload(resident)
         if not self.memory.can_fit(level.memory_gib):
             # Last resort: drop the active model too (switch is no longer
-            # hitless, but this only happens with tiny memory configs).
+            # hitless, but only a GPU too small for two models gets here).
             self.memory.unload(active)
         self.memory.load(model_name, level.memory_gib)
         self._pending_level = level
@@ -386,17 +353,13 @@ class Worker:
 
     @property
     def in_service(self) -> int:
-        """Requests currently being served in the active batch."""
-        return len(self._batch)
+        """Requests currently in a GPU pass (0 or 1)."""
+        return int(self._current is not None)
 
     @property
     def outstanding(self) -> int:
         """Requests queued plus in service."""
-        return len(self._queue) + len(self._batch)
-
-    def _planned_batch_size(self, extra: int = 0) -> int:
-        """Batch size the worker would run with its current backlog."""
-        return max(1, min(self.max_batch_size, self.outstanding + extra))
+        return len(self._queue) + (self._current is not None)
 
     def level_latency_s(self, level: ApproximationLevel | None = None) -> float:
         """Single-request latency of ``level`` on *this worker's* GPU.
@@ -409,36 +372,23 @@ class Worker:
         level = level or self._level
         return level.latency_s / self.speed_factor
 
-    def peak_qpm(self, level: ApproximationLevel | None = None, batch_size: int = 1) -> float:
+    def peak_qpm(self, level: ApproximationLevel | None = None) -> float:
         """Sustained QPM this worker delivers at ``level`` (Eq. 1 capacity).
 
         The per-worker capacity term of the heterogeneity-aware allocator:
-        the level's batched peak on the reference GPU scaled by this
-        worker's relative speed.
+        the level's peak on the reference GPU scaled by this worker's
+        relative speed.
         """
         level = level or self._level
-        return self.zoo.batched_peak_qpm(level, max(1, batch_size)) * self.speed_factor
-
-    def effective_request_latency_s(self, extra: int = 0) -> float:
-        """Amortised per-request service time at the planned batch size.
-
-        This is the batching-profile-aware, GPU-speed-aware service rate the
-        scheduler and allocator reason with; at ``max_batch_size=1`` on the
-        reference GPU it reduces to the level's single-request latency.
-        """
-        batch = self._planned_batch_size(extra)
-        if batch == 1:
-            return self.level_latency_s()
-        return self.zoo.batched_service_time(self._level, batch) / batch / self.speed_factor
+        return level.peak_throughput_qpm * self.speed_factor
 
     def expected_wait_s(self) -> float:
-        """Estimated time a new arrival would wait before completing (Eq. 3,
-        batch-aware)."""
-        return (self.outstanding + 1) * self.effective_request_latency_s(extra=1)
+        """Estimated time a new arrival would wait before completing (Eq. 3)."""
+        return (self.outstanding + 1) * self.level_latency_s()
 
     def estimated_backlog_s(self) -> float:
         """Work already queued/in service, in seconds of GPU time (Eq. 3)."""
-        return self.outstanding * self.effective_request_latency_s()
+        return self.outstanding * self.level_latency_s()
 
     def enqueue(self, request: Request) -> None:
         """Admit a request to this worker's queue."""
@@ -447,21 +397,16 @@ class Worker:
                 f"worker {self.worker_id} cannot accept requests ({self.state.value})"
             )
         self._queue.append(request)
-        if not self._batch:
+        if self._current is None:
             self._start_next()
         self._changed()
 
     # ------------------------------------------------------------------ #
     # Serving
     # ------------------------------------------------------------------ #
-    def _cancel_forming(self) -> None:
-        if self._forming_event is not None:
-            self._forming_event.cancel()
-            self._forming_event = None
-
     def _start_next(self) -> None:
-        """Launch the next batch, or start/continue a forming window."""
-        if self.state is WorkerState.FAILED or self._batch:
+        """Start the next queued request's GPU pass, if the worker can."""
+        if self.state is WorkerState.FAILED or self._current is not None:
             return
         if self.blocking_load and self._pending_level is not None:
             # A naive model swap blocks the serving path until the new model
@@ -471,67 +416,23 @@ class Worker:
         if not self._queue:
             self.state = WorkerState.IDLE
             return
-        if (
-            self.max_batch_size > 1
-            and self.batch_timeout_s > 0.0
-            and len(self._queue) < self.max_batch_size
-        ):
-            # Under-full batch: hold the queue open for up to the forming
-            # window.  Arrivals that fill the batch launch it early.
-            if self._forming_event is None:
-                self._forming_event = self.engine.schedule_in(
-                    self.batch_timeout_s,
-                    self._forming_timeout,
-                    name=self._forming_event_name,
-                )
-            self.state = WorkerState.IDLE
-            return
-        self._cancel_forming()
-        self._launch_batch()
-
-    def _forming_timeout(self, _engine: SimulationEngine) -> None:
-        self._forming_event = None
-        if self.state is WorkerState.FAILED or self._batch or not self._queue:
-            return
-        if self.blocking_load and self._pending_level is not None:
-            return
-        self._launch_batch()
-
-    def _launch_batch(self) -> None:
-        batch_size = min(len(self._queue), self.max_batch_size)
-        batch = [self._queue.popleft() for _ in range(batch_size)]
-        self._batch = batch
+        request = self._current = self._queue.popleft()
         self.state = WorkerState.BUSY
         self._changed()
         start = self.engine.now
-        record_level = self._level
-        profiles = [self._service_profile(request) for request in batch]
-        # One GPU pass serves the whole batch; its wall-clock cost is the
-        # slowest member's GPU-compute time scaled by the level's Fig. 14
-        # batching profile (exactly the single-request time at batch 1).
-        # Network overheads (cache retrieval, outage penalty) happen once
-        # per request in parallel, so only the slowest one is paid — they do
-        # not grow with batch size the way compute does.
-        if batch_size == 1:
-            batch_time = profiles[0].service_time_s
-        else:
-            compute = max(p.service_time_s - p.overhead_s for p in profiles)
-            overhead = max(p.overhead_s for p in profiles)
-            batch_time = (
-                compute * self.zoo.batch_latency_multiplier(record_level, batch_size)
-                + overhead
-            )
+        level = self._level
+        profile = self._service_profile(request)
 
         def complete(_engine: SimulationEngine) -> None:
             self._serve_event = None
-            self._finish_batch(batch, profiles, start, batch_time, record_level)
+            self._finish(request, profile, start, level)
 
         self._serve_event = self.engine.schedule_in(
-            batch_time, complete, name=self._serve_event_name
+            profile.service_time_s, complete, name=self._serve_event_name
         )
 
     def _service_profile(self, request: Request) -> ServiceProfile:
-        """Compute the single-request serving cost for one batch member."""
+        """Compute the serving cost of ``request`` at this worker's level."""
         level = self._level
         if (
             self.honor_request_rank
@@ -552,40 +453,35 @@ class Worker:
             jitter=jitter,
         )
 
-    def _finish_batch(
+    def _finish(
         self,
-        batch: list[Request],
-        profiles: list[ServiceProfile],
+        request: Request,
+        profile: ServiceProfile,
         start: float,
-        batch_time: float,
         level: ApproximationLevel,
     ) -> None:
         if self.state in (WorkerState.FAILED, WorkerState.RETIRED):
             return
-        self._batch = []
+        self._current = None
         self._changed()
-        batch_size = len(batch)
-        self.stats.requests_served += batch_size
-        self.stats.busy_time_s += batch_time
-        self.stats.batches_served += 1
-        self.stats.max_batch_served = max(self.stats.max_batch_served, batch_size)
-        for request, profile in zip(batch, profiles):
-            if self.cache is not None and level.strategy is Strategy.AC:
-                self.cache.store_states(request.prompt)
-            record = CompletedRequest(
-                request=request,
-                worker_id=self.worker_id,
-                start_time_s=start,
-                completion_time_s=self.engine.now,
-                effective_rank=profile.effective_rank,
-                service_time_s=batch_time,
-                retrieval_latency_s=profile.retrieval_latency_s,
-                cache_hit=profile.cache_hit,
-                retrieval_failed=profile.retrieval_failed,
-                batch_size=batch_size,
+        self.stats.requests_served += 1
+        self.stats.busy_time_s += profile.service_time_s
+        if self.cache is not None and level.strategy is Strategy.AC:
+            self.cache.store_states(request.prompt)
+        if self.on_complete is not None:
+            self.on_complete(
+                CompletedRequest(
+                    request=request,
+                    worker_id=self.worker_id,
+                    start_time_s=start,
+                    completion_time_s=self.engine.now,
+                    effective_rank=profile.effective_rank,
+                    service_time_s=profile.service_time_s,
+                    retrieval_latency_s=profile.retrieval_latency_s,
+                    cache_hit=profile.cache_hit,
+                    retrieval_failed=profile.retrieval_failed,
+                )
             )
-            if self.on_complete is not None:
-                self.on_complete(record)
         if self.state is WorkerState.DRAINING:
             self._retire()
             return
@@ -621,7 +517,7 @@ class Worker:
         """Leave the rotation gracefully (scale-in).
 
         Queued requests are handed back for re-routing immediately; the
-        in-flight batch (if any) finishes normally, after which the worker
+        in-flight request (if any) finishes normally, after which the worker
         retires.  Returns the requeued requests.
         """
         if self.state in (WorkerState.RETIRED, WorkerState.FAILED):
@@ -630,11 +526,10 @@ class Worker:
             return []
         orphans = list(self._queue)
         self._queue.clear()
-        self._cancel_forming()
         # Leave the rotation before handing the orphans back, as fail()
         # does: a router would otherwise send them straight back here,
         # where retirement strands them.
-        if self._batch:
+        if self._current is not None:
             self.state = WorkerState.DRAINING
             self._changed()
         else:
@@ -652,7 +547,6 @@ class Worker:
         self.state = WorkerState.RETIRED
         self.retired_at_s = now
         self._pending_level = None
-        self._cancel_forming()
         if self._serve_event is not None:
             self._serve_event.cancel()
             self._serve_event = None
@@ -673,15 +567,13 @@ class Worker:
             # downtime accumulated since the first failure.
             return []
         draining = self.state is WorkerState.DRAINING
-        orphans: list[Request] = []
-        orphans.extend(self._batch)
-        self._batch = []
+        orphans = [] if self._current is None else [self._current]
+        self._current = None
         orphans.extend(self._queue)
         self._queue.clear()
-        self._cancel_forming()
-        # Cancel the in-flight GPU pass: its requests are being re-routed,
+        # Cancel the in-flight GPU pass: its request is being re-routed,
         # so letting the stale completion fire after a recovery would
-        # double-complete them.
+        # double-complete it.
         if self._serve_event is not None:
             self._serve_event.cancel()
             self._serve_event = None
@@ -710,7 +602,7 @@ class Worker:
         """Gray-fail the worker: it stays in rotation but serves at
         ``factor`` of its healthy speed.
 
-        The slowdown applies to batches launched from now on; an in-flight
+        The slowdown applies to GPU passes started from now on; an in-flight
         GPU pass keeps the service time it was launched with (the gray
         failure hits the machine, not physics already in motion).  Repeated
         calls replace the factor rather than compounding it.
@@ -809,5 +701,5 @@ class Worker:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Worker(id={self.worker_id}, level={self._level}, state={self.state.value}, "
-            f"queue={self.queue_length}, batch={self.in_service}/{self.max_batch_size})"
+            f"queue={self.queue_length}, in_service={self.in_service})"
         )

@@ -114,10 +114,9 @@ class Allocator:
         strategy = Strategy(strategy)
         # Backlog drain term: plan enough extra capacity to clear any queue
         # build-up within one reallocation interval, so a burst does not
-        # leave a lingering tail.  In-service batch members are excluded —
-        # they are normal in-flight work — and the slack scales with the
-        # batch limit because up to one full batch legitimately queues
-        # behind each in-flight GPU pass.
+        # leave a lingering tail.  Requests in a GPU pass are excluded —
+        # they are normal in-flight work — and one request per worker may
+        # wait behind each in-flight pass.
         excess_backlog = max(
             0, self.cluster.total_queued_requests() - self.cluster.backlog_slack()
         )
@@ -130,13 +129,7 @@ class Allocator:
 
         quality = self.quality_vectors[strategy]
         levels = self.zoo.levels(strategy)
-        # Batch-aware capacity model: a worker running full batches sustains
-        # its level's peak QPM times the Fig. 14 speed-up at the cluster's
-        # batch limit (exactly the single-request peak when batching is off).
-        batch = max(1, self.cluster.max_batch_size)
-        peak_qpm = np.array(
-            [self.zoo.batched_peak_qpm(level, batch) for level in levels]
-        )
+        peak_qpm = np.array([level.peak_throughput_qpm for level in levels])
         healthy = self.cluster.healthy_workers
         num_healthy = len(healthy)
         if num_healthy == 0:

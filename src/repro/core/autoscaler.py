@@ -195,9 +195,8 @@ class Autoscaler:
         self, now: float, demand_qpm: float, projected_qpm: float, strategy: Strategy
     ) -> bool:
         in_fleet = self.cluster.fleet_size + len(self.cluster.provisioning_workers)
-        batch = max(1, self.cluster.max_batch_size)
         fastest = self.zoo.fastest_level(strategy)
-        peak = self.zoo.batched_peak_qpm(fastest, batch)
+        peak = fastest.peak_throughput_qpm
         reference_speed = self.zoo.latency_model.gpu.relative_speed
         added = 0
         # Add workers until the projected ceiling clears demand (with the
@@ -280,9 +279,7 @@ class Autoscaler:
         candidate = self._scale_in_candidate()
         if candidate is None:
             return
-        ceiling_after = ceiling - candidate.peak_qpm(
-            self.zoo.fastest_level(strategy), max(1, self.cluster.max_batch_size)
-        )
+        ceiling_after = ceiling - candidate.peak_qpm(self.zoo.fastest_level(strategy))
         underloaded = (
             not backlog_pressure
             and demand_qpm < self.config.scale_down_threshold * ceiling_after

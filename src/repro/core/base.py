@@ -53,11 +53,6 @@ class BaseServingSystem(ABC):
     """Abstract serving system running on the simulated GPU cluster."""
 
     name = "base"
-    #: Whether this system's serving runtime can execute dynamic batches.
-    #: Systems that model single-request designs (e.g. NIRVANA) set this to
-    #: False and always serve batch-size-1 regardless of the config, so
-    #: batched-vs-unbatched comparisons stay faithful.
-    supports_batching = True
 
     def __init__(
         self,
@@ -90,19 +85,15 @@ class BaseServingSystem(ABC):
         #: the deployment serves the anonymous single-tenant workload.
         self.tenant_runtimes = build_runtimes(self.config.tenants, self.config.slo)
         self.collector = MetricsCollector(slo=self.config.slo)
-        max_batch = self.config.max_batch_size if self.supports_batching else 1
         self.cluster = GpuCluster(
             engine=self.engine,
             zoo=self.zoo,
             num_workers=self.config.num_workers,
             initial_level=initial_level or self.default_initial_level(),
             cache=self.cache,
-            memory_capacity_gib=self.config.worker_memory_gib,
             on_complete=self._handle_completion,
             on_requeue=self._handle_requeue,
             blocking_loads=self.config.blocking_model_loads,
-            max_batch_size=max_batch,
-            batch_timeout_s=self.config.batch_timeout_s if max_batch > 1 else 0.0,
             queue_policy=(
                 "tenant-priority" if self.config.priority_queues_enabled else "fifo"
             ),
@@ -329,7 +320,6 @@ class BaseServingSystem(ABC):
             duration_minutes=duration_minutes,
             cluster_utilization=self.cluster.utilization(duration_s),
             model_loads=self.cluster.total_model_loads(),
-            mean_batch_occupancy=self.cluster.mean_batch_occupancy(),
             fleet_peak_workers=fleet_peak,
             fleet_mean_workers=fleet_mean,
             workers_added=self.cluster.workers_added,

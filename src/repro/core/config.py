@@ -38,10 +38,10 @@ class ArgusConfig:
     #: Consecutive slow/failed retrieval observations required to switch.
     retrieval_violations_to_switch: int = 20
     #: Out-of-band recalibration trigger: when more than this many requests
-    #: per healthy worker *per batch slot* are waiting in queues (in-service
-    #: batch members excluded, threshold scaled by ``max_batch_size``), the
-    #: allocator re-solves immediately instead of waiting for the next
-    #: periodic tick (§4.7 tail-latency protection at the allocation layer).
+    #: per healthy worker are waiting in queues (requests in a GPU pass
+    #: excluded), the allocator re-solves immediately instead of waiting for
+    #: the next periodic tick (§4.7 tail-latency protection at the
+    #: allocation layer).
     #: Zero or negative disables the trigger.
     backlog_recalibration_per_worker: float = 3.0
     #: Minimum spacing between backlog-triggered recalibrations.
@@ -91,17 +91,6 @@ class ArgusConfig:
     classifier_epochs: int = 20
     #: Number of prompts used to profile per-level quality for the solver.
     profiling_prompts: int = 1000
-    #: GPU memory per worker in GiB.  None (default) gives each worker its
-    #: GPU type's native memory (80 GiB on the A100 reference, so the
-    #: homogeneous default is unchanged); set a float to override uniformly.
-    worker_memory_gib: float | None = None
-    #: Largest batch a worker may serve in one GPU pass.  1 reproduces the
-    #: paper's batch-size-1 serving exactly; >1 enables dynamic batching
-    #: along the Fig. 14 throughput curves.
-    max_batch_size: int = 1
-    #: How long an under-full batch waits for more arrivals before being
-    #: launched anyway (only meaningful when ``max_batch_size > 1``).
-    batch_timeout_s: float = 0.25
     # ----------------------------------------------------------------- #
     # Multi-tenancy (per-tenant SLO classes, fair-share admission, quotas)
     # ----------------------------------------------------------------- #
@@ -183,10 +172,6 @@ class ArgusConfig:
             raise ValueError("load_safety_factor must be >= 1.0")
         if self.switch_margin < 1.0:
             raise ValueError("switch_margin must be >= 1.0")
-        if self.max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
-        if self.batch_timeout_s < 0:
-            raise ValueError("batch_timeout_s must be non-negative")
         if self.retrieval_latency_threshold_s <= 0:
             raise ValueError("retrieval_latency_threshold_s must be positive")
         if self.retrieval_violations_to_switch < 1:
@@ -230,8 +215,6 @@ class ArgusConfig:
             raise ValueError("classifier_epochs must be >= 1")
         if self.profiling_prompts < 1:
             raise ValueError("profiling_prompts must be >= 1")
-        if self.worker_memory_gib is not None and self.worker_memory_gib <= 0:
-            raise ValueError("worker_memory_gib must be positive when set")
         self.tenants = validate_tenants(
             tuple(
                 spec if isinstance(spec, TenantSpec) else TenantSpec(**spec)
@@ -334,11 +317,6 @@ class ArgusConfig:
         # __post_init__ coerces the rest: strategy strings, tenant dicts,
         # gpu_mix lists.
         return cls(**overrides)
-
-    @property
-    def batching_enabled(self) -> bool:
-        """Whether workers serve dynamic batches rather than batch-size-1."""
-        return self.max_batch_size > 1
 
     @property
     def multi_tenant(self) -> bool:

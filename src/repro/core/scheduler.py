@@ -39,12 +39,11 @@ class RoutingDecision:
 class WorkerSelector:
     """Implements Eq. 3: pick the worker minimising queued work.
 
-    The backlog estimate is batch-aware: a worker that batches amortises its
-    queue over the Fig. 14 speed-up of its level, so at equal queue depth a
-    batching worker is cheaper than a batch-size-1 one.  With batching
-    disabled the estimate reduces to ``outstanding * level.latency_s``.
-    The scheduler reads the plain Eq. 3 choice from the cluster's fleet
-    index and scans candidates here only for a cache-affinity preference.
+    A worker serves one request per GPU pass, so its backlog estimate is
+    ``outstanding * level_latency_s()``: the level's latency on that
+    worker's GPU, times the requests it holds.  The scheduler reads the
+    plain Eq. 3 choice from the cluster's fleet index and scans candidates
+    here only for a cache-affinity preference.
     The live gateway selects among its sleep-based executors here too; a
     candidate needs only ``worker_id`` and ``estimated_backlog_s()``.
     """

@@ -6,14 +6,12 @@ the cluster size, the Solver decides how many workers run each level and how
 much load each level serves, maximising overall quality subject to meeting
 the load.
 
-Two equivalent solvers are provided:
-
-* :meth:`AllocationSolver.solve_ilp` — the literal Eq. 1 formulation with
-  binary placement variables, solved by :mod:`repro.ilp` (the Gurobi role).
-* :meth:`AllocationSolver.solve` — an exact enumeration/greedy solver
-  specialised to the structure of the problem (workers are identical, so
-  only per-level counts matter).  This is the default at runtime because it
-  is faster and scales to large clusters.
+:meth:`AllocationSolver.solve` is an exact enumeration/greedy solver
+specialised to the structure of the problem (workers are identical, so only
+per-level counts matter), which is what lets it scale to large clusters.
+The literal Eq. 1 formulation with binary placement variables (the Gurobi
+role in the paper) lives in ``tests/ilp_oracle/``, as the oracle this
+solver is checked against.
 """
 
 from __future__ import annotations
@@ -24,8 +22,6 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
-
-from repro.ilp import BranchAndBoundSolver, IlpProblem
 
 
 @lru_cache(maxsize=64)
@@ -280,108 +276,6 @@ class AllocationSolver:
             feasible=feasible,
             target_qpm=float(target_qpm),
             expected_quality=self._expected_quality(quality, qpm_per_level),
-        )
-
-    # ------------------------------------------------------------------ #
-    # ILP formulation (Eq. 1 verbatim)
-    # ------------------------------------------------------------------ #
-    def solve_ilp(
-        self,
-        target_qpm: float,
-        quality: np.ndarray,
-        peak_qpm: np.ndarray,
-        num_workers: int,
-    ) -> AllocationPlan:
-        """Solve Eq. 1 with binary placement variables via branch-and-bound.
-
-        The formulation follows the paper: ``x[l, w] ∈ {0, 1}`` places level
-        ``l`` on worker ``w``; ``lam[w] >= 0`` is the QPM routed to worker
-        ``w``; each worker runs at most one level; a worker's load may not
-        exceed the peak throughput of its level; total load equals the
-        target (or the total capacity when the target is infeasible).
-        """
-        quality = np.asarray(quality, dtype=np.float64)
-        peak_qpm = np.asarray(peak_qpm, dtype=np.float64)
-        self._validate(target_qpm, quality, peak_qpm, num_workers)
-        num_levels = len(quality)
-        max_capacity = float(peak_qpm.max() * num_workers)
-        demand = min(float(target_qpm), max_capacity)
-        feasible = target_qpm <= max_capacity + 1e-9
-
-        problem = IlpProblem(name="argus-allocation", maximize=True)
-        for level in range(num_levels):
-            for worker in range(num_workers):
-                problem.add_binary(f"x_{level}_{worker}")
-        for worker in range(num_workers):
-            problem.add_variable(f"lam_{worker}", lower=0.0, upper=float(peak_qpm.max()))
-
-        # Objective: sum_l q_l * g(l) where g(l) = sum_w assigned lam_w.  The
-        # product x * lam is linearised by bounding lam_w by the peak of its
-        # assigned level and crediting quality through per-level load
-        # variables y_{l,w} <= min(lam_w, peak_l * x_{l,w}).
-        objective: dict[str, float] = {}
-        for level in range(num_levels):
-            for worker in range(num_workers):
-                name = f"y_{level}_{worker}"
-                problem.add_variable(name, lower=0.0, upper=float(peak_qpm[level]))
-                objective[name] = float(quality[level])
-                problem.add_constraint(
-                    {name: 1.0, f"x_{level}_{worker}": -float(peak_qpm[level])},
-                    "<=",
-                    0.0,
-                    name=f"cap_{level}_{worker}",
-                )
-                problem.add_constraint(
-                    {name: 1.0, f"lam_{worker}": -1.0}, "<=", 0.0, name=f"link_{level}_{worker}"
-                )
-        problem.set_objective(objective)
-
-        for worker in range(num_workers):
-            problem.add_constraint(
-                {f"x_{level}_{worker}": 1.0 for level in range(num_levels)},
-                "<=",
-                1.0,
-                name=f"one_level_w{worker}",
-            )
-            problem.add_constraint(
-                dict(
-                    {f"lam_{worker}": 1.0},
-                    **{
-                        f"x_{level}_{worker}": -float(peak_qpm[level])
-                        for level in range(num_levels)
-                    },
-                ),
-                "<=",
-                0.0,
-                name=f"lam_cap_w{worker}",
-            )
-        problem.add_constraint(
-            {f"lam_{worker}": 1.0 for worker in range(num_workers)},
-            "==",
-            demand,
-            name="meet_demand",
-        )
-
-        solution = BranchAndBoundSolver().solve(problem)
-        if not solution.is_optimal:
-            # Extremely rare; fall back to the specialised solver.
-            return self.solve(target_qpm, quality, peak_qpm, num_workers)
-
-        counts = [0] * num_levels
-        qpm_per_level = [0.0] * num_levels
-        for worker in range(num_workers):
-            for level in range(num_levels):
-                if solution.value(f"x_{level}_{worker}") > 0.5:
-                    counts[level] += 1
-                    qpm_per_level[level] += solution.value(f"y_{level}_{worker}")
-                    break
-        expected_quality = self._expected_quality(quality, qpm_per_level)
-        return AllocationPlan(
-            workers_per_level=tuple(counts),
-            qpm_per_level=tuple(qpm_per_level),
-            feasible=feasible,
-            target_qpm=float(target_qpm),
-            expected_quality=expected_quality,
         )
 
     # ------------------------------------------------------------------ #

@@ -44,11 +44,6 @@ class ServedSample:
         """End-to-end latency of the request."""
         return self.completed.latency_s
 
-    @property
-    def batch_size(self) -> int:
-        """Size of the GPU pass that served this request."""
-        return self.completed.batch_size
-
 
 class _Column:
     """Growable contiguous numpy column (amortised O(1) append)."""

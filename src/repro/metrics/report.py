@@ -118,9 +118,6 @@ class RunSummary:
     p99_latency_s: float
     cluster_utilization: float
     model_loads: int
-    #: Mean requests per GPU pass over all completions (1.0 when the run
-    #: served batch-size-1).
-    mean_batch_occupancy: float = 1.0
     #: Largest number of workers in rotation at any point of the run.
     fleet_peak_workers: int = 0
     #: Time-weighted mean workers in rotation (equals the fixed pool size
@@ -196,7 +193,6 @@ class RunSummary:
             "p99_latency_s": round(self.p99_latency_s, 2),
             "utilization": round(self.cluster_utilization, 3),
             "model_loads": self.model_loads,
-            "batch_occupancy": round(self.mean_batch_occupancy, 2),
             "fleet_peak": self.fleet_peak_workers,
             "gpu_hours": round(self.gpu_hours, 2),
             "cost_per_image": round(self.cost_per_image_usd, 5),
@@ -210,7 +206,6 @@ def summarize(
     duration_minutes: float,
     cluster_utilization: float = 0.0,
     model_loads: int = 0,
-    mean_batch_occupancy: float = 1.0,
     fleet_peak_workers: int = 0,
     fleet_mean_workers: float = 0.0,
     workers_added: int = 0,
@@ -221,11 +216,9 @@ def summarize(
 ) -> RunSummary:
     """Build a :class:`RunSummary` from a collector.
 
-    ``mean_batch_occupancy`` is the cluster's per-pass occupancy
-    (:meth:`repro.cluster.cluster.GpuCluster.mean_batch_occupancy`);
-    callers without batching can leave the batch-size-1 default.  The fleet
-    and cost figures come from the cluster's fleet log / billing accounting;
-    callers without an elastic fleet can leave the zero defaults.
+    The fleet and cost figures come from the cluster's fleet log / billing
+    accounting; callers without an elastic fleet can leave the zero
+    defaults.
     """
     duration_minutes = max(duration_minutes, 1e-9)
     return RunSummary(
@@ -243,7 +236,6 @@ def summarize(
         p99_latency_s=collector.latency_percentile(99),
         cluster_utilization=cluster_utilization,
         model_loads=model_loads,
-        mean_batch_occupancy=mean_batch_occupancy,
         fleet_peak_workers=fleet_peak_workers,
         fleet_mean_workers=fleet_mean_workers,
         workers_added=workers_added,

@@ -4,7 +4,8 @@ Traditional discriminative models (YOLO, ResNet, EfficientNet) and the
 memory-bound decode phase of LLMs gain near-linear throughput from batching.
 Diffusion models are compute-bound, so their speed-up plateaus at small batch
 sizes.  This module models both families so the Fig. 14 benchmark can
-regenerate the comparison.
+regenerate the comparison.  The plateau is why the serving path runs one
+request per GPU pass: nothing in the simulator batches.
 """
 
 from __future__ import annotations
@@ -25,13 +26,6 @@ class BatchingProfile:
     half_saturation_batch: float
     is_diffusion: bool = False
 
-
-#: Fallback profile for diffusion variants without a calibrated Fig. 14 row
-#: (e.g. SD-1.5 / SD-1.4): compute-bound, plateaus between SD-2.0 and
-#: Small-SD.
-DEFAULT_DIFFUSION_PROFILE = BatchingProfile(
-    "generic-DM", max_speedup=1.5, half_saturation_batch=1.8, is_diffusion=True
-)
 
 #: Profiles calibrated to Fig. 14: non-DM models keep scaling to batch 16+,
 #: diffusion models plateau around batch 2-4.
@@ -81,17 +75,6 @@ class BatchingModel:
             raise KeyError(f"no batching profile for {name!r}")
         return self._profiles[name]
 
-    def profile_or_default(
-        self, name: str, default: BatchingProfile = DEFAULT_DIFFUSION_PROFILE
-    ) -> BatchingProfile:
-        """Profile for ``name``, falling back to ``default`` when unknown.
-
-        Serving levels reference models by variant name; variants without a
-        calibrated Fig. 14 row (SD-1.5, SD-1.4, …) batch like a generic
-        compute-bound diffusion model.
-        """
-        return self._profiles.get(name, default)
-
     def speedup(self, name: str, batch_size: int) -> float:
         """Throughput speed-up of ``name`` at ``batch_size``."""
         return batching_speedup_curve(self.profile(name), [batch_size])[0]
@@ -99,25 +82,6 @@ class BatchingModel:
     def latency_multiplier(self, name: str, batch_size: int) -> float:
         """How much one batch costs relative to a single request."""
         return batch_size / self.speedup(name, batch_size)
-
-    # ------------------------------------------------------------------ #
-    # Serving-path queries (dynamic batching execution)
-    # ------------------------------------------------------------------ #
-    def batched_service_time(
-        self, name: str, single_latency_s: float, batch_size: int
-    ) -> float:
-        """Wall-clock time one worker spends serving a whole batch.
-
-        Anchored so a batch of one costs exactly ``single_latency_s``;
-        larger batches cost ``batch / speedup(batch)`` times that, which for
-        diffusion profiles grows almost linearly (the Fig. 14 plateau) and
-        for discriminative-style profiles grows sub-linearly.
-        """
-        if single_latency_s < 0:
-            raise ValueError("single_latency_s must be non-negative")
-        profile = self.profile_or_default(name)
-        speedup = batching_speedup_curve(profile, [batch_size])[0]
-        return single_latency_s * batch_size / speedup
 
     def effective_batch_limit(self, name: str, latency_budget_factor: float = 2.0) -> int:
         """Largest batch whose latency stays within ``latency_budget_factor``×

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.models.batching import BatchingModel
 from repro.models.gpus import GPU_SPECS, GpuSpec, gpu_by_name
 from repro.models.variants import (
     TOTAL_DIFFUSION_STEPS,
@@ -41,23 +40,15 @@ class LatencyBreakdown:
 class LatencyModel:
     """Predicts single-image inference latency for variants and AC levels."""
 
-    def __init__(
-        self, gpu: str | GpuSpec = "A100", batching: BatchingModel | None = None
-    ) -> None:
+    def __init__(self, gpu: str | GpuSpec = "A100") -> None:
         self.gpu = gpu if isinstance(gpu, GpuSpec) else gpu_by_name(gpu)
-        self.batching = batching or BatchingModel()
 
     # ------------------------------------------------------------------ #
     # SM variants
     # ------------------------------------------------------------------ #
-    def variant_latency(self, variant: ModelVariant, batch_size: int = 1) -> float:
-        """Latency (seconds) for one batch of ``batch_size`` prompts."""
-        if batch_size < 1:
-            raise ValueError("batch size must be >= 1")
-        base = variant.latency_a100_s / self.gpu.relative_speed
-        if batch_size == 1:
-            return base
-        return self.batching.batched_service_time(variant.name, base, batch_size)
+    def variant_latency(self, variant: ModelVariant) -> float:
+        """Latency (seconds) of one image."""
+        return variant.latency_a100_s / self.gpu.relative_speed
 
     def variant_breakdown(self, variant: ModelVariant) -> LatencyBreakdown:
         """Split the single-image latency into component contributions."""

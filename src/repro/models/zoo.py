@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.models.batching import BatchingProfile, batching_speedup_curve
 from repro.models.latency import LatencyModel
 from repro.models.variants import AC_LEVELS, SM_VARIANTS, AcLevel, ModelVariant
 
@@ -52,8 +51,7 @@ class ApproximationLevel:
     def model_name(self) -> str:
         """Name of the concrete model that serves this level.
 
-        The single mapping used both for GPU-memory residency and for the
-        Fig. 14 batching-profile lookup.
+        The mapping GPU-memory residency keys on.
         """
         return self.variant_name or self.name
 
@@ -77,7 +75,6 @@ class ModelZoo:
     def __init__(self, gpu: str = "A100") -> None:
         self.gpu = gpu
         self.latency_model = LatencyModel(gpu)
-        self.batching = self.latency_model.batching
         self._levels: dict[Strategy, tuple[ApproximationLevel, ...]] = {
             Strategy.SM: self._build_sm_levels(),
             Strategy.AC: self._build_ac_levels(),
@@ -167,47 +164,10 @@ class ModelZoo:
                 return level
         raise KeyError(f"unknown AC skip level {skip_steps}")
 
-    def max_cluster_throughput_qpm(
-        self, strategy: Strategy | str, num_workers: float, batch_size: int = 1
-    ) -> float:
-        """Upper bound on cluster QPM with every worker at the fastest level,
-        optionally running full ``batch_size`` batches.
+    def max_cluster_throughput_qpm(self, strategy: Strategy | str, num_workers: float) -> float:
+        """Upper bound on cluster QPM with every worker at the fastest level.
 
         ``num_workers`` counts reference-GPU workers; a heterogeneous fleet
         passes its summed relative speed instead.
         """
-        return self.batched_peak_qpm(self.fastest_level(strategy), batch_size) * num_workers
-
-    # ------------------------------------------------------------------ #
-    # Batched execution
-    # ------------------------------------------------------------------ #
-    def batching_profile(self, level: ApproximationLevel) -> BatchingProfile:
-        """Fig. 14 batching profile of the model backing ``level``.
-
-        AC levels run on the SD-XL base, so every K shares its profile; SM
-        levels use their own variant's profile (generic-DM fallback for
-        variants without a calibrated row).
-        """
-        return self.batching.profile_or_default(level.model_name)
-
-    def level_speedup(self, level: ApproximationLevel, batch_size: int) -> float:
-        """Throughput speed-up of ``level`` when served at ``batch_size``."""
-        return batching_speedup_curve(self.batching_profile(level), [batch_size])[0]
-
-    def batched_service_time(self, level: ApproximationLevel, batch_size: int) -> float:
-        """Wall-clock seconds one worker spends on a batch at ``level``.
-
-        Delegates to :meth:`BatchingModel.batched_service_time`, the single
-        anchoring of the Fig. 14 cost formula on the serving path.
-        """
-        return self.batching.batched_service_time(
-            level.model_name, level.latency_s, batch_size
-        )
-
-    def batch_latency_multiplier(self, level: ApproximationLevel, batch_size: int) -> float:
-        """Cost of one ``batch_size`` pass relative to a single request."""
-        return self.batching.batched_service_time(level.model_name, 1.0, batch_size)
-
-    def batched_peak_qpm(self, level: ApproximationLevel, batch_size: int) -> float:
-        """Sustained QPM of a worker running full ``batch_size`` batches."""
-        return level.peak_throughput_qpm * self.level_speedup(level, batch_size)
+        return self.fastest_level(strategy).peak_throughput_qpm * num_workers

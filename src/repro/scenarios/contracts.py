@@ -14,7 +14,7 @@ Vocabulary (``Scenario.contracts`` entries; ``fairness`` takes an optional
 
 - ``conservation`` — offered = served + rejected + in-flight-at-end,
   where in-flight splits into worker queues (including draining/failed
-  workers' outstanding batches) and the admission backlog.
+  workers' outstanding requests) and the admission backlog.
 - ``fairness:BOUND`` — Jain's fairness index over weight-normalised
   per-tenant served throughput is at least ``BOUND`` (default 0.8).
 - ``slo-ordering:TOL`` — tenants' violation ratios (each against its *own*

@@ -226,7 +226,6 @@ class _ShardResult:
     num_workers: int
     collector_state: dict
     requests_served: int
-    batches_served: int
     model_loads: int
     utilization: float
     fleet_peak_workers: int
@@ -555,7 +554,6 @@ def _finalize(serving, spec: ShardSpec, trace) -> _ShardResult:
         num_workers=spec.num_workers,
         collector_state=serving.collector.export_state(),
         requests_served=cluster.total_requests_served(),
-        batches_served=cluster.total_batches_served(),
         model_loads=cluster.total_model_loads(),
         utilization=cluster.utilization(duration_s),
         fleet_peak_workers=fleet_peak,
@@ -896,8 +894,6 @@ def run_scenario_sharded(
     minute_series = merged.minute_series(offered=offered, fleet=fleet_by_minute)
 
     total_workers = sum(r.num_workers for r in results)
-    total_batches = sum(r.batches_served for r in results)
-    total_served = sum(r.requests_served for r in results)
     tenants: tuple[TenantSummary, ...] = ()
     if config.tenants:
         rows = {
@@ -916,7 +912,6 @@ def run_scenario_sharded(
         cluster_utilization=sum(r.utilization * r.num_workers for r in results)
         / max(total_workers, 1),
         model_loads=sum(r.model_loads for r in results),
-        mean_batch_occupancy=(total_served / total_batches) if total_batches else 1.0,
         fleet_peak_workers=sum(r.fleet_peak_workers for r in results),
         fleet_mean_workers=sum(r.fleet_mean_workers for r in results),
         workers_added=sum(r.workers_added for r in results),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from repro.ilp.model import IlpProblem, Solution, SolveStatus
+from .model import IlpProblem, Solution, SolveStatus
 
 _INTEGRALITY_TOLERANCE = 1e-6
 

@@ -77,14 +77,8 @@ class TestHeterogeneousWorkers:
         assert completed[0].service_time_s == pytest.approx(expected)
 
     def test_memory_defaults_to_gpu_native_size(self, engine, zoo):
-        a10g = Worker(
-            0, engine, zoo, level=zoo.exact_level(Strategy.SM), gpu="A10G",
-            memory_capacity_gib=None,
-        )
-        v100 = Worker(
-            1, engine, zoo, level=zoo.exact_level(Strategy.SM), gpu="V100",
-            memory_capacity_gib=None,
-        )
+        a10g = Worker(0, engine, zoo, level=zoo.exact_level(Strategy.SM), gpu="A10G")
+        v100 = Worker(1, engine, zoo, level=zoo.exact_level(Strategy.SM), gpu="V100")
         assert a10g.memory.capacity_gib == pytest.approx(24.0)
         assert v100.memory.capacity_gib == pytest.approx(32.0)
 
@@ -111,9 +105,9 @@ class TestHeterogeneousWorkers:
             zoo,
             num_workers=3,
             gpu_types=["A100", "A10G", "V100"],
-            memory_capacity_gib=None,
         )
         assert [w.gpu.name for w in cluster.workers] == ["A100", "A10G", "V100"]
+        assert [w.memory.capacity_gib for w in cluster.workers] == [80.0, 24.0, 32.0]
         assert cluster.total_speed_factor() == pytest.approx(1.0 + 0.42 + 0.38)
         assert cluster.fleet_log[0].by_gpu == {"A100": 1, "A10G": 1, "V100": 1}
 
@@ -420,17 +414,15 @@ class TestFailureBatchingInteraction:
             initial_level=zoo.exact_level(Strategy.SM),
             on_complete=completed.append,
             on_requeue=requeued.append,
-            max_batch_size=3,
-            batch_timeout_s=0.5,
         )
         for i in range(5):
             cluster.dispatch(make_request(prompts[i], request_id=i), 0)
         worker = cluster.workers[0]
-        assert worker.in_service == 3 and worker.queue_length == 2
+        assert worker.in_service == 1 and worker.queue_length == 4
         cluster.schedule_failure(0, fail_at_s=1.0)
         engine.run()
-        # All five requests orphaned exactly once: the 3 in-flight batch
-        # members and the 2 queued ones; nothing completes, nothing repeats.
+        # All five requests orphaned exactly once: the one in its GPU pass
+        # and the 4 queued ones; nothing completes, nothing repeats.
         assert sorted(r.request_id for r in requeued) == [0, 1, 2, 3, 4]
         assert completed == []
 
@@ -444,8 +436,6 @@ class TestFailureBatchingInteraction:
             initial_level=zoo.exact_level(Strategy.SM),
             on_complete=completed.append,
             on_requeue=requeued.append,
-            max_batch_size=2,
-            batch_timeout_s=0.1,
         )
 
         pending = []
@@ -475,8 +465,8 @@ class TestFailureBatchingInteraction:
         cluster.provision_worker(provision_delay_s=1.5, on_ready=flush)
         engine.run()
         served = [c.request.request_id for c in completed]
-        # Each request completes exactly once (no stale batch completion
-        # after the recovery into the bigger fleet).
+        # Each request completes exactly once (no stale completion of the
+        # failed pass after the recovery into the bigger fleet).
         assert sorted(served) == [0, 1]
         assert cluster.workers[0].stats.requests_served == 0
         assert cluster.workers[1].stats.requests_served == 2

@@ -393,8 +393,9 @@ class TestBitIdentity:
     def test_single_shard_summary_digest_pinned(self):
         # cache_shards=1 with replication off must reproduce the flat-cache
         # run bit-for-bit: this digest was captured on the seed tree before
-        # the tier existed.  If it moves, the tier leaked into the default
-        # code path.
+        # the tier existed, and re-pinned only when mean_batch_occupancy
+        # left the summary (the old JSON without that key hashes to it).
+        # If it moves, the tier leaked into the default code path.
         from repro.scenarios.runtime import run_scenario
 
         run = run_scenario("steady-baseline", preset="small", seed=0)
@@ -403,7 +404,7 @@ class TestBitIdentity:
             json.dumps(run.summary.as_dict(), sort_keys=True, default=str).encode()
         ).hexdigest()
         assert digest == (
-            "bc58c23ad4ba57cf4e19edc8919963d3e8e8920d83706965809799a8c102b6d7"
+            "3d87a60e7ada80143e5950eb2b65bccb54da01b6937202caf7df8953817a8122"
         )
 
 

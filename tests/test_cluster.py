@@ -193,6 +193,38 @@ class TestWorkerServing:
         # The request only starts after the Tiny-SD load (2.91 s) completes.
         assert completed[0].start_time_s >= 2.9
 
+    def test_serves_one_request_per_pass(self, engine, zoo, prompts):
+        completed = []
+        worker = Worker(
+            worker_id=0,
+            engine=engine,
+            zoo=zoo,
+            level=zoo.exact_level(Strategy.SM),
+            on_complete=completed.append,
+        )
+        for i in range(3):
+            worker.enqueue(make_request(prompts[i], request_id=i, strategy=Strategy.SM))
+        assert worker.in_service == 1 and worker.queue_length == 2
+        engine.run()
+        assert [c.request.request_id for c in completed] == [0, 1, 2]
+        # Each GPU pass starts when the previous one completes.
+        assert completed[0].start_time_s == 0.0
+        for previous, record in zip(completed, completed[1:]):
+            assert record.start_time_s == previous.completion_time_s
+        assert worker.stats.requests_served == 3
+        assert worker.stats.busy_time_s == pytest.approx(sum(c.service_time_s for c in completed))
+
+    def test_backlog_is_outstanding_times_level_latency(self, engine, zoo, prompts):
+        # Eq. 3 on a V100: the level's latency on this worker's GPU, times
+        # the requests it holds (one in its GPU pass, the rest queued).
+        worker = Worker(0, engine, zoo, level=zoo.exact_level(Strategy.SM), gpu="V100")
+        for i in range(3):
+            worker.enqueue(make_request(prompts[i], request_id=i, strategy=Strategy.SM))
+        latency = worker.level.latency_s / worker.speed_factor
+        assert worker.outstanding == 3
+        assert worker.estimated_backlog_s() == 3 * latency
+        assert worker.expected_wait_s() == 4 * latency
+
     def test_expected_wait_grows_with_queue(self, engine, zoo, prompts):
         worker = Worker(0, engine, zoo, level=zoo.exact_level(Strategy.SM))
         baseline = worker.expected_wait_s()
@@ -276,6 +308,36 @@ class TestWorkerFailure:
         assert degraded.service_time_s - degraded.retrieval_latency_s == pytest.approx(
             compute / 0.4
         )
+
+    def test_failure_orphans_inflight_and_queued_requests_once(self, engine, zoo, prompts):
+        requeued = []
+        worker = Worker(
+            0, engine, zoo, level=zoo.exact_level(Strategy.SM), on_requeue=requeued.append
+        )
+        worker.enqueue(make_request(prompts[0], request_id=0, strategy=Strategy.SM))
+        worker.enqueue(make_request(prompts[1], request_id=1, strategy=Strategy.SM))
+        orphans = worker.fail()
+        assert [r.request_id for r in orphans] == [0, 1]
+        assert [r.request_id for r in requeued] == [0, 1]
+        assert worker.outstanding == 0
+        engine.run()  # The cancelled GPU pass must not fire.
+        assert worker.is_failed
+        assert worker.fail() == [] and len(requeued) == 2
+
+    def test_recovery_does_not_double_complete_inflight_request(self, engine, zoo, prompts):
+        # The failed pass's request was re-routed elsewhere; a quick recovery
+        # must not let the stale serve event complete it a second time.
+        completed = []
+        worker = Worker(
+            0, engine, zoo, level=zoo.exact_level(Strategy.SM), on_complete=completed.append
+        )
+        worker.enqueue(make_request(prompts[0], request_id=0, strategy=Strategy.SM))
+        worker.enqueue(make_request(prompts[1], request_id=1, strategy=Strategy.SM))
+        engine.schedule_at(1.0, lambda e: worker.fail())
+        engine.schedule_at(1.5, lambda e: worker.recover())
+        engine.run()
+        assert completed == []
+        assert worker.stats.requests_served == 0
 
     def test_inflight_request_lost_on_failure(self, engine, zoo, prompts):
         completed = []

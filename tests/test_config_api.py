@@ -47,6 +47,14 @@ def test_config_from_dict_rejects_unknown_key_with_suggestion():
         ArgusConfig.from_dict({"definitely_not_a_knob": 1})
 
 
+@pytest.mark.parametrize("key", ["max_batch_size", "batch_timeout_s", "worker_memory_gib"])
+def test_config_from_dict_refuses_removed_knobs(key):
+    # Workers serve one request per GPU pass with their GPU's native
+    # memory; a deployment file still naming these knobs fails loudly.
+    with pytest.raises(ValueError, match="unknown config key"):
+        ArgusConfig.from_dict({key: 1})
+
+
 # --------------------------------------------------------------------- #
 # Facade
 # --------------------------------------------------------------------- #

@@ -1,9 +1,10 @@
-"""Tests for the Eq. 1 allocation solver (specialised and ILP forms)."""
+"""Tests for the Eq. 1 allocation solver, checked against the ILP oracle."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from ilp_oracle import BranchAndBoundSolver, Solution, SolveStatus, solve_ilp
 
 from repro.core.solver import AllocationSolver
 from repro.models.zoo import ModelZoo, Strategy
@@ -109,15 +110,26 @@ class TestIlpFormulation:
         solver = AllocationSolver()
         for target in (40.0, 100.0, 140.0):
             fast = solver.solve(target, QUALITY[:4], PEAK[:4], num_workers=4)
-            ilp = solver.solve_ilp(target, QUALITY[:4], PEAK[:4], num_workers=4)
+            ilp = solve_ilp(target, QUALITY[:4], PEAK[:4], num_workers=4)
             assert ilp.feasible == fast.feasible
             assert ilp.expected_quality == pytest.approx(fast.expected_quality, rel=1e-3)
 
     def test_ilp_respects_worker_count(self):
-        plan = AllocationSolver().solve_ilp(45.0, QUALITY[:3], PEAK[:3], num_workers=3)
+        plan = solve_ilp(45.0, QUALITY[:3], PEAK[:3], num_workers=3)
         assert plan.total_workers <= 3
         assert plan.total_capacity_qpm == pytest.approx(45.0, rel=1e-6)
 
     def test_ilp_infeasible_load(self):
-        plan = AllocationSolver().solve_ilp(500.0, QUALITY[:3], PEAK[:3], num_workers=3)
+        plan = solve_ilp(500.0, QUALITY[:3], PEAK[:3], num_workers=3)
         assert not plan.feasible
+
+    def test_oracle_raises_without_an_optimum(self, monkeypatch):
+        # Falling back to the enumeration solver would let the oracle agree
+        # with the solver it checks; it must fail instead.
+        monkeypatch.setattr(
+            BranchAndBoundSolver,
+            "solve",
+            lambda self, problem: Solution(status=SolveStatus.INFEASIBLE),
+        )
+        with pytest.raises(RuntimeError, match="no optimum"):
+            solve_ilp(45.0, QUALITY[:3], PEAK[:3], num_workers=3)

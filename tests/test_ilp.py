@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import pytest
-
-from repro.ilp import BranchAndBoundSolver, IlpProblem, SolveStatus
+from ilp_oracle import BranchAndBoundSolver, IlpProblem, SolveStatus
 
 
 class TestIlpProblemModelling:

@@ -30,16 +30,6 @@ class TestLatencyModel:
         latency = LatencyModel("A10G").variant_latency(SM_VARIANTS[0])
         assert 8.0 < latency < 12.0
 
-    def test_batch_latency_grows_nearly_linearly(self):
-        model = LatencyModel("A100")
-        single = model.variant_latency(SM_VARIANTS[0], batch_size=1)
-        batch4 = model.variant_latency(SM_VARIANTS[0], batch_size=4)
-        assert batch4 > 3.0 * single
-
-    def test_invalid_batch_size(self):
-        with pytest.raises(ValueError):
-            LatencyModel("A100").variant_latency(SM_VARIANTS[0], batch_size=0)
-
     def test_breakdown_sums_to_total(self):
         model = LatencyModel("A100")
         breakdown = model.variant_breakdown(SM_VARIANTS[0])

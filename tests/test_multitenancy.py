@@ -671,8 +671,8 @@ class TestConfigValidation:
             {"classifier_training_prompts": 0},
             {"classifier_epochs": 0},
             {"profiling_prompts": 0},
-            {"worker_memory_gib": 0.0},
-            {"worker_memory_gib": -10.0},
+            {"max_scale_step": 0},
+            {"scale_out_consecutive_ticks": 0},
             {"admission_rate_factor": 0.0},
             {"admission_burst_s": -1.0},
         ],

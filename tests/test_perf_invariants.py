@@ -873,7 +873,7 @@ def _assert_index_matches_scan(cluster, scheduler) -> None:
     assert cluster.healthy_workers == active
     assert cluster.fleet_size == len(active)
     assert cluster.total_queued_requests() == sum(w.queue_length for w in active)
-    assert cluster.backlog_slack(2.0) == 2.0 * len(active) * cluster.max_batch_size
+    assert cluster.backlog_slack(2.0) == 2.0 * len(active)
     for max_rank in (None, 0, 2, 4):
         for target in range(6):
             chosen = scheduler._find_worker(target, max_rank=max_rank)
@@ -927,8 +927,6 @@ class TestFleetIndexEquivalence:
             zoo,
             num_workers=6,
             gpu_types=[self.GPUS[i % len(self.GPUS)] for i in range(6)],
-            max_batch_size=3,
-            batch_timeout_s=0.4,
             on_complete=on_complete,
             on_requeue=on_requeue,
         )
@@ -1009,7 +1007,7 @@ class TestFleetIndexEquivalence:
 
     def test_stale_heap_entries_are_compacted(self, zoo):
         engine = SimulationEngine(seed=0)
-        cluster = GpuCluster(engine, zoo, num_workers=2, max_batch_size=4)
+        cluster = GpuCluster(engine, zoo, num_workers=2)
         prompt = PromptGenerator(seed=0).generate(1)[0]
         for i in range(500):
             request = Request(

@@ -352,10 +352,10 @@ def _tiered_slo_ok(run):
 #: default=str)``).  A change to the tier's placement, index or tie order
 #: that alters any retrieval moves them.
 TIER_REPORT_DIGESTS = {
-    "cache-node-failure": "5114dd92c4ebf243",
-    "cache-shard-rebalance": "42e4d59a38421189",
-    "cache-hot-shard": "37337fb16a1c9430",
-    "chaos-cache-poison": "d2c6097fa50b2e3e",
+    "cache-node-failure": "c2bb1a6a7a8d4b06",
+    "cache-shard-rebalance": "3f9ce05a2ee26c68",
+    "cache-hot-shard": "d13982e60191ec17",
+    "chaos-cache-poison": "071d2abef53ead65",
 }
 
 

@@ -21,6 +21,7 @@ from repro.baselines.proteus import ProteusSystem
 from repro.baselines.sommelier import SommelierSystem
 from repro.cache.network import NetworkCondition
 from repro.core import base
+from repro.core.base import BaseServingSystem, Route
 from repro.core.config import ArgusConfig
 from repro.core.system import ArgusSystem
 from repro.experiments.runner import ExperimentRunner, build_system
@@ -28,8 +29,8 @@ from repro.models.zoo import Strategy
 from repro.prompts.dataset import PromptDataset
 from repro.scenarios import run_scenario
 from repro.simulation.shard import run_scenario_sharded
-from repro.workloads.replay import TimedPrompt
-from repro.workloads.traces import TraceLibrary
+from repro.workloads.replay import RequestStream, TimedPrompt
+from repro.workloads.traces import TraceLibrary, WorkloadTrace
 
 
 def small_config(**overrides) -> ArgusConfig:
@@ -46,6 +47,11 @@ def small_config(**overrides) -> ArgusConfig:
 @pytest.fixture(scope="module")
 def training_dataset():
     return PromptDataset.synthetic(count=300, seed=77)
+
+
+@pytest.fixture()
+def prompts():
+    return PromptDataset.synthetic(count=40, seed=11).prompts
 
 
 @pytest.fixture(scope="module")
@@ -384,3 +390,84 @@ class TestReadAhead:
         with pytest.raises(ValueError, match=r"got 26\.850000s after 26\.900000s"):
             system.run(duration_s=60.0)
         assert submitted == prompts[:269]
+
+
+class _ScriptedSystem(BaseServingSystem):
+    """Minimal concrete system with scripted routing (for requeue tests)."""
+
+    name = "scripted"
+
+    def __init__(self, routes, **kwargs):
+        super().__init__(**kwargs)
+        self._routes = list(routes)
+
+    def route(self, prompt):
+        worker_id, predicted, assigned = self._routes.pop(0)
+        return Route(
+            worker_id=worker_id,
+            predicted_rank=predicted,
+            assigned_rank=assigned,
+            strategy=Strategy.AC,
+        )
+
+
+class TestRequeueRouting:
+    def test_requeue_refreshes_predicted_rank(self, prompts):
+        # A request re-routed after a worker failure must carry the fresh
+        # prediction; a stale predicted_rank corrupts shift-fraction and
+        # affinity accounting downstream.
+        system = _ScriptedSystem(
+            routes=[(0, 3, 2), (1, 1, 0)],
+            config=ArgusConfig(num_workers=2),
+            use_cache=False,
+        )
+        request = system.submit(prompts[0])
+        assert request.predicted_rank == 3
+        system.cluster.fail_worker(0)
+        assert request.predicted_rank == 1
+        assert request.assigned_rank == 0
+
+
+class TestLazyArrivals:
+    def test_heap_never_holds_more_than_one_arrival(self, prompts):
+        system = _ScriptedSystem(
+            routes=[(0, 0, 0)] * 500,
+            config=ArgusConfig(num_workers=2),
+            use_cache=False,
+        )
+        trace = WorkloadTrace("t", (60.0, 60.0, 60.0))
+        stream = RequestStream(
+            trace, PromptDataset.synthetic(count=30, seed=3), arrival_kind="uniform"
+        )
+        system.schedule_arrivals(stream)
+        engine = system.engine
+        max_pending_arrivals = 0
+        while True:
+            pending = sum(
+                1 for _, _, e in engine._heap if e.name == "arrival" and not e.cancelled
+            )
+            max_pending_arrivals = max(max_pending_arrivals, pending)
+            if not engine.step():
+                break
+        assert max_pending_arrivals <= 1
+        assert system.collector.total_arrivals == 180
+
+    def test_stream_iteration_stays_lazy(self):
+        trace = WorkloadTrace("t", (30.0, 30.0))
+        stream = RequestStream(
+            trace, PromptDataset.synthetic(count=10, seed=0), arrival_kind="uniform"
+        )
+        count = sum(1 for _ in stream)
+        assert count == 60
+        assert not stream.is_materialized
+        assert len(stream) == 60  # random access materialises on demand
+        assert stream.is_materialized
+
+    def test_lazy_and_materialized_streams_agree(self):
+        trace = WorkloadTrace("t", (25.0, 40.0))
+        lazy = RequestStream(trace, PromptDataset.synthetic(count=7, seed=5), seed=9)
+        materialized = RequestStream(trace, PromptDataset.synthetic(count=7, seed=5), seed=9)
+        _ = len(materialized)
+        for a, b in zip(lazy, materialized):
+            assert a.arrival_time_s == b.arrival_time_s
+            assert a.prompt.prompt_id == b.prompt.prompt_id
