@@ -527,6 +527,11 @@ class LegacyPromptGenerator(PromptGenerator):
     ``np.clip`` on the complexity: the draws the choice-free generator must
     reproduce."""
 
+    def generate(self, count: int) -> list[Prompt]:
+        """Generate ``count`` prompts, one :meth:`generate_one` call each,
+        so every draw is a ``Generator`` call."""
+        return [self.generate_one() for _ in range(count)]
+
     def generate_one(self) -> Prompt:
         """Generate a single prompt."""
         rng = self._rng
@@ -594,3 +599,39 @@ class LegacyPromptGenerator(PromptGenerator):
         )
         noise = self._rng.normal(0.0, 0.05)
         return float(np.clip(raw + noise + 0.05 + self.complexity_bias, 0.0, 1.0))
+
+
+def legacy_fit(classifier, features, labels, epochs, validation=None, seed=0, batch_size=64):
+    """``SoftmaxClassifier.fit`` as it was: ``loss`` and ``accuracy`` each
+    run their own softmax pass over each set every epoch."""
+
+    def loss(x, y):
+        probabilities = classifier.predict_proba(x)
+        y = np.asarray(y, dtype=np.int64)
+        if len(y) == 0:
+            return 0.0
+        picked = probabilities[np.arange(len(y)), y]
+        nll = -np.log(np.clip(picked, 1e-12, None)).mean()
+        return float(nll + 0.5 * classifier.l2 * np.sum(classifier.weights**2))
+
+    def accuracy(x, y):
+        y = np.asarray(y, dtype=np.int64)
+        if len(y) == 0:
+            return 0.0
+        return float((classifier.predict(x) == y).mean())
+
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    history = classifier.history
+    for _ in range(epochs):
+        order = rng.permutation(len(labels))
+        for start in range(0, len(labels), batch_size):
+            batch = order[start : start + batch_size]
+            classifier._sgd_step(features[batch], labels[batch])
+        history.train_loss.append(loss(features, labels))
+        history.train_accuracy.append(accuracy(features, labels))
+        if validation is not None:
+            history.validation_loss.append(loss(*validation))
+            history.validation_accuracy.append(accuracy(*validation))
+    return history

@@ -122,21 +122,23 @@ class SoftmaxClassifier:
     # ------------------------------------------------------------------ #
     def loss(self, features: np.ndarray, labels: np.ndarray) -> float:
         """Mean cross-entropy loss plus the L2 penalty."""
-        probabilities = self.predict_proba(features)
-        labels = np.asarray(labels, dtype=np.int64)
-        n = len(labels)
-        if n == 0:
-            return 0.0
-        picked = probabilities[np.arange(n), labels]
-        nll = -np.log(np.clip(picked, 1e-12, None)).mean()
-        return float(nll + 0.5 * self.l2 * np.sum(self.weights ** 2))
+        return self.evaluate(features, labels)[0]
 
     def accuracy(self, features: np.ndarray, labels: np.ndarray) -> float:
         """Fraction of rows classified correctly."""
+        return self.evaluate(features, labels)[1]
+
+    def evaluate(self, features: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+        """:meth:`loss` and :meth:`accuracy`, from one softmax pass."""
         labels = np.asarray(labels, dtype=np.int64)
-        if len(labels) == 0:
-            return 0.0
-        return float((self.predict(features) == labels).mean())
+        n = len(labels)
+        if n == 0:
+            return 0.0, 0.0
+        probabilities = self.predict_proba(features)
+        picked = probabilities[np.arange(n), labels]
+        nll = -np.log(np.clip(picked, 1e-12, None)).mean()
+        loss = float(nll + 0.5 * self.l2 * np.sum(self.weights ** 2))
+        return loss, float((np.argmax(probabilities, axis=1) == labels).mean())
 
     def fit(
         self,
@@ -162,12 +164,13 @@ class SoftmaxClassifier:
             for start in range(0, n, batch_size):
                 batch = order[start : start + batch_size]
                 self._sgd_step(features[batch], labels[batch])
-            self.history.train_loss.append(self.loss(features, labels))
-            self.history.train_accuracy.append(self.accuracy(features, labels))
+            loss, accuracy = self.evaluate(features, labels)
+            self.history.train_loss.append(loss)
+            self.history.train_accuracy.append(accuracy)
             if validation is not None:
-                val_x, val_y = validation
-                self.history.validation_loss.append(self.loss(val_x, val_y))
-                self.history.validation_accuracy.append(self.accuracy(val_x, val_y))
+                loss, accuracy = self.evaluate(*validation)
+                self.history.validation_loss.append(loss)
+                self.history.validation_accuracy.append(accuracy)
         return self.history
 
     def _sgd_step(self, features: np.ndarray, labels: np.ndarray) -> None:

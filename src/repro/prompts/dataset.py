@@ -30,10 +30,12 @@ class PromptDataset:
         seed: int = 0,
         num_topics: int = 24,
         complexity_bias: float = 0.0,
+        tenant: str = "",
     ) -> "PromptDataset":
-        """Generate a synthetic DiffusionDB-like dataset."""
+        """Generate a synthetic DiffusionDB-like dataset whose prompts are
+        tagged with ``tenant``."""
         generator = PromptGenerator(
-            seed=seed, num_topics=num_topics, complexity_bias=complexity_bias
+            seed=seed, num_topics=num_topics, complexity_bias=complexity_bias, tenant=tenant
         )
         return cls(generator.generate(count))
 

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.simulation.randomness import stable_hash
+from repro.simulation.randomness import DecodedStream, decoded, stable_hash
 
 SUBJECTS = (
     "apple", "banana", "bear", "cat", "dog", "guitar", "vase", "book",
@@ -65,7 +65,7 @@ _ENTITY_CUMSUM = np.cumsum([0.45, 0.35, 0.20])
 _ENTITY_CDF = (_ENTITY_CUMSUM / _ENTITY_CUMSUM[-1]).tolist()
 
 
-def _sample(rng: np.random.Generator, items: tuple[str, ...], k: int) -> list[str]:
+def _sample(rng: np.random.Generator | DecodedStream, items: tuple[str, ...], k: int) -> list[str]:
     """``list(rng.choice(items, size=k, replace=False))``, drawing the same
     numbers: Floyd's algorithm (one ``integers`` draw per pick, a repeat
     replaced by the top of its range), then the shuffle's draws.  That is
@@ -129,16 +129,19 @@ class PromptGenerator:
         seed: int = 0,
         num_topics: int = 24,
         complexity_bias: float = 0.0,
+        tenant: str = "",
     ) -> None:
         """Args:
             seed: RNG seed; the same seed reproduces the same prompt stream.
             num_topics: number of topic clusters (controls cache hit locality).
             complexity_bias: shifts the complexity distribution; positive
                 values produce harder prompt mixes (used for drift tests).
+            tenant: the tenant every prompt is tagged with (draws nothing).
         """
         self._rng = np.random.default_rng(seed)
         self.num_topics = int(num_topics)
         self.complexity_bias = float(complexity_bias)
+        self.tenant = str(tenant)
         self._counter = 0
         #: topic -> its six subjects (a function of the topic).
         self._subject_pools: dict[int, tuple[str, ...]] = {}
@@ -147,11 +150,19 @@ class PromptGenerator:
     # Generation
     # ------------------------------------------------------------------ #
     def generate(self, count: int) -> list[Prompt]:
-        """Generate ``count`` prompts."""
-        return [self.generate_one() for _ in range(count)]
+        """Generate ``count`` prompts: the prompts ``count`` calls of
+        :meth:`generate_one` make, with the stream left where they leave
+        it, but drawn through a :class:`DecodedStream` rather than by one
+        ``Generator`` call per draw."""
+        with decoded(self._rng) as rng:
+            return [self._draw(rng) for _ in range(count)]
 
     def generate_one(self) -> Prompt:
-        """Generate a single prompt.
+        """Generate a single prompt."""
+        return self._draw(self._rng)
+
+    def _draw(self, rng: np.random.Generator | DecodedStream) -> Prompt:
+        """A prompt drawn from ``rng``, this generator's stream.
 
         Each draw is the one ``Generator.choice`` makes for the same call
         (an index from ``integers``, a bisected ``random()`` for weighted
@@ -159,7 +170,6 @@ class PromptGenerator:
         replacement) made directly, so the stream is unchanged while the
         array dispatch ``choice`` adds per call is gone.
         """
-        rng = self._rng
         topic = int(rng.integers(0, self.num_topics))
         subjects = self._subject_pools.get(topic)
         if subjects is None:
@@ -189,8 +199,9 @@ class PromptGenerator:
         style_tags += _sample(rng, QUALITY_TAGS, max(0, num_style_tags - 1))
         text = ", ".join([" ".join(parts)] + style_tags)
 
+        noise = rng.normal(0.0, 0.05)
         complexity = self._complexity(
-            num_entities, num_attributes, num_style_tags, has_action, has_scene
+            num_entities, num_attributes, num_style_tags, has_action, has_scene, noise
         )
         prompt = Prompt(
             prompt_id=self._counter,
@@ -202,6 +213,7 @@ class PromptGenerator:
             has_scene=has_scene,
             complexity=complexity,
             topic=topic,
+            tenant=self.tenant,
         )
         self._counter += 1
         return prompt
@@ -213,6 +225,7 @@ class PromptGenerator:
         num_style_tags: int,
         has_action: bool,
         has_scene: bool,
+        noise: float,
     ) -> float:
         """Latent complexity in [0, 1] from the prompt structure plus noise."""
         raw = (
@@ -222,5 +235,4 @@ class PromptGenerator:
             + 0.10 * has_scene
             + 0.04 * num_style_tags
         )
-        noise = self._rng.normal(0.0, 0.05)
         return min(max(raw + noise + 0.05 + self.complexity_bias, 0.0), 1.0)

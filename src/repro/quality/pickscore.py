@@ -16,8 +16,7 @@ simulation runs agree.
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from repro.models.zoo import Strategy
 from repro.prompts.generator import Prompt
 from repro.prompts.memo import PromptMemo
-from repro.simulation.randomness import seeded_generators, stable_hash
+from repro.simulation.randomness import FirstDraws, stable_hash
 
 #: Typical PickScore of a best-possible SD-XL generation (paper reports ~21).
 _BASE_SCORE_MEAN = 21.5
@@ -39,22 +38,26 @@ _DEGRADATION_EXPONENT = 1.3
 #: Fraction of the best score retained when exactly at the tolerance edge.
 _TOLERABLE_FLOOR = 0.955
 
-#: Streams seeded in one batch, and items :meth:`PickScoreModel.score_many`
-#: plans at once, at most: enough to spread the fixed cost of a batch's
-#: array operations, few enough to keep its temporaries small.
+#: Streams seeded in one vectorised pass, and items
+#: :meth:`PickScoreModel.score_many` plans at once, at most: enough to spread
+#: the fixed cost of a pass's array operations, few enough to keep its
+#: temporaries small.
 _SEEDS_PER_BATCH = 1024
 
 #: Marks a score-memo slot that :meth:`PickScoreModel.score_many` is drawing.
 _DRAWING = object()
 
 
-def _best_from(rng: np.random.Generator) -> float:
-    """A prompt's best PickScore, drawn from its "best" stream."""
+def _best_from(rng: np.random.Generator | FirstDraws) -> float:
+    """A prompt's best PickScore, drawn from its "best" stream (a prompt's
+    ``default_rng``, or the next of a batch of fresh streams)."""
     # Scalar min/max rather than np.clip, as in _tolerance_from.
     return min(max(rng.normal(_BASE_SCORE_MEAN, _BASE_SCORE_STD), 18.5), 24.5)
 
 
-def _score_from(rng: np.random.Generator, best: float, tolerance: int, rank: int) -> float:
+def _score_from(
+    rng: np.random.Generator | FirstDraws, best: float, tolerance: int, rank: int
+) -> float:
     """The PickScore at ``rank``, drawn from the (prompt, strategy, rank) stream."""
     if rank <= tolerance:
         factor = _TOLERABLE_FLOOR + (1.0 - _TOLERABLE_FLOOR) * rng.random()
@@ -121,15 +124,6 @@ class PickScoreModel:
     def _prompt_rng(self, prompt: Prompt, salt: str) -> np.random.Generator:
         return np.random.default_rng(self._seed_key(prompt, salt))
 
-    def _seeded(self, keys: list[int]) -> Iterator[np.random.Generator]:
-        """For each :meth:`_seed_key`, a generator in the state
-        ``_prompt_rng`` returns for it, seeded in batches of at most
-        ``_SEEDS_PER_BATCH`` (:func:`seeded_generators`)."""
-        return itertools.chain.from_iterable(
-            seeded_generators(keys[start : start + _SEEDS_PER_BATCH])
-            for start in range(0, len(keys), _SEEDS_PER_BATCH)
-        )
-
     def best_score(self, prompt: Prompt) -> float:
         """PickScore of the best (least approximate) generation for a prompt."""
         key = prompt.content_hash()
@@ -156,7 +150,9 @@ class PickScoreModel:
             )
         return tolerance
 
-    def _tolerance_from(self, rng: np.random.Generator, prompt: Prompt, strategy: Strategy) -> int:
+    def _tolerance_from(
+        self, rng: np.random.Generator | FirstDraws, prompt: Prompt, strategy: Strategy
+    ) -> int:
         max_rank = self.num_levels - 1
         permissiveness = 0.5 if strategy is Strategy.AC else 0.0
         raw = (1.0 - prompt.complexity) * max_rank + permissiveness
@@ -219,10 +215,11 @@ class PickScoreModel:
         ``(prompt, strategy, rank)`` of ``items``.
 
         The same values, and the same memo contents, as making those two
-        calls for each item in order; but the streams the memos lack are
-        seeded in batches (:meth:`_seeded`) instead of by one
-        ``default_rng`` call each, which is most of the cost of scoring a
-        prompt for the first time.
+        calls for each item in order; but each stream the memos lack makes
+        its one draw through :class:`FirstDraws`, which seeds them in
+        batches and decodes their first outputs instead of making a
+        ``default_rng`` call each, most of the cost of scoring a prompt for
+        the first time.
         """
         memos = (self._best_cache, self._tolerance_cache, self._score_cache)
         scored: list[tuple[float, float]] = []
@@ -288,19 +285,20 @@ class PickScoreModel:
                     score_seeds.append(seed_key(prompt, salts[slot]))
                     score_draws.append((scores, slot, rank, key, known))
             # Latent quantities first: every score is drawn from them.
-            rngs = self._seeded(
+            draws = FirstDraws(
                 [seed_key(prompt, "best") for prompt in no_best.values()]
                 + [seed_key(prompt, f"tolerance-{s.value}") for _, s, prompt in no_tolerance]
-                + score_seeds
+                + score_seeds,
+                batch=_SEEDS_PER_BATCH,
             )
             for key in no_best:
-                best_memo.remember(key, _best_from(next(rngs)))
+                best_memo.remember(key, _best_from(draws))
             for key, strategy, prompt in no_tolerance:
-                tolerance = self._tolerance_from(next(rngs), prompt, strategy)
+                tolerance = self._tolerance_from(draws, prompt, strategy)
                 known = tolerances[strategy is not ac]
                 known[key] = tolerance_memo.remember((key, strategy), tolerance)
             for scores, slot, rank, key, known in score_draws:
-                scores[slot] = _score_from(next(rngs), best_memo[key], known[key], rank)
+                scores[slot] = _score_from(draws, best_memo[key], known[key], rank)
         except BaseException:
             for scores, slot, *_ in score_draws:
                 if scores[slot] is _DRAWING:

@@ -97,12 +97,14 @@ def build_stream(
         # One dataset per tenant (distinct generator seeds, so tenants have
         # distinct working sets); tenant 0 keeps the plain runner's dataset
         # seed, which makes the single-default-tenant run bit-identical.
+        # Prompts are tagged as they are generated, so the stream keeps them.
         bias = drift[0].complexity_bias if drift else 0.0
         datasets = {
             spec.name: PromptDataset.synthetic(
                 count=preset.dataset_size,
                 seed=seed + 1 + _TENANT_SEED_STRIDE * index,
                 complexity_bias=bias,
+                tenant=spec.name,
             )
             for index, spec in enumerate(config.tenants)
         }
@@ -121,6 +123,7 @@ def build_stream(
                             count=preset.dataset_size,
                             seed=seed + 1 + _TENANT_SEED_STRIDE * index + 1000 * phase_index,
                             complexity_bias=phase.complexity_bias,
+                            tenant=spec.name,
                         ),
                     )
                     for phase_index, phase in enumerate(drift)

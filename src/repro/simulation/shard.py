@@ -994,6 +994,11 @@ def run_scenario_sharded(
             extras["admission"] = admission
     extras["sharding"] = {
         "shards": config.shards,
+        # The merged summary reads like a sequential run's; it is not one.
+        "simulated": (
+            f"{config.shards} isolated sub-fleets, their results merged: "
+            "no request was routed or queued across shards"
+        ),
         "mode": plan.mode,
         "windows": len(boundaries),
         "plan": [

@@ -216,7 +216,8 @@ class MultiTenantRequestStream(RequestStream):
                 )
         # Per-tenant prompts are tagged once here, not per arrival: the
         # Prompt content-hash memo is per-object, so reusing tagged objects
-        # across dataset cycles keeps embedding lookups memoised.
+        # across dataset cycles keeps embedding lookups memoised.  Prompts
+        # generated with their tenant's tag are kept as they are.
         def tag(name: str, dataset: PromptDataset) -> list[Prompt]:
             return [
                 prompt if prompt.tenant == name else replace(prompt, tenant=name)

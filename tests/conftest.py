@@ -7,6 +7,7 @@ import pytest
 from repro.models.zoo import ModelZoo
 from repro.prompts.dataset import PromptDataset
 from repro.quality.pickscore import PickScoreModel
+from repro.simulation import randomness
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +32,12 @@ def prompts_small() -> list:
 def prompts_medium() -> list:
     """A medium prompt sample for distribution-level assertions."""
     return PromptDataset.synthetic(count=1200, seed=5).prompts
+
+
+@pytest.fixture
+def decoder_off(monkeypatch):
+    """The draw decoder's self-check forced to fail: every draw of the test
+    goes through numpy."""
+    monkeypatch.setattr(randomness, "_self_check", lambda: False)
+    monkeypatch.setattr(randomness, "_decoder", None)
+    assert not randomness.decoder_active()

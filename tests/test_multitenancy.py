@@ -165,6 +165,21 @@ class TestMultiTenantStream:
         tenant_tags = {tp.prompt.tenant for tp in first}
         assert tenant_tags == {"a", "b"}
 
+    def test_prompts_tagged_at_generation_are_kept(self):
+        trace = TraceLibrary(seed=0).constant(duration_minutes=3, qpm=30.0)
+        tenants = self._tenants()
+        tagged = {
+            spec.name: PromptDataset.synthetic(count=50, seed=10 + i, tenant=spec.name)
+            for i, spec in enumerate(tenants)
+        }
+        stream = MultiTenantRequestStream(trace, tenants, tagged, seed=4)
+        for spec in tenants:
+            kept = stream._tagged_prompts[spec.name]
+            assert all(a is b for a, b in zip(kept, tagged[spec.name], strict=True))
+        # Untagged datasets are still tagged, into the same stream.
+        untagged = MultiTenantRequestStream(trace, tenants, self._datasets(tenants), seed=4)
+        assert list(untagged) == list(stream)
+
     def test_single_default_tenant_equals_plain_stream(self):
         trace = TraceLibrary(seed=0).constant(duration_minutes=3, qpm=30.0)
         dataset = PromptDataset.synthetic(count=50, seed=10)

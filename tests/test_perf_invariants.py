@@ -38,8 +38,8 @@ from repro.prompts.generator import Prompt, PromptGenerator
 from repro.quality.optimal import OPTIMALITY_THRESHOLD, OptimalModelSelector
 from repro.quality import pickscore
 from repro.quality.pickscore import PickScoreModel
+from repro.simulation import randomness
 from repro.simulation.engine import SimulationEngine
-from repro.simulation.randomness import seeded_generators
 
 
 def _clustered_vectors(n: int, dim: int = 32, clusters: int = 12, seed: int = 0):
@@ -740,18 +740,26 @@ class TestScoringEquivalence:
         assert self._memo_state(model) == self._memo_state(reference)
 
     def test_score_many_seeds_in_batches(self, monkeypatch):
-        """Fresh prompts seed no stream one at a time, and no seeding batch
-        is larger than ``_SEEDS_PER_BATCH``."""
+        """Above the crossover, fresh prompts seed no stream one at a time:
+        every stream is seeded by the batch decoder, in batches no larger
+        than ``_SEEDS_PER_BATCH``."""
+        if not randomness.decoder_active():
+            pytest.skip("numpy draws every stream where the decoder is off")
         model = PickScoreModel(seed=8)
+        prompts = PromptGenerator(seed=9).generate(700)
         batches = []
+        seeded_states = randomness._seeded_states
 
         def counting(keys):
             batches.append(len(keys))
-            return seeded_generators(keys)
+            return seeded_states(keys)
 
-        monkeypatch.setattr(pickscore, "seeded_generators", counting)
+        def seeded_alone(key):
+            raise AssertionError(f"stream {key} seeded alone")
+
+        monkeypatch.setattr(randomness, "_seeded_states", counting)
+        monkeypatch.setattr(np.random, "default_rng", seeded_alone)
         monkeypatch.setattr(model, "_prompt_rng", None)
-        prompts = PromptGenerator(seed=9).generate(700)
         items = [(prompt, Strategy.AC, i % model.num_levels) for i, prompt in enumerate(prompts)]
         model.score_many(items)
         assert sum(batches) == len(model._best_cache) * 2 + sum(
@@ -821,6 +829,29 @@ class TestScoringEquivalence:
         ]
         assert draws_new == draws_old
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+class TestClassifierEvaluation:
+    @pytest.mark.parametrize("validation", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_history_matches_two_passes_per_set(self, seed, validation):
+        """One softmax pass per set and epoch records the history that
+        separate ``loss`` and ``accuracy`` passes did."""
+        prompts = PromptGenerator(seed=60 + seed).generate(500)
+        features = np.stack([PromptFeaturizer().featurize(prompt) for prompt in prompts])
+        labels = np.array([min(int(p.complexity * 6), 5) for p in prompts])
+        split = (features[400:], labels[400:]) if validation else None
+        options = dict(num_features=features.shape[1], num_classes=6, seed=seed)
+        model, reference = SoftmaxClassifier(**options), SoftmaxClassifier(**options)
+        history = model.fit(features[:400], labels[:400], epochs=12, validation=split, seed=seed)
+        expected = legacy.legacy_fit(
+            reference, features[:400], labels[:400], epochs=12, validation=split, seed=seed
+        )
+        for field in dataclasses.fields(TrainingHistory):
+            values = [value.hex() for value in getattr(history, field.name)]
+            assert values == [value.hex() for value in getattr(expected, field.name)]
+            assert len(values) == (12 if validation or "train" in field.name else 0)
+        assert model.weights.tobytes() == reference.weights.tobytes()
 
 
 _GENERATOR_CASES = [

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,17 @@ from repro.prompts.embedding import PromptEmbedder
 from repro.prompts.features import PromptFeaturizer
 from repro.prompts.generator import Prompt, PromptGenerator
 from repro.prompts.memo import PromptMemo, WordTable, tokenize
+
+
+#: First 16 hex digits of the sha256 over ``PromptGenerator(seed, num_topics,
+#: complexity_bias).generate(2000)`` of each prompt's ``repr((text,
+#: complexity.hex(), topic, num_entities, num_attributes, num_style_tags,
+#: has_action, has_scene))``.  A change to how the generator draws moves them.
+GENERATOR_DIGESTS = [
+    ((1, 24, 0.0), "c55d6b1bf38b7bcc"),
+    ((101, 8, 2.0), "f5291a4d37a704a6"),
+    ((7, 1, -2.0), "45832f6305841c26"),
+]
 
 
 class TestPromptGenerator:
@@ -39,6 +51,46 @@ class TestPromptGenerator:
         prompts = PromptGenerator(seed=seed).generate(500)
         payload = json.dumps([[p.text, p.complexity, p.topic] for p in prompts])
         assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("decoder", ["decoded", "numpy"])
+    @pytest.mark.parametrize(
+        "options, digest", GENERATOR_DIGESTS, ids=["plain", "hard", "one-topic"]
+    )
+    def test_generator_output_is_pinned(self, request, decoder, options, digest):
+        """Every field the generator draws, over 2,000 prompts, whether its
+        draws are decoded or made by numpy."""
+        if decoder == "numpy":
+            request.getfixturevalue("decoder_off")
+        seed, num_topics, complexity_bias = options
+        generator = PromptGenerator(
+            seed=seed, num_topics=num_topics, complexity_bias=complexity_bias
+        )
+        rows = hashlib.sha256()
+        for p in generator.generate(2000):
+            row = (
+                p.text,
+                p.complexity.hex(),
+                p.topic,
+                p.num_entities,
+                p.num_attributes,
+                p.num_style_tags,
+                p.has_action,
+                p.has_scene,
+            )
+            rows.update(repr(row).encode())
+        assert rows.hexdigest()[:16] == digest
+
+    def test_generate_continues_the_stream_generate_one_draws(self):
+        generator, reference = PromptGenerator(seed=12), PromptGenerator(seed=12)
+        prompts = generator.generate(7) + [generator.generate_one()] + generator.generate(30)
+        assert prompts == [reference.generate_one() for _ in range(38)]
+        assert generator._rng.bit_generator.state == reference._rng.bit_generator.state
+
+    def test_tenant_tag_draws_nothing(self):
+        plain = PromptGenerator(seed=3).generate(40)
+        tagged = PromptGenerator(seed=3, tenant="gold").generate(40)
+        assert tagged == [replace(prompt, tenant="gold") for prompt in plain]
+        assert [p.content_hash() for p in tagged] == [p.content_hash() for p in plain]
 
     def test_different_seed_differs(self):
         a = [p.text for p in PromptGenerator(seed=1).generate(20)]

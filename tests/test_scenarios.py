@@ -33,6 +33,8 @@ from repro.scenarios.contracts import (
     contract_names,
     parse_contract,
 )
+from repro.scenarios.runtime import build_config, build_stream
+from repro.workloads import tenants as tenants_module
 from repro.workloads.replay import PhasedRequestStream
 from repro.workloads.shapes import SHAPES, build_shape
 from repro.workloads.traces import TraceLibrary
@@ -382,6 +384,12 @@ class TestRunScenarios:
         failed = violations(verify_report(report, get_scenario(name).contracts))
         assert not failed, f"contract violations for {name}: {[str(r) for r in failed]}"
 
+    def test_pinned_report_holds_when_numpy_makes_every_draw(self, decoder_off):
+        name = "cache-node-failure"
+        report = run_scenario(name, preset="small", seed=0).report()
+        encoded = json.dumps(report.to_dict(), sort_keys=True, default=str).encode()
+        assert hashlib.sha256(encoded).hexdigest()[:16] == TIER_REPORT_DIGESTS[name]
+
     def test_system_override(self):
         run = run_scenario("steady-baseline", preset="small", seed=0, system="clipper-ht")
         assert run.summary.system == "Clipper-HT"
@@ -701,6 +709,26 @@ class TestTenantDrift:
         assert all(count >= 1 for count in events.values())
         assert run.extras["retraining_events"] >= 2
         assert not violations(verify_report(run.report(), scenario.contracts))
+
+
+    def test_tenant_prompts_are_tagged_where_they_are_generated(self, monkeypatch):
+        """Tenant and phase datasets come out of the generator tagged, so
+        the tenant stream copies no prompt to tag it."""
+        scenario = replace(
+            get_scenario("tenant-fair-share"),
+            drift=(DriftPhase(start_minute=0.0), DriftPhase(start_minute=2.0, complexity_bias=0.5)),
+        )
+        preset = scenario.preset("small")
+        config = build_config(scenario, preset, 0)
+        trace = scenario.trace.build(seed=0, **preset.trace_params)
+
+        def copied(prompt, **changes):
+            raise AssertionError(f"prompt {prompt.prompt_id} copied to tag it")
+
+        monkeypatch.setattr(tenants_module, "replace", copied)
+        stream = build_stream(scenario, preset, config, trace, 0)
+        assert set(stream._tagged_phases) == {"alpha", "beta"}
+        assert {timed.prompt.tenant for timed in stream} == {"alpha", "beta"}
 
 
 # --------------------------------------------------------------------- #

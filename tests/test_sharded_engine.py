@@ -330,6 +330,10 @@ class TestShardedRuns:
         run = run_scenario_sharded(_scenario(), preset="full", seed=1, shards=2)
         sharding = run.extras["sharding"]
         assert sharding["shards"] == 2
+        assert sharding["simulated"] == (
+            "2 isolated sub-fleets, their results merged: "
+            "no request was routed or queued across shards"
+        )
         assert sharding["mode"] == "hash"
         assert len(sharding["plan"]) == 2
         assert sum(p["workers"] for p in sharding["plan"]) == 8

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import platform
+import sys
+
 import numpy as np
 import pytest
 
-from repro.simulation import Clock, RandomStreams, SimulationEngine, stable_hash
-from repro.simulation.randomness import seeded_generators
+from repro.simulation import Clock, RandomStreams, SimulationEngine, randomness, stable_hash
+from repro.simulation.randomness import DecodedStream, FirstDraws, decoded
 
 
 class TestClock:
@@ -75,32 +78,179 @@ class TestRandomStreams:
         assert a == b
 
 
+#: The (loc, scale) pairs the PickScore oracle draws first normals at:
+#: best score, AC/SM tolerance noise, and past-tolerance jitter.
+_ORACLE_NORMALS = ((21.5, 0.9), (0.0, 0.35), (0.0, 0.01))
+
+
+def _numpy_first_draws(key: int) -> list:
+    """The PCG64 state ``np.random.default_rng(key)`` starts in, then
+    ``random()`` and each oracle normal drawn first from it, as hex."""
+    rng = np.random.default_rng(key)
+    start = rng.bit_generator.state
+    row = [start["state"], rng.random().hex()]
+    for loc, scale in _ORACLE_NORMALS:
+        rng.bit_generator.state = start
+        row.append(rng.normal(loc, scale).hex())
+    return row
+
+
+def _decoded_first_draws(keys, decode=True) -> list:
+    """:func:`_numpy_first_draws` for each key, through :class:`FirstDraws`
+    and the batch seeding it decodes from."""
+    draws = [FirstDraws(keys, decode=decode) for _ in range(1 + len(_ORACLE_NORMALS))]
+    rows = []
+    for limbs in randomness._seeded_states(keys).T.tolist():
+        state, inc = (sum(limb << (32 * k) for k, limb in enumerate(limbs[h:][:4])) for h in (0, 4))
+        row = [{"state": state, "inc": inc}, draws[0].random().hex()]
+        normals = zip(draws[1:], _ORACLE_NORMALS)
+        rows.append(row + [draw.normal(loc, scale).hex() for draw, (loc, scale) in normals])
+    return rows
+
+
+def _first_outputs(keys) -> list[int]:
+    states = randomness._seeded_states(keys)
+    return randomness._xsl_rr(randomness._step(states[:4], states[4:])).tolist()
+
+
+def _output_state(word: int) -> int:
+    """A PCG64 state whose next output, with increment 1, is ``word``."""
+    return (word - 1) * randomness._PCG64_MULT_INV % 2**128
+
+
 class TestSeededGenerators:
-    """Batch seeding puts a generator exactly where ``default_rng`` starts."""
+    """Streams seeded in batches (:class:`FirstDraws`): each starts in the
+    state ``default_rng(key)`` starts in, and its decoded first draw is the
+    one that generator makes."""
 
     @staticmethod
     def _assert_matches_default_rng(keys):
-        for key, rng in zip(keys, seeded_generators(keys), strict=True):
-            reference = np.random.default_rng(key)
-            assert rng.bit_generator.state == reference.bit_generator.state, key
-            assert rng.normal().hex() == reference.normal().hex(), key
-            assert rng.random().hex() == reference.random().hex(), key
+        assert _decoded_first_draws(keys) == [_numpy_first_draws(key) for key in keys]
 
     def test_edge_keys(self):
         self._assert_matches_default_rng([0, 1, 2**31, 2**32 - 1])
 
     def test_random_keys(self):
-        keys = np.random.default_rng(11).integers(0, 2**32, size=10_000).tolist()
+        keys = np.random.default_rng(11).integers(0, 2**32, size=100_000).tolist()
         self._assert_matches_default_rng(keys)
 
     def test_repeated_keys_and_empty_batch(self):
         self._assert_matches_default_rng([7, 7, 3, 7])
-        assert list(seeded_generators([])) == []
+        assert FirstDraws([], decode=True)._outputs == []
+        assert randomness._seeded_states([]).shape == (8, 0)
 
     @pytest.mark.parametrize("keys", [[-1], [2**32], [5, 2**40], [2**64]])
     def test_keys_outside_32_bits_rejected(self, keys):
         with pytest.raises(ValueError):
-            seeded_generators(keys)
+            FirstDraws(keys)
+        with pytest.raises(ValueError):
+            FirstDraws(keys * randomness.FIRST_DRAWS_CROSSOVER)
+
+    def test_slow_path_normals_are_drawn_from_the_seeded_state(self):
+        """Keys whose first output takes the ziggurat's slow path: the tail
+        layer 0, and layer 1, whose fast path accepts nothing."""
+        randomness._load_tables()
+        keys = list(range(60_000))
+        tail, layer_one = [], []
+        for key, output in zip(keys, _first_outputs(keys)):
+            layer, magnitude = output & 0xFF, (output >> 9) & (2**52 - 1)
+            if layer == 0 and magnitude >= randomness._KI[0]:
+                tail.append(key)
+            elif layer == 1:
+                layer_one.append(key)
+        assert tail and layer_one and randomness._KI[1] == 0
+        slow = tail + layer_one
+        assert _decoded_first_draws(slow) == [_numpy_first_draws(key) for key in slow]
+
+    def test_below_the_crossover_each_stream_is_seeded_alone(self):
+        keys = list(range(randomness.FIRST_DRAWS_CROSSOVER - 1))
+        assert FirstDraws(keys)._outputs is None
+        assert _decoded_first_draws(keys, decode=None) == [_numpy_first_draws(k) for k in keys]
+
+
+class TestDecodedStream:
+    """A stream decoded from raw output draws what the Generator draws and
+    leaves it in the same state."""
+
+    @staticmethod
+    def _draw(source, op: int):
+        if op == 0:
+            return source.random().hex()
+        if op == 1:
+            return source.normal(21.5, 0.9).hex()
+        if op == 2:
+            return source.normal(0.0, 0.05).hex()
+        low, high = ((0, 2**31 + 1), (0, 3), (-7, 2**32 - 7), (4, 5), (0, 35), (0, 6))[op - 3]
+        return int(source.integers(low, high))
+
+    def test_a_million_mixed_draws(self):
+        """Rejection-heavy, full-width and empty integer ranges, uniforms
+        and normals (slow paths included) interleave, so a buffered 32-bit
+        half crosses ``random`` and ``normal`` calls."""
+        ops = np.random.default_rng(5).integers(0, 9, size=1_000_000).tolist()
+        rng, reference = np.random.default_rng(123), np.random.default_rng(123)
+        stream = DecodedStream(rng)
+        decoded = [self._draw(stream, op) for op in ops]
+        assert decoded == [self._draw(reference, op) for op in ops]
+        stream.sync()
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_ranges_past_32_bits_are_drawn_by_numpy(self):
+        rng, reference = np.random.default_rng(8), np.random.default_rng(8)
+        stream = DecodedStream(rng)
+        for high in (2**32 + 1, 2**40, 2**62):
+            assert stream.integers(0, 3) == reference.integers(0, 3)
+            assert stream.integers(0, high) == reference.integers(0, high)
+            assert stream.random() == reference.random()
+        with pytest.raises(ValueError):
+            stream.integers(5, 5)
+        stream.sync()
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("has_uint32", [0, 1])
+    def test_crafted_states_at_each_layers_bound(self, has_uint32):
+        """For every layer, the largest magnitude its fast path accepts and
+        the smallest it rejects, and the tail layer's largest magnitude;
+        a buffered 32-bit half must survive numpy's slow-path draws."""
+        randomness._load_tables()
+        words = [(2**52 - 1) << 9]
+        for layer, bound in enumerate(randomness._KI):
+            words += [m << 9 | 0x100 * (m & 1) | layer for m in (bound - 1, bound) if m >= 0]
+        for word in words:
+            state = randomness._pcg64_state(_output_state(word), 1, has_uint32, 0xDEADBEEF)
+            rng, reference = np.random.default_rng(), np.random.default_rng()
+            rng.bit_generator.state = reference.bit_generator.state = state
+            stream = DecodedStream(rng)
+            draws = [stream.normal(-1.5, 2.0).hex(), stream.integers(0, 1000)]
+            assert draws == [reference.normal(-1.5, 2.0).hex(), reference.integers(0, 1000)]
+            stream.sync()
+            assert rng.bit_generator.state == reference.bit_generator.state, hex(word)
+
+    def test_sync_mid_block_then_continue(self):
+        rng, reference = np.random.default_rng(3), np.random.default_rng(3)
+        stream = DecodedStream(rng)
+        for i in range(2_000):
+            assert self._draw(stream, i % 9) == self._draw(reference, i % 9)
+            if i % 97 == 0:
+                stream.sync()
+                assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_decoded_yields_the_generator_when_the_decoder_is_off(self, decoder_off):
+        rng = np.random.default_rng(4)
+        with decoded(rng) as source:
+            assert source is rng
+        assert FirstDraws(list(range(100)))._outputs is None
+
+
+@pytest.mark.skipif(
+    not (sys.platform.startswith("linux") and platform.machine() == "x86_64"),
+    reason="the self-check is known to pass on linux x86-64",
+)
+def test_decoder_is_active_on_linux_x86_64():
+    """A silent fallback to numpy would keep every result and lose the
+    speed-up; on this platform the self-check passes."""
+    assert randomness.decoder_active()
+    assert len(randomness._KI) == len(randomness._WI) == 256
 
 
 class TestSimulationEngine:
