@@ -120,16 +120,13 @@ class SoftmaxClassifier:
     # ------------------------------------------------------------------ #
     # Training
     # ------------------------------------------------------------------ #
-    def loss(self, features: np.ndarray, labels: np.ndarray) -> float:
-        """Mean cross-entropy loss plus the L2 penalty."""
-        return self.evaluate(features, labels)[0]
-
     def accuracy(self, features: np.ndarray, labels: np.ndarray) -> float:
         """Fraction of rows classified correctly."""
         return self.evaluate(features, labels)[1]
 
     def evaluate(self, features: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-        """:meth:`loss` and :meth:`accuracy`, from one softmax pass."""
+        """Mean cross-entropy loss plus the L2 penalty, and the fraction of
+        rows classified correctly, from one softmax pass."""
         labels = np.asarray(labels, dtype=np.int64)
         n = len(labels)
         if n == 0:

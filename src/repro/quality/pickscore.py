@@ -24,7 +24,7 @@ import numpy as np
 from repro.models.zoo import Strategy
 from repro.prompts.generator import Prompt
 from repro.prompts.memo import PromptMemo
-from repro.simulation.randomness import FirstDraws, stable_hash
+from repro.simulation.randomness import _SEEDS_PER_BATCH, FirstDraws, stable_hash
 
 #: Typical PickScore of a best-possible SD-XL generation (paper reports ~21).
 _BASE_SCORE_MEAN = 21.5
@@ -37,12 +37,6 @@ _DEGRADATION_EXPONENT = 1.3
 
 #: Fraction of the best score retained when exactly at the tolerance edge.
 _TOLERABLE_FLOOR = 0.955
-
-#: Streams seeded in one vectorised pass, and items
-#: :meth:`PickScoreModel.score_many` plans at once, at most: enough to spread
-#: the fixed cost of a pass's array operations, few enough to keep its
-#: temporaries small.
-_SEEDS_PER_BATCH = 1024
 
 #: Marks a score-memo slot that :meth:`PickScoreModel.score_many` is drawing.
 _DRAWING = object()
@@ -223,6 +217,8 @@ class PickScoreModel:
         """
         memos = (self._best_cache, self._tolerance_cache, self._score_cache)
         scored: list[tuple[float, float]] = []
+        # Items are planned a seeding pass's worth at a time, which keeps
+        # each plan's temporaries small.
         for start in range(0, len(items), _SEEDS_PER_BATCH):
             chunk = items[start : start + _SEEDS_PER_BATCH]
             # An item adds at most one entry to each memo.
@@ -288,8 +284,7 @@ class PickScoreModel:
             draws = FirstDraws(
                 [seed_key(prompt, "best") for prompt in no_best.values()]
                 + [seed_key(prompt, f"tolerance-{s.value}") for _, s, prompt in no_tolerance]
-                + score_seeds,
-                batch=_SEEDS_PER_BATCH,
+                + score_seeds
             )
             for key in no_best:
                 best_memo.remember(key, _best_from(draws))

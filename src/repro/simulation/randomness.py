@@ -49,6 +49,10 @@ _DOUBLE_UNIT = 1.0 / 9007199254740992.0
 #: vectorised pass costs about as much as two dozen of those, whatever its
 #: size.
 FIRST_DRAWS_CROSSOVER = 24
+#: Streams seeded in one vectorised pass at most: enough to spread the
+#: fixed cost of a pass's array operations, few enough to keep its
+#: temporaries small.
+_SEEDS_PER_BATCH = 1024
 
 
 def _hash_constants(init: int, mult: int, count: int) -> list[tuple[int, int]]:
@@ -319,16 +323,14 @@ class FirstDraws:
     ``np.random.default_rng(key)`` for the next of ``keys`` in order.
 
     From :data:`FIRST_DRAWS_CROSSOVER` keys up, while the decoder is
-    active, the streams are seeded ``batch`` keys at a time in one
-    vectorised pass, and their first outputs decoded; a slow-path normal is
-    drawn by numpy from the stream's seeded state.  Otherwise each stream
-    is a ``default_rng(key)``.  ``decode`` overrides that choice; the
+    active, the streams are seeded up to ``_SEEDS_PER_BATCH`` keys at a
+    time in one vectorised pass, and their first outputs decoded; a
+    slow-path normal is drawn by numpy from the stream's seeded state.
+    Otherwise each stream is a ``default_rng(key)``.  ``decode`` overrides that choice; the
     self-check decodes whatever its outcome so far.
     """
 
-    def __init__(
-        self, keys: Sequence[int], batch: int = 1024, decode: bool | None = None
-    ) -> None:
+    def __init__(self, keys: Sequence[int], decode: bool | None = None) -> None:
         if len(keys) and not (min(keys) >= 0 and max(keys) <= _MASK32):
             raise ValueError("keys must lie in [0, 2**32)")
         self._keys = keys
@@ -338,8 +340,8 @@ class FirstDraws:
             decode = len(keys) >= FIRST_DRAWS_CROSSOVER and decoder_active()
         if decode:
             _load_tables()
-            starts = range(0, len(keys), batch)
-            states = [_seeded_states(keys[start : start + batch]) for start in starts]
+            starts = range(0, len(keys), _SEEDS_PER_BATCH)
+            states = [_seeded_states(keys[start : start + _SEEDS_PER_BATCH]) for start in starts]
             self._states = np.concatenate(states, axis=1) if states else np.empty((8, 0), np.uint64)
             self._outputs = _xsl_rr(_step(self._states[:4], self._states[4:])).tolist()
             self._numpy = np.random.Generator(np.random.PCG64(0))
