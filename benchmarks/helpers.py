@@ -2,8 +2,9 @@
 
 Every benchmark regenerates one table or figure from the paper's evaluation
 and prints the rows/series it produces, so running
-``pytest benchmarks/ --benchmark-only -s`` doubles as the reproduction log.
-EXPERIMENTS.md records the paper-vs-measured comparison for each experiment.
+``pytest benchmarks/ --benchmark-only -s`` doubles as the reproduction log
+(the printed rows are the paper-vs-measured record; no separate index
+file exists).
 """
 
 from __future__ import annotations

@@ -15,7 +15,9 @@ Deep imports (``from repro.core.system import ArgusSystem``) remain public
 and stable.  README.md holds the system inventory: its "Architecture map"
 section lists every package, and "Scenario catalog", "Performance" and
 "Live-mode gateway" cover the workloads, the hot paths and live mode.
-EXPERIMENTS.md is the paper-figure reproduction index.
+The paper's figures and tables are reproduced by the ``benchmarks/``
+tests, one file per experiment; each prints its rows when run with
+``pytest benchmarks -s``.
 """
 
 from repro.api import load_scenario, replay, run, serve

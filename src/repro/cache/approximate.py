@@ -165,19 +165,23 @@ class CacheBase:
         total = hits + misses
         return hits / total if total else 0.0
 
-    def report_extras(self, tenants) -> dict:
-        """The report's cache block: retrieval totals, plus each configured
-        tenant's entries against its quota."""
-        extras: dict = {
-            "retrieval_hit_rate": self.retrieval_hit_rate,
+    def record_fields(self, tenants) -> dict:
+        """This cache's :class:`~repro.metrics.record.RunRecord` fields: its
+        store and retrieval counts, and each configured tenant's retrievals
+        and entries."""
+        hits, misses = self.store_counts()
+        names = [spec.name for spec in tenants]
+        return {
+            "store_hits": hits,
+            "store_misses": misses,
+            "retrieval_hits": self.retrieval_hits,
             "retrieval_attempts": self.retrieval_attempts,
+            "tenant_retrieval_hits": {name: self._tenant_hits.get(name, 0) for name in names},
+            "tenant_retrieval_attempts": {
+                name: self._tenant_attempts.get(name, 0) for name in names
+            },
+            "cache_entries": {name: self.tenant_entries(name) for name in names} or None,
         }
-        if tenants:
-            extras["cache_tenants"] = {
-                spec.name: {"entries": self.tenant_entries(spec.name), "quota": spec.cache_quota}
-                for spec in tenants
-            }
-        return extras
 
     def probe_network(self, now_s: float) -> float | None:
         """Background network probe used by the strategy switcher."""

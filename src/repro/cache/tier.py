@@ -639,9 +639,9 @@ class CacheTier(CacheBase):
             sum(n.fetch_misses for n in nodes),
         )
 
-    def report_extras(self, tenants) -> dict:
-        """The shared cache block plus :meth:`tier_stats`."""
-        return {**super().report_extras(tenants), "cache_tier": self.tier_stats()}
+    def record_fields(self, tenants) -> dict:
+        """The shared cache fields plus :meth:`tier_stats`."""
+        return {**super().record_fields(tenants), "cache_tier": self.tier_stats()}
 
     def tier_stats(self) -> dict:
         """Report-ready snapshot of the tier's placement and traffic."""

@@ -44,11 +44,14 @@ class FleetLogEntry:
 
 @dataclass(frozen=True)
 class FleetMinute:
-    """Time-weighted fleet composition over one simulated minute."""
+    """Time-weighted fleet size over one simulated minute."""
 
     minute: int
     mean_workers: float
-    by_gpu: dict[str, float] = field(default_factory=dict)
+
+    def __add__(self, other: FleetMinute) -> FleetMinute:
+        """Two fleets' same minute, side by side (shards' fleets merge so)."""
+        return FleetMinute(self.minute, self.mean_workers + other.mean_workers)
 
 
 _worker_id = attrgetter("worker_id")
@@ -497,7 +500,7 @@ class GpuCluster:
         )
 
     def fleet_minute_series(self, duration_minutes: int) -> list[FleetMinute]:
-        """Time-weighted fleet size (total and per GPU type) per minute."""
+        """Time-weighted fleet size per minute."""
         series: list[FleetMinute] = []
         log = self.fleet_log
         if not log or duration_minutes <= 0:
@@ -509,7 +512,6 @@ class GpuCluster:
             while index + 1 < len(log) and log[index + 1].time_s <= start:
                 index += 1
             total = 0.0
-            by_gpu: dict[str, float] = {}
             cursor, i = start, index
             while cursor < end:
                 entry = log[i]
@@ -518,18 +520,10 @@ class GpuCluster:
                 )
                 span = max(0.0, next_change - cursor)
                 total += entry.active * span
-                for gpu_name, count in entry.by_gpu.items():
-                    by_gpu[gpu_name] = by_gpu.get(gpu_name, 0.0) + count * span
                 cursor = next_change
                 if i + 1 < len(log) and log[i + 1].time_s <= next_change:
                     i += 1
-            series.append(
-                FleetMinute(
-                    minute=minute,
-                    mean_workers=total / 60.0,
-                    by_gpu={name: value / 60.0 for name, value in by_gpu.items()},
-                )
-            )
+            series.append(FleetMinute(minute=minute, mean_workers=total / 60.0))
         return series
 
     def fleet_stats(self, until_s: float) -> tuple[int, float]:

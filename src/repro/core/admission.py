@@ -23,7 +23,7 @@ simulator passes a ``SimRuntime`` and the live gateway a
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.models.zoo import ModelZoo, Strategy
@@ -79,6 +79,16 @@ class TenantAdmissionStats:
         if self.admitted_after_wait == 0:
             return 0.0
         return self.total_wait_s / self.admitted_after_wait
+
+    def __add__(self, other: TenantAdmissionStats) -> TenantAdmissionStats:
+        """One tenant's stats from two controllers, combined."""
+        return TenantAdmissionStats(
+            offered=self.offered + other.offered,
+            admitted_immediately=self.admitted_immediately + other.admitted_immediately,
+            admitted_after_wait=self.admitted_after_wait + other.admitted_after_wait,
+            total_wait_s=self.total_wait_s + other.total_wait_s,
+            max_wait_s=max(self.max_wait_s, other.max_wait_s),
+        )
 
 
 @dataclass
@@ -297,3 +307,11 @@ class FairShareAdmission:
     def stats_for(self, tenant: str) -> TenantAdmissionStats:
         """Admission stats for one tenant (empty stats for unknown names)."""
         return self.stats.get(tenant, TenantAdmissionStats())
+
+    def record_fields(self) -> dict:
+        """This controller's :class:`~repro.metrics.record.RunRecord` fields:
+        a copy of each tenant's stats and its backlog."""
+        return {
+            "admission": {name: replace(stats) for name, stats in self.stats.items()},
+            "admission_backlog": {name: self.backlog(name) for name in self.stats},
+        }

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.cache import build_cache
 from repro.cache.network import NetworkModel
@@ -21,7 +21,8 @@ from repro.cluster.requests import CompletedRequest, Request
 from repro.core.admission import FairShareAdmission, hit_corrected_capacity_qps
 from repro.core.config import ArgusConfig
 from repro.metrics.collector import MetricsCollector, ServedSample
-from repro.metrics.report import RunSummary, summarize, tenant_breakdown
+from repro.metrics.record import RunRecord, build_report
+from repro.metrics.report import RunSummary, summarize
 from repro.models.zoo import ApproximationLevel, ModelZoo, Strategy
 from repro.prompts.generator import Prompt
 from repro.quality.pickscore import PickScoreModel
@@ -236,7 +237,7 @@ class BaseServingSystem(ABC):
         streams of many new prompts are seeded as one batch
         (:meth:`PickScoreModel.score_many`).  It is settled no later than
         :meth:`_settle_due` asks, when :data:`MAX_PENDING_COMPLETIONS` are
-        queued, at the end of :meth:`run` and in :meth:`summary`; whoever
+        queued, at the end of :meth:`run` and in :meth:`record`; whoever
         reads :attr:`collector` in the middle of a run settles first.
         """
         pending, self._pending = self._pending, []
@@ -308,25 +309,49 @@ class BaseServingSystem(ABC):
         self.engine.run(until=duration_s + drain_s)
         self.settle()
 
-    def summary(self, workload: str, duration_minutes: float) -> RunSummary:
-        """Summarise the run for reporting."""
+    def record(self, duration_minutes: float) -> RunRecord:
+        """This run's :class:`~repro.metrics.record.RunRecord`; the fleet is
+        billed and averaged over the first ``duration_minutes`` (the trace's,
+        drain excluded)."""
         self.settle()
         duration_s = duration_minutes * 60.0
-        fleet_peak, fleet_mean = self.cluster.fleet_stats(duration_s)
-        return summarize(
+        cluster = self.cluster
+        fleet_peak, fleet_mean = cluster.fleet_stats(duration_s)
+        cache = {} if self.cache is None else self.cache.record_fields(self.config.tenants)
+        scheduler = getattr(self, "scheduler", None)
+        if "cache_tier" in cache and hasattr(scheduler, "affinity_routed"):
+            cache["cache_tier"]["affinity_routed"] = scheduler.affinity_routed
+        switches = getattr(self, "num_strategy_switches", None)
+        drift = getattr(self, "drift_events", None)
+        autoscaler = getattr(self, "autoscaler", None)
+        return RunRecord(
             system=self.name,
-            workload=workload,
-            collector=self.collector,
-            duration_minutes=duration_minutes,
-            cluster_utilization=self.cluster.utilization(duration_s),
-            model_loads=self.cluster.total_model_loads(),
+            workers=self.config.num_workers,
+            cluster_utilization=cluster.utilization(duration_s),
+            model_loads=cluster.total_model_loads(),
             fleet_peak_workers=fleet_peak,
             fleet_mean_workers=fleet_mean,
-            workers_added=self.cluster.workers_added,
-            workers_retired=self.cluster.workers_retired,
-            gpu_hours=self.cluster.gpu_hours(duration_s),
-            cost_usd=self.cluster.total_cost_usd(duration_s),
-            tenants=tenant_breakdown(
-                self.collector, self.tenant_runtimes, self.cache, self.admission
+            workers_added=cluster.workers_added,
+            workers_retired=cluster.workers_retired,
+            gpu_hours=cluster.gpu_hours(duration_s),
+            cost_usd=cluster.total_cost_usd(duration_s),
+            fleet_minutes={m.minute: m for m in cluster.fleet_minute_series(duration_minutes)},
+            strategy_switches=None if switches is None else switches(),
+            retraining_events=getattr(self, "retraining_events", None),
+            drift_events=None if drift is None else drift(),
+            worker_queues=sum(w.outstanding for w in cluster.workers),
+            autoscale_events=(
+                None if autoscaler is None else [asdict(event) for event in autoscaler.events]
             ),
+            **cache,
+            **({} if self.admission is None else self.admission.record_fields()),
         )
+
+    def report(
+        self, workload: str, duration_minutes: float
+    ) -> tuple[RunSummary, RunRecord, dict]:
+        """Report the run: its summary, its record and the report's extras."""
+        record = self.record(duration_minutes)
+        inputs, extras = build_report(self.collector, record, self.config)
+        summary = summarize(self.name, workload, self.collector, duration_minutes, **inputs)
+        return summary, record, extras

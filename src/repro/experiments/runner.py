@@ -73,6 +73,7 @@ class ExperimentResult:
     workload: str
     summary: RunSummary
     minute_series: list[MinuteStats]
+    #: The report's extras (:func:`~repro.metrics.record.build_report`).
     extras: dict = field(default_factory=dict)
 
     @property
@@ -159,18 +160,10 @@ class ExperimentRunner:
         offered = {
             minute: stream.offered_qpm(minute) for minute in range(trace.duration_minutes)
         }
-        fleet_minutes = system.cluster.fleet_minute_series(trace.duration_minutes)
+        summary, record, extras = system.report(trace.name, trace.duration_minutes)
         minute_series = system.collector.minute_series(
-            offered=offered, fleet={m.minute: m for m in fleet_minutes}
+            offered=offered, fleet=record.fleet_minutes
         )
-        summary = system.summary(workload=trace.name, duration_minutes=trace.duration_minutes)
-        extras = {
-            "cache_hit_rate": system.cache.hit_rate if system.cache is not None else None,
-            # Count what was actually offered instead of len(stream), which
-            # would force the lazy stream to materialise.
-            "total_requests": system.collector.total_arrivals,
-            "fleet_minutes": fleet_minutes,
-        }
         return ExperimentResult(
             system=system.name,
             workload=trace.name,

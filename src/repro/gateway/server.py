@@ -28,8 +28,8 @@ Endpoints:
 - ``GET /healthz`` — liveness plus headline counters.
 - ``GET /metrics`` — Prometheus text exposition of the collector.
 - ``GET /config`` — the gateway's resolved ``ArgusConfig.to_dict()``.
-- ``GET /report`` — a :class:`~repro.metrics.report.ScenarioReport` dict
-  (same shape the simulator emits, so PR-8 contracts certify live runs).
+- ``GET /report`` — a :class:`~repro.metrics.report.ScenarioReport` dict,
+  built by the simulator's own builder (:mod:`repro.metrics.record`).
 - ``POST /v1/generate`` — serve one prompt; body is the prompt's fields
   (``dataclasses.asdict(prompt)`` round-trips).
 """
@@ -47,6 +47,7 @@ from urllib.parse import parse_qs
 from repro.cache import build_cache, warm_cache
 from repro.cache.network import NetworkModel
 from repro.classifier.drift import TenantDrift
+from repro.cluster.cluster import FleetMinute
 from repro.cluster.requests import CompletedRequest, Request
 from repro.cluster.worker import service_profile
 from repro.core.admission import FairShareAdmission, hit_corrected_capacity_qps
@@ -55,7 +56,9 @@ from repro.core.scheduler import WorkerSelector
 from repro.gateway.workers import StubWorker
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.prometheus import render_prometheus
-from repro.metrics.report import ScenarioReport, summarize, tenant_breakdown
+from repro.metrics.record import RunRecord, build_report
+from repro.metrics.report import ScenarioReport, summarize
+from repro.models.gpus import gpu_by_name
 from repro.models.zoo import ModelZoo, Strategy
 from repro.prompts.dataset import PromptDataset
 from repro.prompts.generator import Prompt
@@ -134,11 +137,6 @@ class AdmissionGate:
             return await future, True
         finally:
             self._waiters.pop(id(prompt), None)
-
-    def backlog(self, tenant: str | None = None) -> int:
-        if self.controller is None:
-            return 0
-        return self.controller.backlog(tenant)
 
 
 class Gateway:
@@ -223,6 +221,35 @@ class Gateway:
     # ------------------------------------------------------------------ #
     # Reporting
     # ------------------------------------------------------------------ #
+    def record(self, duration_minutes: float) -> RunRecord:
+        """The gateway's :class:`~repro.metrics.record.RunRecord` over
+        ``duration_minutes``: a fixed fleet of stub workers, billed like a
+        cluster that never scales, which never switches strategy or retrains."""
+        duration_s = duration_minutes * 60.0
+        size = len(self.workers)
+        gpu = gpu_by_name(self.config.gpu)
+        gpu_hours = size * duration_s / 3600.0
+        busy_s = sum(w.busy_s for w in self.workers)
+        return RunRecord(
+            system=self.name,
+            workers=size,
+            cluster_utilization=min(1.0, busy_s / max(duration_s * max(size, 1), 1e-9)),
+            fleet_peak_workers=size,
+            fleet_mean_workers=float(size),
+            gpu_hours=gpu_hours,
+            cost_usd=gpu_hours * gpu.hourly_cost_usd,
+            fleet_minutes={
+                minute: FleetMinute(minute, float(size))
+                for minute in range(math.ceil(duration_minutes))
+            },
+            strategy_switches=0,
+            retraining_events=0,
+            drift_events=self.drift.events(),
+            worker_queues=sum(w.outstanding for w in self.workers),
+            **self.cache.record_fields(self.config.tenants),
+            **({} if self.admission is None else self.admission.record_fields()),
+        )
+
     def report_dict(
         self,
         scenario: str = "live",
@@ -231,63 +258,35 @@ class Gateway:
         workload: str = "live",
         duration_minutes: float | None = None,
     ) -> dict:
-        """Scenario-shaped report dict over everything served so far.
-
-        The dict has the exact shape of a simulated
-        :class:`~repro.metrics.report.ScenarioReport` — including the
-        ``extras.outstanding`` and ``extras.cache_tenants`` blocks the PR-8
-        contracts read — so ``verify_report`` certifies live runs unchanged.
-        """
+        """Report dict over everything served so far, built as a simulated run's."""
         now = self.runtime.now()
-        minutes_elapsed = (
-            float(duration_minutes) if duration_minutes else max(now / 60.0, 1.0 / 60.0)
-        )
-        duration_s = minutes_elapsed * 60.0
-        busy = sum(w.busy_s for w in self.workers)
-        utilization = busy / max(duration_s * max(len(self.workers), 1), 1e-9)
-        summary = summarize(
-            system=self.name,
-            workload=workload,
-            collector=self.collector,
-            duration_minutes=minutes_elapsed,
-            cluster_utilization=min(1.0, utilization),
-            fleet_peak_workers=len(self.workers),
-            fleet_mean_workers=float(len(self.workers)),
-            tenants=tenant_breakdown(
-                self.collector, self.tenant_runtimes, self.cache, self.admission
-            ),
-        )
-        extras: dict = {
-            "gateway": {
-                "time_scale": self.time_scale,
-                "model_time_s": now,
-                "strategy": self.strategy.value,
-            },
-            "outstanding": {
-                "worker_queues": sum(w.outstanding for w in self.workers),
-                "admission_backlog": self.gate.backlog(),
-            },
-            "drift_events": self.drift.events(),
-            **self.cache.report_extras(self.config.tenants),
+        minutes = float(duration_minutes) if duration_minutes else max(now / 60.0, 1.0 / 60.0)
+        record = self.record(minutes)
+        inputs, extras = build_report(self.collector, record, self.config)
+        extras["gateway"] = {
+            "time_scale": self.time_scale,
+            "model_time_s": now,
+            "strategy": self.strategy.value,
         }
-        report = ScenarioReport(
+        return ScenarioReport(
             scenario=scenario,
             preset=preset,
             seed=self.config.seed if seed is None else int(seed),
             system=self.name,
             workload=workload,
-            summary=summary,
-            minutes=ScenarioReport.minute_rows(self.collector.minute_series()),
+            summary=summarize(self.name, workload, self.collector, minutes, **inputs),
+            minutes=ScenarioReport.minute_rows(
+                self.collector.minute_series(fleet=record.fleet_minutes)
+            ),
             extras=extras,
-        )
-        return report.to_dict()
+        ).to_dict()
 
     def metrics_text(self) -> str:
         """Prometheus exposition of the collector plus gateway gauges."""
         gauges = {
             "fleet_workers": float(len(self.workers)),
             "worker_queue_depth": float(sum(w.outstanding for w in self.workers)),
-            "admission_backlog": float(self.gate.backlog()),
+            "admission_backlog": float(0 if self.admission is None else self.admission.backlog()),
             "model_time_seconds": self.runtime.now(),
             "cache_retrieval_hit_rate": self.cache.retrieval_hit_rate,
         }

@@ -101,8 +101,6 @@ class MinuteStats:
     #: Time-weighted mean workers in rotation this minute (0 when the run
     #: did not attach fleet accounting).
     fleet_workers: float = 0.0
-    #: Time-weighted mean workers per GPU type this minute.
-    fleet_by_gpu: dict[str, float] = field(default_factory=dict)
 
     @property
     def served_qpm(self) -> float:
@@ -361,7 +359,6 @@ class MetricsCollector:
             )
             if fleet and minute in fleet:
                 stats.fleet_workers = fleet[minute].mean_workers
-                stats.fleet_by_gpu = dict(fleet[minute].by_gpu)
             series.append(stats)
         return series
 

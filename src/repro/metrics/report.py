@@ -44,44 +44,6 @@ class TenantSummary:
         return within / self.arrivals
 
 
-def tenant_breakdown(
-    collector: MetricsCollector, tenant_runtimes, cache=None, admission=None
-) -> tuple[TenantSummary, ...]:
-    """Per-tenant outcome rows (empty for the anonymous workload).
-
-    ``tenant_runtimes`` maps tenant names to their resolved runtimes (spec
-    plus SLO budget); ``cache`` and ``admission`` may be None.  Simulated
-    systems and the live gateway both report through this.
-    """
-    rows = []
-    for runtime in tenant_runtimes.values():
-        spec = runtime.spec
-        stats = collector.tenant_stats(spec.name, budget_s=runtime.budget_s)
-        admitted = admission.stats_for(spec.name) if admission is not None else None
-        rows.append(
-            TenantSummary(
-                name=spec.name,
-                slo_class=spec.slo_class,
-                weight=spec.weight,
-                slo_budget_s=runtime.budget_s,
-                arrivals=stats["arrivals"],
-                completions=stats["completions"],
-                dropped=stats["dropped"],
-                slo_violation_ratio=stats["violation_ratio"],
-                mean_relative_quality=stats["mean_relative_quality"],
-                p99_latency_s=stats["p99_latency_s"],
-                quality_floor=spec.quality_floor,
-                cache_hit_rate=(
-                    cache.retrieval_hit_rate_for(spec.name) if cache is not None else 0.0
-                ),
-                admission_delayed=0 if admitted is None else admitted.delayed,
-                mean_admission_wait_s=0.0 if admitted is None else admitted.mean_wait_s,
-                admission_backlog=0 if admission is None else admission.backlog(spec.name),
-            )
-        )
-    return tuple(rows)
-
-
 def fair_share_index(tenants: tuple[TenantSummary, ...]) -> float:
     """Jain's fairness index over weight-normalised served throughput.
 
@@ -214,12 +176,8 @@ def summarize(
     cost_usd: float = 0.0,
     tenants: tuple[TenantSummary, ...] = (),
 ) -> RunSummary:
-    """Build a :class:`RunSummary` from a collector.
-
-    The fleet and cost figures come from the cluster's fleet log / billing
-    accounting; callers without an elastic fleet can leave the zero
-    defaults.
-    """
+    """Build a :class:`RunSummary` from a collector and the fleet figures
+    of a run record (:func:`~repro.metrics.record.build_report`)."""
     duration_minutes = max(duration_minutes, 1e-9)
     return RunSummary(
         system=system,

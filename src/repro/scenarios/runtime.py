@@ -242,61 +242,9 @@ def _apply_schedules(
 
 
 def _collect_extras(system: BaseServingSystem, result: ExperimentResult) -> dict:
-    """System-specific observations worth tagging onto the report."""
-    extras: dict = {
-        "cache_hit_rate": result.extras.get("cache_hit_rate"),
-        "total_requests": result.extras.get("total_requests"),
-    }
-    # Conservation inputs (contracts): requests still in flight at the end
-    # of the run, split by where they are parked.  Worker queues include
-    # draining/failed workers' outstanding work, not just the healthy set.
-    admission = getattr(system, "admission", None)
-    extras["outstanding"] = {
-        "worker_queues": sum(w.outstanding for w in system.cluster.workers),
-        "admission_backlog": admission.backlog() if admission is not None else 0,
-    }
-    if system.cache is not None:
-        extras.update(system.cache.report_extras(system.config.tenants))
-        scheduler = getattr(system, "scheduler", None)
-        if "cache_tier" in extras and hasattr(scheduler, "affinity_routed"):
-            extras["cache_tier"]["affinity_routed"] = scheduler.affinity_routed
-    if hasattr(system, "num_strategy_switches"):
-        extras["strategy_switches"] = system.num_strategy_switches()
-    if hasattr(system, "retraining_events"):
-        extras["retraining_events"] = system.retraining_events
-    if hasattr(system, "drift_events"):
-        extras["drift_events"] = system.drift_events()
-    if system.config.autoscale_enabled:
-        extras["fleet_budget"] = {
-            "min_workers": system.config.effective_min_workers,
-            "max_workers": system.config.effective_max_workers,
-        }
-    if system.config.tenants:
-        extras["fair_share_index"] = result.summary.fair_share_index
-        admission = getattr(system, "admission", None)
-        if admission is not None:
-            extras["admission"] = {
-                name: {
-                    "offered": stats.offered,
-                    "delayed": stats.delayed,
-                    "mean_wait_s": stats.mean_wait_s,
-                    "max_wait_s": stats.max_wait_s,
-                }
-                for name, stats in admission.stats.items()
-            }
-    autoscaler = getattr(system, "autoscaler", None)
-    if autoscaler is not None:
-        extras["autoscale_events"] = [
-            {
-                "time_s": event.time_s,
-                "action": event.action,
-                "delta": event.delta,
-                "fleet_size": event.fleet_size,
-                "reason": event.reason,
-            }
-            for event in autoscaler.events
-        ]
-    return extras
+    """The report's extras of a run that ``ExperimentRunner.run`` made:
+    :func:`~repro.metrics.record.build_report` built them with its summary."""
+    return dict(result.extras)
 
 
 def run_scenario(
@@ -314,8 +262,8 @@ def run_scenario(
     (any :func:`~repro.experiments.runner.build_system` name), e.g. to run
     the same workload through a baseline.  ``shards`` overrides the
     config's shard count; any effective ``shards > 1`` delegates to
-    :func:`repro.simulation.shard.run_scenario_sharded` (``shards=1``
-    always takes this sequential path, bit-for-bit).
+    :func:`repro.simulation.shard.run_sharded` (``shards=1`` always takes
+    this sequential path, bit-for-bit).
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
@@ -331,15 +279,9 @@ def run_scenario(
     config = build_config(scenario, preset_spec, seed, extra=extra)
     if config.shards > 1:
         # Local import: the shard coordinator drives this module, not vice versa.
-        from repro.simulation.shard import run_scenario_sharded
+        from repro.simulation.shard import run_sharded
 
-        return run_scenario_sharded(
-            scenario,
-            preset=preset_name,
-            seed=seed,
-            system=system,
-            shards=config.shards,
-        )
+        return run_sharded(scenario, preset_name, seed, system, config)
     trace = scenario.trace.build(seed=seed, **preset_spec.trace_params)
     serving = build_system(system or scenario.system, config=config)
     _apply_schedules(serving, scenario, preset_spec)

@@ -10,8 +10,11 @@ latency and SLO figures diverge from the sequential run's.
 Partitioning
     *Tenant mode* (two or more tenants): tenants are greedy-bin-packed onto
     shards by offered load, and each shard serves only its tenant set.
-    Every tenant lives wholly on one shard, so per-tenant SLO accounting,
-    admission fair-share and cache namespaces stay exact.
+    Every tenant lives wholly on one shard, so per-tenant SLO accounting
+    and cache namespaces stay exact.  Fair-share admission does not: it
+    needs two tenants, so a shard holding one tenant admits everything at
+    once, and each ``sharding.plan`` entry says whether its shard admitted
+    by fair share.
 
     *Hash mode* (single-tenant workloads): requests are partitioned by a
     stable hash of the prompt content, so a given prompt always lands on the
@@ -30,7 +33,8 @@ Protocol
     budget broker's *grants* (a tuple of
     :class:`~repro.core.autoscaler.ScaleOutcome`), applied at exactly the
     epoch time.  *Finalize* (``None``) ends the run: each shard answers with
-    its :class:`_ShardResult`.
+    its :class:`_ShardResult` (collector snapshot, run record and the facts
+    only the ``sharding`` block shows).
 
     Barriers sit only where the broker needs them: an autoscaled run
     barriers on the ``autoscale_epoch_s`` grid and at its end; a fixed-fleet
@@ -45,12 +49,12 @@ Control plane
     the simulated runs, never of process timing.
 
 Merging
-    Each shard's :class:`_ShardResult` carries its collector's columnar
-    snapshot.  The coordinator absorbs the snapshots (in shard order —
-    deterministic) into one measurement-only
-    :class:`~repro.metrics.collector.MetricsCollector` and calls the *same*
-    ``summarize()`` / ``minute_series()`` paths as a sequential run, so the
-    merged report uses identical summary math.
+    The coordinator absorbs the shards' collector snapshots (in shard order,
+    so deterministically) into one measurement-only
+    :class:`~repro.metrics.collector.MetricsCollector`, merges their
+    :class:`~repro.metrics.record.RunRecord` objects by the rule each
+    field declares, and builds the report with the sequential run's builder
+    (:func:`~repro.metrics.record.build_report`).
 
 ``shards=1`` never enters this module's process machinery: it routes back
 to the plain sequential :func:`~repro.scenarios.runtime.run_scenario`,
@@ -60,13 +64,14 @@ which is what pins bit-identity between the two modes.
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.autoscaler import ScaleOutcome, ScaleRequest
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.report import TenantSummary, summarize, tenant_breakdown
+from repro.metrics.record import RunRecord, build_report, merge_records
+from repro.metrics.report import summarize
 from repro.workloads.tenants import resolve_shares
 
 
@@ -211,37 +216,16 @@ class _BarrierReply:
 
 @dataclass(frozen=True)
 class _ShardResult:
-    """Shard -> coordinator at finalize: everything the merge reads.
-
-    ``collector_state`` is a
-    :meth:`~repro.metrics.collector.MetricsCollector.export_state` snapshot;
-    the scalar fields mirror the inputs of
-    :func:`repro.metrics.report.summarize` so the coordinator can build the
-    merged :class:`~repro.metrics.report.RunSummary` with the exact
-    sequential summary math.
-    """
+    """Shard -> coordinator at finalize: everything the merge reads."""
 
     shard_id: int
-    system_name: str
-    num_workers: int
+    #: A :meth:`~repro.metrics.collector.MetricsCollector.export_state` snapshot.
     collector_state: dict
-    requests_served: int
-    model_loads: int
-    utilization: float
-    fleet_peak_workers: int
-    fleet_mean_workers: float
-    workers_added: int
-    workers_retired: int
-    gpu_hours: float
-    cost_usd: float
-    #: Requests still queued or in flight when the run (drain included) ended.
-    outstanding_requests: int
-    #: The shard's :class:`~repro.cluster.cluster.FleetMinute` series.
-    fleet_minutes: list
-    #: Shard-local observations (cache counters, switches, retraining, ...).
-    extras: dict
-    #: Per-tenant observations keyed by tenant name (tenant-partitioned runs).
-    tenant_extras: dict
+    record: RunRecord
+    #: What only the ``sharding`` block shows of this shard: its
+    #: ``arrivals``, ``requests_served``, ``outstanding_requests`` (healthy
+    #: workers' queues) and the autoscaler's ``denied_requests``.
+    facts: dict
 
 
 # --------------------------------------------------------------------------- #
@@ -259,14 +243,7 @@ def _build_shard_system(payload: dict):
     scenario = Scenario.from_dict(payload["scenario"])
     preset_spec = scenario.preset(payload["preset"])
     seed = int(payload["seed"])
-    spec = ShardSpec(
-        shard_id=int(payload["shard_id"]),
-        num_shards=int(payload["num_shards"]),
-        num_workers=int(payload["num_workers"]),
-        tenant_names=(
-            tuple(payload["tenant_names"]) if payload["tenant_names"] is not None else None
-        ),
-    )
+    spec = payload["spec"]
     # The *full* config (and stream) use the scenario's own fleet/tenant
     # settings, so seeds and arrival interleaves match the sequential run;
     # the shard's own system gets the fleet slice and its tenant subset.
@@ -493,79 +470,19 @@ def _shard_main(payload: dict, conn) -> None:
 
 def _finalize(serving, spec: ShardSpec, trace) -> _ShardResult:
     """Assemble the shard's closing :class:`_ShardResult`."""
-    serving.settle()
-    duration_s = trace.duration_minutes * 60.0
+    record = serving.record(trace.duration_minutes)  # settles the collector
     cluster = serving.cluster
-    fleet_peak, fleet_mean = cluster.fleet_stats(duration_s)
-    admission = getattr(serving, "admission", None)
-    extras: dict = {
-        "arrivals": serving.collector.total_arrivals,
-        "strategy_switches": (
-            serving.num_strategy_switches()
-            if hasattr(serving, "num_strategy_switches")
-            else None
-        ),
-        "retraining_events": getattr(serving, "retraining_events", None),
-        "drift_events": (
-            serving.drift_events() if hasattr(serving, "drift_events") else None
-        ),
-        # Conservation inputs for the contract layer: every worker's
-        # outstanding work (draining/failed included — total_queue_length()
-        # counts only healthy workers) plus the shard's admission backlog.
-        "outstanding_workers": sum(w.outstanding for w in cluster.workers),
-        "admission_backlog": admission.backlog() if admission is not None else 0,
-    }
     autoscaler = getattr(serving, "autoscaler", None)
-    if autoscaler is not None:
-        extras["autoscale_events"] = [asdict(event) for event in autoscaler.events]
-        extras["scale_denials"] = int(autoscaler.denied_requests)
-    if serving.cache is not None:
-        # store_counts() folds every namespace (flat cache) or every cache
-        # node (distributed tier) into one hit/miss pair.
-        hits, misses = serving.cache.store_counts()
-        extras["cache_store_hits"] = int(hits)
-        extras["cache_store_misses"] = int(misses)
-        extras["retrieval_hits"] = int(serving.cache.retrieval_hits)
-        extras["retrieval_attempts"] = int(serving.cache.retrieval_attempts)
-    tenant_extras: dict = {}
-    if serving.config.tenants:
-        for row in tenant_breakdown(
-            serving.collector, serving.tenant_runtimes, serving.cache, serving.admission
-        ):
-            tenant_extras[row.name] = {"summary": row}
-        if serving.admission is not None:
-            for name, stats in serving.admission.stats.items():
-                tenant_extras.setdefault(name, {})["admission"] = {
-                    "offered": stats.offered,
-                    "delayed": stats.delayed,
-                    "mean_wait_s": stats.mean_wait_s,
-                    "max_wait_s": stats.max_wait_s,
-                }
-        if serving.cache is not None:
-            # Per-shard quota accounting: each shard's cache enforces the
-            # tenant quota independently, so the merged cache-quota contract
-            # checks every shard's entry count against the quota.
-            block = serving.cache.report_extras(serving.config.tenants)
-            for name, row in block["cache_tenants"].items():
-                tenant_extras.setdefault(name, {})["cache"] = row
     return _ShardResult(
         shard_id=spec.shard_id,
-        system_name=serving.name,
-        num_workers=spec.num_workers,
         collector_state=serving.collector.export_state(),
-        requests_served=cluster.total_requests_served(),
-        model_loads=cluster.total_model_loads(),
-        utilization=cluster.utilization(duration_s),
-        fleet_peak_workers=fleet_peak,
-        fleet_mean_workers=fleet_mean,
-        workers_added=cluster.workers_added,
-        workers_retired=cluster.workers_retired,
-        gpu_hours=cluster.gpu_hours(duration_s),
-        cost_usd=cluster.total_cost_usd(duration_s),
-        outstanding_requests=cluster.total_queue_length(),
-        fleet_minutes=cluster.fleet_minute_series(trace.duration_minutes),
-        extras=extras,
-        tenant_extras=tenant_extras,
+        record=record,
+        facts={
+            "arrivals": serving.collector.total_arrivals,
+            "requests_served": cluster.total_requests_served(),
+            "outstanding_requests": cluster.total_queue_length(),
+            "denied_requests": 0 if autoscaler is None else int(autoscaler.denied_requests),
+        },
     )
 
 
@@ -713,32 +630,6 @@ def _map_faults(faults, plan: ShardPlan, num_workers: int) -> dict[int, list]:
     return per_shard
 
 
-def _merge_fleet_minutes(results) -> tuple[list, dict]:
-    """Sum per-shard fleet minute series into a fleet-wide series."""
-    from repro.cluster.cluster import FleetMinute
-
-    minutes: dict[int, dict] = {}
-    for result in results:
-        for row in result.fleet_minutes:
-            entry = minutes.setdefault(row.minute, {"mean_workers": 0.0, "by_gpu": {}})
-            entry["mean_workers"] += row.mean_workers
-            for gpu, value in row.by_gpu.items():
-                entry["by_gpu"][gpu] = entry["by_gpu"].get(gpu, 0.0) + value
-    series = [
-        FleetMinute(
-            minute=minute,
-            mean_workers=minutes[minute]["mean_workers"],
-            by_gpu=dict(minutes[minute]["by_gpu"]),
-        )
-        for minute in sorted(minutes)
-    ]
-    return series, {fm.minute: fm for fm in series}
-
-
-def _ratio(numerator: int, denominator: int) -> float:
-    return numerator / denominator if denominator else 0.0
-
-
 def run_scenario_sharded(
     scenario,
     preset: str = "full",
@@ -748,33 +639,26 @@ def run_scenario_sharded(
 ):
     """Run a scenario partitioned across shard processes.
 
+    This is :func:`~repro.scenarios.runtime.run_scenario`, which hands a run
+    of more than one shard to :func:`run_sharded`; ``shards=1`` is the
+    sequential run, bit for bit.
+    """
+    from repro.scenarios.runtime import run_scenario
+
+    return run_scenario(scenario, preset=preset, seed=seed, system=system, shards=shards)
+
+
+def run_sharded(scenario, preset_name: str, seed: int, system: str | None, config):
+    """Run a resolved scenario over ``config.shards`` shard processes.
+
     Returns the same :class:`~repro.scenarios.runtime.ScenarioRun` shape as
-    the sequential runner (``run.system`` is None for N > 1 — there is no
-    single live system object), with a ``"sharding"`` block in the extras.
-    ``shards=1`` delegates straight to the sequential path and is
-    bit-identical to it.
+    the sequential runner (``run.system`` is None: there is no single live
+    system object), with a ``"sharding"`` block in the extras.
     """
     from repro.experiments.runner import ExperimentResult
-    from repro.scenarios.registry import get_scenario
-    from repro.scenarios.runtime import ScenarioRun, build_config, build_stream, run_scenario
+    from repro.scenarios.runtime import ScenarioRun, build_stream
 
-    if isinstance(scenario, str):
-        scenario = get_scenario(scenario)
-    preset_name = preset
     preset_spec = scenario.preset(preset_name)
-    if seed is None:
-        seed = scenario.default_seed
-    seed = int(seed)
-
-    extra: dict = {}
-    if shards is not None:
-        extra["shards"] = int(shards)
-    config = build_config(scenario, preset_spec, seed, extra=extra)
-    if config.shards <= 1:
-        return run_scenario(
-            scenario, preset=preset_name, seed=seed, system=system, shards=1
-        )
-
     faults, _, _ = scenario.schedule(preset_spec)
     for event in faults:
         if event.worker_id is not None:
@@ -807,12 +691,7 @@ def run_scenario_sharded(
                 "preset": preset_name,
                 "seed": seed,
                 "system": system,
-                "shard_id": spec.shard_id,
-                "num_shards": spec.num_shards,
-                "num_workers": spec.num_workers,
-                "tenant_names": (
-                    list(spec.tenant_names) if spec.tenant_names is not None else None
-                ),
+                "spec": spec,
                 "arrivals": (
                     arrival_split[spec.shard_id] if arrival_split is not None else None
                 ),
@@ -885,114 +764,15 @@ def run_scenario_sharded(
     merged = MetricsCollector(slo=config.slo)
     for result in results:
         merged.absorb_state(result.collector_state)
-
-    duration_minutes = trace.duration_minutes
+    record = merge_records({result.shard_id: result.record for result in results})
+    inputs, extras = build_report(merged, record, config)
+    summary = summarize(record.system, trace.name, merged, trace.duration_minutes, **inputs)
     # The same full stream the shards filtered knows the exact offered load
     # (including per-tenant extra_qpm series), matching the sequential view.
-    offered = {minute: stream.offered_qpm(minute) for minute in range(duration_minutes)}
-    fleet_minutes, fleet_by_minute = _merge_fleet_minutes(results)
-    minute_series = merged.minute_series(offered=offered, fleet=fleet_by_minute)
+    offered = {minute: stream.offered_qpm(minute) for minute in range(trace.duration_minutes)}
+    minute_series = merged.minute_series(offered=offered, fleet=record.fleet_minutes)
 
-    total_workers = sum(r.num_workers for r in results)
-    tenants: tuple[TenantSummary, ...] = ()
-    if config.tenants:
-        rows = {
-            name: entry["summary"]
-            for result in results
-            for name, entry in result.tenant_extras.items()
-            if "summary" in entry
-        }
-        tenants = tuple(rows[spec.name] for spec in config.tenants if spec.name in rows)
-
-    summary = summarize(
-        system=results[0].system_name,
-        workload=trace.name,
-        collector=merged,
-        duration_minutes=duration_minutes,
-        cluster_utilization=sum(r.utilization * r.num_workers for r in results)
-        / max(total_workers, 1),
-        model_loads=sum(r.model_loads for r in results),
-        fleet_peak_workers=sum(r.fleet_peak_workers for r in results),
-        fleet_mean_workers=sum(r.fleet_mean_workers for r in results),
-        workers_added=sum(r.workers_added for r in results),
-        workers_retired=sum(r.workers_retired for r in results),
-        gpu_hours=sum(r.gpu_hours for r in results),
-        cost_usd=sum(r.cost_usd for r in results),
-        tenants=tenants,
-    )
-
-    has_cache = any("cache_store_hits" in r.extras for r in results)
-    store_hits = sum(r.extras.get("cache_store_hits", 0) for r in results)
-    store_misses = sum(r.extras.get("cache_store_misses", 0) for r in results)
-    retrieval_hits = sum(r.extras.get("retrieval_hits", 0) for r in results)
-    retrieval_attempts = sum(r.extras.get("retrieval_attempts", 0) for r in results)
-    cache_hit_rate = _ratio(store_hits, store_hits + store_misses) if has_cache else None
-    experiment = ExperimentResult(
-        system=results[0].system_name,
-        workload=trace.name,
-        summary=summary,
-        minute_series=minute_series,
-        extras={
-            "cache_hit_rate": cache_hit_rate,
-            "total_requests": merged.total_arrivals,
-            "fleet_minutes": fleet_minutes,
-        },
-    )
-
-    extras: dict = {
-        "cache_hit_rate": cache_hit_rate,
-        "total_requests": merged.total_arrivals,
-        # Same shape as the sequential runtime's conservation extras, so the
-        # contract layer verifies sharded reports with the same checks.
-        "outstanding": {
-            "worker_queues": sum(r.extras.get("outstanding_workers", 0) for r in results),
-            "admission_backlog": sum(r.extras.get("admission_backlog", 0) for r in results),
-        },
-    }
-    if has_cache:
-        extras["retrieval_hit_rate"] = _ratio(retrieval_hits, retrieval_attempts)
-        extras["retrieval_attempts"] = retrieval_attempts
-        if config.tenants:
-            # One entry count per shard under "shards" (instead of the
-            # sequential report's single "entries") — quotas are enforced
-            # per shard cache, so that is the granularity the cache-quota
-            # contract must check.
-            cache_tenants: dict = {}
-            for result in results:
-                for name, entry in result.tenant_extras.items():
-                    cache = entry.get("cache")
-                    if cache is None:
-                        continue
-                    row = cache_tenants.setdefault(
-                        name, {"quota": cache["quota"], "shards": {}}
-                    )
-                    row["shards"][str(result.shard_id)] = cache["entries"]
-            if cache_tenants:
-                extras["cache_tenants"] = cache_tenants
-    switches = [r.extras.get("strategy_switches") for r in results]
-    if any(s is not None for s in switches):
-        extras["strategy_switches"] = sum(s or 0 for s in switches)
-    retrains = [r.extras.get("retraining_events") for r in results]
-    if any(s is not None for s in retrains):
-        extras["retraining_events"] = sum(s or 0 for s in retrains)
-    drifts = [r.extras.get("drift_events") for r in results]
-    if any(d is not None for d in drifts):
-        merged: dict[str, int] = {}
-        for events in drifts:
-            for name, count in (events or {}).items():
-                merged[name] = merged.get(name, 0) + count
-        extras["drift_events"] = dict(sorted(merged.items()))
-    if config.tenants:
-        extras["fair_share_index"] = summary.fair_share_index
-        admission = {
-            name: entry["admission"]
-            for result in results
-            for name, entry in result.tenant_extras.items()
-            if "admission" in entry
-        }
-        if admission:
-            extras["admission"] = admission
-    extras["sharding"] = {
+    sharding: dict = {
         "shards": config.shards,
         # The merged summary reads like a sequential run's; it is not one.
         "simulated": (
@@ -1006,44 +786,45 @@ def run_scenario_sharded(
                 "shard": spec.shard_id,
                 "workers": spec.num_workers,
                 "tenants": list(spec.tenant_names) if spec.tenant_names else None,
+                # Fair-share admission needs two tenants on the shard.
+                "admission": result.record.admission is not None,
             }
-            for spec in plan.shards
+            for spec, result in zip(plan.shards, results)
         ],
         "per_shard": [
             {
                 "shard": r.shard_id,
-                "arrivals": r.extras.get("arrivals", 0),
-                "requests_served": r.requests_served,
-                "outstanding_requests": r.outstanding_requests,
-                "gpu_hours": r.gpu_hours,
+                "arrivals": r.facts["arrivals"],
+                "requests_served": r.facts["requests_served"],
+                "outstanding_requests": r.facts["outstanding_requests"],
+                "gpu_hours": r.record.gpu_hours,
             }
             for r in results
         ],
         "barriers": barrier_log,
+        # The summed per-shard peaks in the summary need not be simultaneous;
+        # every barrier counts the global in-fleet workers at one instant,
+        # and the fleet-budget contract bounds the peak over those samples.
+        "fleet_peak_barrier_aligned": max(entry["in_fleet"] for entry in barrier_log),
     }
-    # Barrier-aligned global fleet peak: the summed per-shard peaks in the
-    # merged summary need not be simultaneous, but every barrier records the
-    # true global in-fleet count at one synchronized instant — the peak over
-    # those samples is what the fleet-budget contract bounds.
-    extras["sharding"]["fleet_peak_barrier_aligned"] = max(
-        entry["in_fleet"] for entry in barrier_log
-    )
     if broker is not None:
-        extras["fleet_budget"] = {
-            "min_workers": broker.min_workers,
-            "max_workers": broker.max_workers,
-        }
-        extras["sharding"]["autoscale"] = {
+        sharding["autoscale"] = {
             "epoch_s": config.autoscale_epoch_s,
             "min_workers": broker.min_workers,
             "max_workers": broker.max_workers,
             "committed": dict(broker.committed),
             "grants": broker.grant_log,
-            "denied_requests": sum(r.extras.get("scale_denials", 0) for r in results),
-            "events": {
-                r.shard_id: r.extras.get("autoscale_events", []) for r in results
-            },
+            "denied_requests": sum(r.facts["denied_requests"] for r in results),
+            "events": record.autoscale_events,
         }
+    extras["sharding"] = sharding
+    experiment = ExperimentResult(
+        system=record.system,
+        workload=trace.name,
+        summary=summary,
+        minute_series=minute_series,
+        extras=extras,
+    )
     return ScenarioRun(
         scenario=scenario,
         preset_name=preset_name,
