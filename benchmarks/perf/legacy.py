@@ -85,7 +85,6 @@ class LegacyMinuteStats:
     relative_qualities: list[float] = field(default_factory=list)
     latencies: list[float] = field(default_factory=list)
     fleet_workers: float = 0.0
-    fleet_by_gpu: dict[str, float] = field(default_factory=dict)
 
     @property
     def served_qpm(self) -> float:
@@ -155,7 +154,6 @@ class LegacyMetricsCollector:
             )
             if fleet and minute in fleet:
                 stats.fleet_workers = fleet[minute].mean_workers
-                stats.fleet_by_gpu = dict(fleet[minute].by_gpu)
             series.append(stats)
         return series
 

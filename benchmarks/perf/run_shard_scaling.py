@@ -55,7 +55,6 @@ from repro.simulation.shard import (
     _partition_arrivals,
     _tenant_sliced_stream,
     plan_shards,
-    run_scenario_sharded,
 )
 
 #: Shard counts per preset.  The small preset rides the 4-worker SMALL_FLEET,
@@ -93,7 +92,7 @@ def _digest(run) -> str:
 def _run_leg(scenario: str, preset: str, seed: int, shards: int) -> dict:
     gc.collect()
     start = time.perf_counter()
-    run = run_scenario_sharded(scenario, preset=preset, seed=seed, shards=shards)
+    run = run_scenario(scenario, preset=preset, seed=seed, shards=shards)
     wall_s = time.perf_counter() - start
     summary = run.summary
     return {
@@ -112,7 +111,7 @@ def _run_leg(scenario: str, preset: str, seed: int, shards: int) -> dict:
 def _timed_sharded(scenario: str, preset: str, seed: int, shards: int):
     gc.collect()
     start = time.perf_counter()
-    run = run_scenario_sharded(scenario, preset=preset, seed=seed, shards=shards)
+    run = run_scenario(scenario, preset=preset, seed=seed, shards=shards)
     return run, time.perf_counter() - start
 
 

@@ -17,7 +17,7 @@ Eq. 3 worker selection cost O(1) and O(log W) rather than a fleet scan.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import attrgetter
 from typing import Callable, Sequence
@@ -37,8 +37,6 @@ class FleetLogEntry:
     time_s: float
     #: Workers in rotation (healthy, not provisioning/draining/retired).
     active: int
-    #: Active worker count per GPU type.
-    by_gpu: dict[str, int] = field(default_factory=dict)
     reason: str = ""
 
 
@@ -489,14 +487,8 @@ class GpuCluster:
     # Fleet accounting
     # ------------------------------------------------------------------ #
     def _log_fleet(self, reason: str) -> None:
-        active = self.healthy_workers
-        by_gpu: dict[str, int] = {}
-        for worker in active:
-            by_gpu[worker.gpu.name] = by_gpu.get(worker.gpu.name, 0) + 1
         self.fleet_log.append(
-            FleetLogEntry(
-                time_s=self.engine.now, active=len(active), by_gpu=by_gpu, reason=reason
-            )
+            FleetLogEntry(time_s=self.engine.now, active=self.fleet_size, reason=reason)
         )
 
     def fleet_minute_series(self, duration_minutes: int) -> list[FleetMinute]:

@@ -35,16 +35,25 @@ NOT_MERGED = "not-merged"
 #: The merged shards' ids.
 SHARD_IDS = "shard-ids"
 
-#: Extras keys read off the collector or the tenant rows, not a record field.
-DERIVED_KEYS = ("total_requests", "fair_share_index")
 #: Extras keys one mode writes beside the builder's: mode -> key.
 MODE_KEYS = {"sharded": "sharding", "live": "gateway"}
+#: Extras keys a mode's report lacks where a sequential report of the same
+#: scenario has them: mode -> keys.  A merged record holds no cache tier
+#: (each shard's tier is its own) and keeps autoscale events per shard, for
+#: the ``sharding`` block; the gateway's fleet is fixed, so it has no
+#: autoscaler.  Tenant partitioning also drops ``admission`` when no shard
+#: holds two tenants (each ``sharding.plan`` entry says whether its shard
+#: admitted by fair share).
+MODE_ABSENT_KEYS = {
+    "sharded": frozenset({"cache_tier", "autoscale_events"}),
+    "live": frozenset({"autoscale_events", "fleet_budget"}),
+}
 
 
-def _field(merge: str, *keys: str, default=None, summary: bool = False):
-    """A record field: its merge rule, the extras keys it feeds and whether
-    it is a :func:`~repro.metrics.report.summarize` input of that name."""
-    return field(default=default, metadata={"merge": merge, "keys": keys, "summary": summary})
+def _field(merge: str, default=None, summary: bool = False):
+    """A record field: its merge rule and whether it is a
+    :func:`~repro.metrics.report.summarize` input of that name."""
+    return field(default=default, metadata={"merge": merge, "summary": summary})
 
 
 @dataclass(frozen=True)
@@ -79,47 +88,41 @@ class RunRecord:
 
     # Cache (all None without a cache).
     #: State-store lookups that hit and missed.
-    store_hits: int | None = _field(SUM, "cache_hit_rate")
-    store_misses: int | None = _field(SUM, "cache_hit_rate")
+    store_hits: int | None = _field(SUM)
+    store_misses: int | None = _field(SUM)
     #: Retrievals that produced a usable state, and all attempted.
-    retrieval_hits: int | None = _field(SUM, "retrieval_hit_rate")
-    retrieval_attempts: int | None = _field(SUM, "retrieval_hit_rate", "retrieval_attempts")
+    retrieval_hits: int | None = _field(SUM)
+    retrieval_attempts: int | None = _field(SUM)
     #: The same two per configured tenant (the tenant rows' hit rate).
     tenant_retrieval_hits: Mapping | None = _field(KEYED_SUM)
     tenant_retrieval_attempts: Mapping | None = _field(KEYED_SUM)
     #: Entries each configured tenant holds; quotas are enforced per cache,
     #: so a sharded report shows every shard's count.  None untenanted.
-    cache_entries: Mapping | None = _field(PER_SHARD, "cache_tenants")
+    cache_entries: Mapping | None = _field(PER_SHARD)
     #: The distributed tier's placement and traffic; None for the flat
     #: cache.  Each shard's tier is its own, so a sharded report has none.
-    cache_tier: dict | None = _field(NOT_MERGED, "cache_tier")
+    cache_tier: dict | None = _field(NOT_MERGED)
 
     # Control plane.
-    strategy_switches: int | None = _field(SUM, "strategy_switches")
-    retraining_events: int | None = _field(SUM, "retraining_events")
+    strategy_switches: int | None = _field(SUM)
+    retraining_events: int | None = _field(SUM)
     #: Drift events per tenant namespace ("" = the shared detector).
-    drift_events: Mapping | None = _field(KEYED_SUM, "drift_events")
+    drift_events: Mapping | None = _field(KEYED_SUM)
 
     # Outstanding work, admission and autoscaling.
     #: Requests queued or in service on any worker (draining and failed
     #: ones included) when the run ended.
-    worker_queues: int = _field(SUM, "outstanding", default=0)
+    worker_queues: int = _field(SUM, default=0)
     #: Requests parked at admission per tenant; None without a controller.
-    admission_backlog: Mapping | None = _field(KEYED_SUM, "outstanding")
+    admission_backlog: Mapping | None = _field(KEYED_SUM)
     #: Per-tenant :class:`~repro.core.admission.TenantAdmissionStats`.
-    admission: Mapping | None = _field(KEYED_SUM, "admission")
+    admission: Mapping | None = _field(KEYED_SUM)
     #: The autoscaler's actions as dicts; None without an autoscaler.  A
     #: sharded report shows each shard's in its ``sharding`` block.
-    autoscale_events: list | None = _field(PER_SHARD, "autoscale_events", "fleet_budget")
+    autoscale_events: list | None = _field(PER_SHARD)
 
     #: The shard ids a merged record covers; empty for one system's record.
     shards: tuple = _field(SHARD_IDS, default=())
-
-
-def declared_keys() -> frozenset[str]:
-    """Every extras key a report can carry."""
-    fed = {key for spec in fields(RunRecord) for key in spec.metadata["keys"]}
-    return frozenset(fed | set(DERIVED_KEYS) | set(MODE_KEYS.values()))
 
 
 def _keyed_sum(mappings: list) -> dict:

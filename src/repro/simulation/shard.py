@@ -630,24 +630,6 @@ def _map_faults(faults, plan: ShardPlan, num_workers: int) -> dict[int, list]:
     return per_shard
 
 
-def run_scenario_sharded(
-    scenario,
-    preset: str = "full",
-    seed: int | None = None,
-    system: str | None = None,
-    shards: int | None = None,
-):
-    """Run a scenario partitioned across shard processes.
-
-    This is :func:`~repro.scenarios.runtime.run_scenario`, which hands a run
-    of more than one shard to :func:`run_sharded`; ``shards=1`` is the
-    sequential run, bit for bit.
-    """
-    from repro.scenarios.runtime import run_scenario
-
-    return run_scenario(scenario, preset=preset, seed=seed, system=system, shards=shards)
-
-
 def run_sharded(scenario, preset_name: str, seed: int, system: str | None, config):
     """Run a resolved scenario over ``config.shards`` shard processes.
 

@@ -3,8 +3,8 @@
 The sequential runner, the shard coordinator and the live gateway each fill
 a :class:`~repro.metrics.record.RunRecord` and report through
 :func:`~repro.metrics.record.build_report`.  These tests hold the three to
-one key set, check the declared merge rules and pin the defects the three
-separate producers had.
+one key set, apart from the declared mode keys and absences, check the
+declared merge rules and pin the defects the three separate producers had.
 """
 
 from __future__ import annotations
@@ -19,12 +19,28 @@ from repro.core.admission import TenantAdmissionStats
 from repro.core.config import ArgusConfig
 from repro.gateway.loadgen import replay_async
 from repro.gateway.server import Gateway
-from repro.metrics.record import MODE_KEYS, RunRecord, declared_keys, merge_records
+from repro.metrics.collector import MetricsCollector
+from repro.metrics.record import (
+    MODE_ABSENT_KEYS,
+    MODE_KEYS,
+    RunRecord,
+    build_report,
+    merge_records,
+)
 from repro.models.gpus import gpu_by_name
 from repro.scenarios import get_scenario
 from repro.scenarios.runtime import run_scenario
 
-PARITY_SCENARIOS = ("steady-baseline", "tenant-fair-share")
+#: Scenario -> the extras keys of its sequential report that another mode's
+#: report lacks: admission under tenant partitioning, the unmerged cache
+#: tier, and the autoscaler's events (per shard when sharded; the gateway
+#: has no autoscaler, so no fleet budget either).
+PARITY_SCENARIOS = {
+    "steady-baseline": set(),
+    "tenant-fair-share": {"admission"},
+    "cache-node-failure": {"cache_tier"},
+    "sharded-autoscale": {"autoscale_events", "fleet_budget"},
+}
 
 
 def _reports(name: str) -> dict[str, dict]:
@@ -39,7 +55,7 @@ def _reports(name: str) -> dict[str, dict]:
     }
 
 
-@pytest.fixture(scope="module", params=PARITY_SCENARIOS)
+@pytest.fixture(scope="module", params=sorted(PARITY_SCENARIOS))
 def reports(request):
     return request.param, _reports(request.param)
 
@@ -53,7 +69,7 @@ def test_three_producers_emit_one_key_set(reports):
         for row in report["minutes"]:
             assert set(row) == set(sequential["minutes"][0]), mode
         assert set(report["extras"]["outstanding"]) == {"worker_queues", "admission_backlog"}
-        expected = set(sequential["extras"])
+        expected = set(sequential["extras"]) - MODE_ABSENT_KEYS.get(mode, set())
         if mode in MODE_KEYS:
             expected.add(MODE_KEYS[mode])
         if mode == "sharded" and name == "tenant-fair-share":
@@ -63,6 +79,8 @@ def test_three_producers_emit_one_key_set(reports):
             assert [entry["admission"] for entry in plan] == [False, False]
             expected.discard("admission")
         assert set(report["extras"]) == expected, mode
+    dropped = set().union(*(set(sequential["extras"]) - set(r["extras"]) for r in made.values()))
+    assert dropped == PARITY_SCENARIOS[name]
     # The live stub fleet never switches strategy or retrains.
     assert made["live"]["extras"]["strategy_switches"] == 0
     assert made["live"]["extras"]["retraining_events"] == 0
@@ -76,9 +94,36 @@ def test_three_producers_emit_one_key_set(reports):
         assert set(rows.values()) == {None}
 
 
-def test_record_declares_every_key_a_producer_emits(reports):
+def _builder_keys() -> set[str]:
+    """Every extras key the builder writes: its extras over a record with
+    every field present, under a tenanted, autoscaled config."""
+    config = ArgusConfig(tenants=[{"name": "a"}, {"name": "b"}], autoscale_enabled=True)
+    stats = {name: TenantAdmissionStats() for name in ("a", "b")}
+    record = RunRecord(
+        fleet_minutes={},
+        store_hits=0,
+        store_misses=0,
+        retrieval_hits=0,
+        retrieval_attempts=0,
+        tenant_retrieval_hits={},
+        tenant_retrieval_attempts={},
+        cache_entries={"a": 0, "b": 0},
+        cache_tier={},
+        strategy_switches=0,
+        retraining_events=0,
+        drift_events={},
+        admission_backlog={},
+        admission=stats,
+        autoscale_events=[],
+    )
+    assert all(getattr(record, spec.name) is not None for spec in dataclasses.fields(record))
+    _, extras = build_report(MetricsCollector(slo=config.slo), record, config)
+    return set(extras)
+
+
+def test_every_key_a_producer_emits_comes_from_the_builder(reports):
     _, made = reports
-    declared = declared_keys()
+    declared = _builder_keys() | set(MODE_KEYS.values())
     for mode, report in made.items():
         assert set(report["extras"]) <= declared, mode
 

@@ -33,7 +33,6 @@ from repro.simulation.shard import (
     _split_workers,
     _tenant_sliced_stream,
     plan_shards,
-    run_scenario_sharded,
 )
 
 
@@ -247,13 +246,13 @@ class TestStreamSlicing:
 class TestShardedRuns:
     def test_one_shard_hex_identical_to_sequential(self):
         sequential = run_scenario("fig16-xl", preset="small", seed=7)
-        sharded = run_scenario_sharded("fig16-xl", preset="small", seed=7, shards=1)
+        sharded = run_scenario("fig16-xl", preset="small", seed=7, shards=1)
         assert _digest(sharded) == _digest(sequential)
 
     def test_nshard_run_is_deterministic(self):
         scenario = _scenario()
-        first = run_scenario_sharded(scenario, preset="full", seed=3, shards=3)
-        second = run_scenario_sharded(scenario, preset="full", seed=3, shards=3)
+        first = run_scenario(scenario, preset="full", seed=3, shards=3)
+        second = run_scenario(scenario, preset="full", seed=3, shards=3)
         assert _report(first) == _report(second)
 
     def test_fixed_fleet_run_barriers_once_and_keeps_its_pinned_digest(self):
@@ -261,22 +260,22 @@ class TestShardedRuns:
         # moves a sharded result fails here.  The digest recorded in
         # benchmarks/perf/baseline_shard_small.json predates the removal of
         # mean_batch_occupancy from the summary, and no check reads it.
-        run = run_scenario_sharded("fig16-xl", preset="small", seed=0, shards=2)
+        run = run_scenario("fig16-xl", preset="small", seed=0, shards=2)
         assert run.extras["sharding"]["windows"] == 1
         assert _digest(run) == (
             "6c89f272cca4a7f6afce555c65ac1c610c45f70c34495a45b35a7aba8739aa04"
         )
 
     def test_drift_events_merge_per_tenant(self, monkeypatch):
-        run = run_scenario_sharded("tenant-fair-share", preset="small", seed=0, shards=2)
+        run = run_scenario("tenant-fair-share", preset="small", seed=0, shards=2)
         assert set(run.extras["drift_events"]) == {"alpha", "beta"}
-        run = run_scenario_sharded("fig16-xl", preset="small", seed=0, shards=2)
+        run = run_scenario("fig16-xl", preset="small", seed=0, shards=2)
         assert run.extras["drift_events"] == {"": 0}
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("shards inherit the patch below only when forked")
         # Each forked shard reports one event; the merge sums them.
         monkeypatch.setattr(TenantDrift, "events", lambda self: {"": 1})
-        run = run_scenario_sharded("fig16-xl", preset="small", seed=0, shards=2)
+        run = run_scenario("fig16-xl", preset="small", seed=0, shards=2)
         assert run.extras["drift_events"] == {"": 2}
 
     def test_coordinator_builds_the_stream_once(self, monkeypatch):
@@ -291,20 +290,20 @@ class TestShardedRuns:
 
         # Shard processes rebuild the stream too, but in their own memory.
         monkeypatch.setattr(runtime_mod, "build_stream", counting_build_stream)
-        run_scenario_sharded(_scenario(), preset="full", seed=1, shards=2)
+        run_scenario(_scenario(), preset="full", seed=1, shards=2)
         assert len(calls) == 1
 
     def test_coordinator_partitioning_matches_shard_side_filtering(self, monkeypatch):
         scenario = _scenario()
-        fast = run_scenario_sharded(scenario, preset="full", seed=5, shards=3)
+        fast = run_scenario(scenario, preset="full", seed=5, shards=3)
         monkeypatch.setattr(shard_mod, "_partition_arrivals", lambda stream, plan: None)
-        slow = run_scenario_sharded(scenario, preset="full", seed=5, shards=3)
+        slow = run_scenario(scenario, preset="full", seed=5, shards=3)
         assert _report(fast) == _report(slow)
 
     def test_arrivals_conserved_across_shards(self):
         scenario = _scenario()
         sequential = run_scenario(scenario, preset="full", seed=4)
-        sharded = run_scenario_sharded(scenario, preset="full", seed=4, shards=3)
+        sharded = run_scenario(scenario, preset="full", seed=4, shards=3)
         per_shard = sharded.extras["sharding"]["per_shard"]
         assert (
             sum(row["arrivals"] for row in per_shard)
@@ -315,7 +314,7 @@ class TestShardedRuns:
     def test_tenant_mode_preserves_per_tenant_arrivals(self):
         scenario = _scenario(tenants=_TENANTS)
         sequential = run_scenario(scenario, preset="full", seed=2)
-        sharded = run_scenario_sharded(scenario, preset="full", seed=2, shards=3)
+        sharded = run_scenario(scenario, preset="full", seed=2, shards=3)
         seq_tenants = {t.name: t.arrivals for t in sequential.summary.tenants}
         shard_tenants = {t.name: t.arrivals for t in sharded.summary.tenants}
         assert shard_tenants == seq_tenants
@@ -323,11 +322,11 @@ class TestShardedRuns:
     def test_worker_id_faults_are_rejected_naming_the_alternative(self):
         scenario = _scenario(faults=(FaultEvent(fail_at_minute=2.0, worker_id=0),))
         with pytest.raises(ValueError, match="worker faults") as excinfo:
-            run_scenario_sharded(scenario, preset="full", seed=0, shards=2)
+            run_scenario(scenario, preset="full", seed=0, shards=2)
         assert "fleet_fraction" in str(excinfo.value)
 
     def test_sharding_extras_describe_the_plan(self):
-        run = run_scenario_sharded(_scenario(), preset="full", seed=1, shards=2)
+        run = run_scenario(_scenario(), preset="full", seed=1, shards=2)
         sharding = run.extras["sharding"]
         assert sharding["shards"] == 2
         assert sharding["simulated"] == (
@@ -380,8 +379,8 @@ class TestShardedFaults:
         baseline = run_scenario(
             _scenario(), preset="full", seed=4
         )  # same workload, no faults
-        first = run_scenario_sharded(scenario, preset="full", seed=4, shards=2)
-        second = run_scenario_sharded(scenario, preset="full", seed=4, shards=2)
+        first = run_scenario(scenario, preset="full", seed=4, shards=2)
+        second = run_scenario(scenario, preset="full", seed=4, shards=2)
         assert _report(first) == _report(second)
         # the fault window visibly degrades service relative to no faults
         assert first.summary.total_arrivals == baseline.summary.total_arrivals
@@ -448,7 +447,7 @@ class TestShardedFaults:
             faults=(FaultEvent(fail_at_minute=1.0, worker_id=3),)
         )
         with pytest.raises(ValueError, match="worker faults by worker_id"):
-            run_scenario_sharded(scenario, preset="full", seed=0, shards=2)
+            run_scenario(scenario, preset="full", seed=0, shards=2)
 
 
 # --------------------------------------------------------------------------- #
@@ -476,8 +475,8 @@ class TestBrokeredAutoscaling:
     def test_autoscaled_run_is_deterministic(self):
         scenario = _autoscaled_scenario()
         for shards in (2, 4):
-            first = run_scenario_sharded(scenario, preset="full", seed=3, shards=shards)
-            repeat = run_scenario_sharded(scenario, preset="full", seed=3, shards=shards)
+            first = run_scenario(scenario, preset="full", seed=3, shards=shards)
+            repeat = run_scenario(scenario, preset="full", seed=3, shards=shards)
             assert _report(first) == _report(repeat)
             # Barriers sit on the autoscale epoch grid (plus the run's end).
             barriers = first.extras["sharding"]["barriers"]
@@ -488,7 +487,7 @@ class TestBrokeredAutoscaling:
 
     def test_autoscaled_run_never_exceeds_the_global_budget(self):
         scenario = _autoscaled_scenario()
-        run = run_scenario_sharded(scenario, preset="full", seed=3, shards=4)
+        run = run_scenario(scenario, preset="full", seed=3, shards=4)
         auto = run.extras["sharding"]["autoscale"]
         granted = [g for g in auto["grants"] if g["granted"] > 0]
         assert granted, "overload scenario must produce at least one grant"
@@ -519,7 +518,7 @@ class TestBrokeredAutoscaling:
                 FaultEvent(fail_at_minute=3.0, recover_at_minute=6.0, fleet_fraction=0.25),
             ),
         )
-        run = run_scenario_sharded(scenario, preset="full", seed=3, shards=2)
+        run = run_scenario(scenario, preset="full", seed=3, shards=2)
         barriers = run.extras["sharding"]["barriers"]
         assert any(b["failed_workers"] for b in barriers)
         assert any(b["committed_workers"] != b["committed_before_grant"] for b in barriers)
@@ -551,7 +550,7 @@ class TestBrokeredAutoscaling:
                 FaultEvent(fail_at_minute=3.5, recover_at_minute=6.0, fleet_fraction=1.0),
             ),
         )
-        run = run_scenario_sharded(scenario, preset="full", seed=3, shards=2)
+        run = run_scenario(scenario, preset="full", seed=3, shards=2)
         auto = run.extras["sharding"]["autoscale"]
         granted = sum(g["granted"] for g in auto["grants"] if g["action"] == "scale_in")
         applied = sum(
@@ -572,8 +571,8 @@ class TestBrokeredAutoscaling:
         static = _scenario(
             num_workers=4, base_qpm=60.0, peak_qpm=240.0, duration=8
         )
-        scaled_run = run_scenario_sharded(scenario, preset="full", seed=9, shards=2)
-        static_run = run_scenario_sharded(static, preset="full", seed=9, shards=2)
+        scaled_run = run_scenario(scenario, preset="full", seed=9, shards=2)
+        static_run = run_scenario(static, preset="full", seed=9, shards=2)
         assert scaled_run.summary.fleet_peak_workers > static_run.summary.fleet_peak_workers
         assert scaled_run.summary.total_completions >= static_run.summary.total_completions
 
@@ -591,9 +590,7 @@ class TestShardedContracts:
         # fleet-budget and ledger-matches-fleet to engage for real.
         from repro.scenarios.contracts import verify_report, violations
 
-        run = run_scenario_sharded(
-            _autoscaled_scenario(), preset="full", seed=3, shards=2
-        )
+        run = run_scenario(_autoscaled_scenario(), preset="full", seed=3, shards=2)
         contracts = ("conservation", "fleet-budget", "ledger-matches-fleet")
         results = verify_report(run.report(), contracts)
         assert not violations(results), [str(r) for r in results]

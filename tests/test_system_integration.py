@@ -28,7 +28,6 @@ from repro.experiments.runner import ExperimentRunner, build_system
 from repro.models.zoo import Strategy
 from repro.prompts.dataset import PromptDataset
 from repro.scenarios import run_scenario
-from repro.simulation.shard import run_scenario_sharded
 from repro.workloads.replay import RequestStream, TimedPrompt
 from repro.workloads.traces import TraceLibrary, WorkloadTrace
 
@@ -249,9 +248,7 @@ class TestDeferredQuality:
 
     @staticmethod
     def _run(name, shards):
-        if shards:
-            return run_scenario_sharded(name, preset="small", seed=0, shards=shards)
-        return run_scenario(name, preset="small", seed=0)
+        return run_scenario(name, preset="small", seed=0, shards=shards)
 
     @pytest.mark.parametrize("name, shards", CASES)
     def test_settling_each_completion_at_once_gives_the_same_report(
