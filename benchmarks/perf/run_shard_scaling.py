@@ -17,8 +17,9 @@ speedup.
 Two control-plane benchmarks ride along:
 
 * ``shard_autoscale`` — the ``sharded-autoscale`` scenario under per-shard
-  autoscalers and the coordinator budget broker, checked for repeat
-  determinism and the global worker budget holding at every barrier; and
+  autoscalers with static budget shares, checked for repeat determinism,
+  for the plan's shares summing to the global bounds and for the summed
+  per-shard fleet peak staying within the global max; and
 * ``tenant_partition`` — coordinator-side tenant stream slicing vs the old
   per-shard full-stream filter walk (the O(shards x stream) term the
   partitioner removes), checked for identical per-shard slices.
@@ -116,7 +117,8 @@ def _timed_sharded(scenario: str, preset: str, seed: int, shards: int):
 
 
 def _bench_autoscale(preset: str, seed: int) -> dict:
-    """Brokered per-shard autoscaling: determinism and the global budget."""
+    """Per-shard autoscaling under static budgets: determinism and the
+    global budget."""
     scenario = "sharded-autoscale"
     failures: list[str] = []
     seq, seq_wall = _timed_sharded(scenario, preset, seed, shards=1)
@@ -128,19 +130,23 @@ def _bench_autoscale(preset: str, seed: int) -> dict:
             "summary_digest": _digest(seq),
         }
     ]
+    budget = seq.extras["fleet_budget"]
+    low, high = budget["min_workers"], budget["max_workers"]
     for shards in (2, 4):
         run, wall = _timed_sharded(scenario, preset, seed, shards=shards)
-        autoscale = run.extras["sharding"]["autoscale"]
-        budget = autoscale["max_workers"]
-        over = [
-            entry
-            for entry in run.extras["sharding"]["barriers"]
-            if entry["in_fleet"] > budget or entry["committed_workers"] > budget
-        ]
-        if over:
+        plan = run.extras["sharding"]["plan"]
+        mins = sum(row["min_workers"] for row in plan)
+        maxes = sum(row["max_workers"] for row in plan)
+        if (mins, maxes) != (max(low, shards), high):
             failures.append(
-                f"shards={shards}: {len(over)} barrier(s) exceed the "
-                f"{budget}-worker global budget"
+                f"shards={shards}: shard budgets sum to [{mins}, {maxes}], "
+                f"not [{max(low, shards)}, {high}]"
+            )
+        peak = run.summary.fleet_peak_workers
+        if peak > high:
+            failures.append(
+                f"shards={shards}: summed fleet peak {peak} exceeds the "
+                f"{high}-worker global budget"
             )
         repeat, _ = _timed_sharded(scenario, preset, seed, shards=shards)
         if _digest(repeat) != _digest(run):
@@ -151,11 +157,8 @@ def _bench_autoscale(preset: str, seed: int) -> dict:
                 "wall_s": wall,
                 "arrivals": run.summary.total_arrivals,
                 "summary_digest": _digest(run),
-                "workers_granted": sum(
-                    g["granted"] for g in autoscale["grants"] if g["action"] == "scale_out"
-                ),
-                "scale_denials": autoscale["denied_requests"],
-                "committed_workers": autoscale["committed"],
+                "budgets": [[row["min_workers"], row["max_workers"]] for row in plan],
+                "fleet_peak_workers": peak,
                 "speedup_vs_sequential": seq_wall / wall,
             }
         )
@@ -279,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
         if _digest(sequential) != legs[0]["summary_digest"]:
             failures.append("shards=1 summary digest differs from sequential runner")
 
-    print("[shard_autoscale] brokered autoscaling sweep ...", flush=True)
+    print("[shard_autoscale] static-budget autoscaling sweep ...", flush=True)
     autoscale = _bench_autoscale(args.preset, args.seed)
     print(
         f"[shard_autoscale] done: speedup={autoscale['speedup']:.2f}x "

@@ -43,7 +43,7 @@ def main() -> None:
     print(f"p99 latency           : {summary.p99_latency_s:.1f} s")
     print(f"cluster utilisation   : {summary.cluster_utilization:.2%}")
     print(f"model loads (SM swaps): {summary.model_loads}")
-    print(f"cache hit rate        : {result.extras['cache_hit_rate']:.2%}")
+    print(f"retrieval hit rate    : {result.extras['retrieval_hit_rate']:.2%}")
     print(f"prompts shifted off their optimal level: {system.shift_fraction():.2%}")
 
     print("\nPer-minute view (minute, offered QPM, served QPM, quality):")

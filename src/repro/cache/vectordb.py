@@ -103,10 +103,6 @@ class VectorDatabase:
         self._keys.pop()
         return True
 
-    def payload(self, key: int):
-        """Payload stored for ``key``."""
-        return self._payloads[key]
-
     # ------------------------------------------------------------------ #
     # Search
     # ------------------------------------------------------------------ #

@@ -22,11 +22,6 @@ class TrainingHistory:
     validation_accuracy: list[float] = field(default_factory=list)
 
     @property
-    def epochs(self) -> int:
-        """Number of completed epochs."""
-        return len(self.train_loss)
-
-    @property
     def final_train_loss(self) -> float:
         """Loss after the last epoch (inf when never trained)."""
         return self.train_loss[-1] if self.train_loss else float("inf")

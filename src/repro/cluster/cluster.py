@@ -238,11 +238,6 @@ class GpuCluster:
         return len(self.workers)
 
     @property
-    def num_workers(self) -> int:
-        """Total number of workers ever created (including retired)."""
-        return len(self.workers)
-
-    @property
     def healthy_workers(self) -> tuple[Worker, ...]:
         """Workers currently in rotation and able to serve, in id order."""
         return self.fleet_index.active

@@ -50,8 +50,3 @@ class CompletedRequest:
     def latency_s(self) -> float:
         """End-to-end latency from arrival to completion (queueing included)."""
         return self.completion_time_s - self.request.arrival_time_s
-
-    @property
-    def queueing_delay_s(self) -> float:
-        """Time spent waiting in the worker queue."""
-        return max(0.0, self.start_time_s - self.request.arrival_time_s)

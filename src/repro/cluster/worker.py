@@ -648,14 +648,6 @@ class Worker:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    @property
-    def downtime_s(self) -> float:
-        """Total failed time accumulated so far (open failure included)."""
-        total = sum(end - start for start, end in self._downtime_intervals)
-        if self._failed_at_s is not None:
-            total += self.engine.now - self._failed_at_s
-        return total
-
     def enrolled_healthy_s(self, until_s: float) -> float:
         """Time in [0, ``until_s``] spent enrolled and healthy.
 

@@ -208,7 +208,3 @@ class Allocator:
     def last_record(self) -> AllocationRecord | None:
         """The most recent calibration outcome."""
         return self.history[-1] if self.history else None
-
-    def solver_latencies(self) -> list[float]:
-        """Wall-clock solve times are not simulated; provided for API parity."""
-        return []

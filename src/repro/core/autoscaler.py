@@ -11,22 +11,13 @@ rotation) and drains them back out when load subsides.
 The loop mirrors the hysteresis/debounce discipline of
 :mod:`repro.core.strategy`: scale-out arms only after consecutive overloaded
 observations, scale-in after a longer run of underloaded ones, and each
-direction has its own cooldown so the fleet never flaps.  GPU types for new
-workers cycle through the configured ``gpu_mix``; scale-in removes the most
-recently added worker first, so the baseline fleet survives transients
-untouched.
+direction has its own cooldown so the fleet never flaps.  New workers run
+the deployment's ``gpu``; scale-in removes the most recently added worker
+first, so the baseline fleet survives transients untouched.
 
-Sharded runs flip ``brokered`` on: the signals, streaks and cooldowns are
-evaluated identically over the shard's fleet partition, but instead of
-provisioning/draining directly the loop emits :class:`ScaleRequest`
-records.  The shard ships them at the next autoscale-epoch barrier; the
-coordinator's budget broker grants against the *global*
-``min_workers``/``max_workers``/``gpu_mix`` budget, answering each with a
-:class:`ScaleOutcome`, and the shard applies the grants (provision/drain +
-events) at exactly the epoch time via :meth:`Autoscaler.apply_outcomes`.
-While a request is pending or awaiting a grant the loop holds still — the
-same "never shrink while growth is in flight" rule the sequential loop
-applies to provisioning workers.
+A shard of a sharded run runs this same loop over its fleet partition,
+inside the ``[min_workers, max_workers]`` share its plan gave it
+(:func:`~repro.simulation.shard.plan_shards`).
 """
 
 from __future__ import annotations
@@ -39,40 +30,9 @@ from repro.cluster.cluster import GpuCluster
 from repro.cluster.worker import Worker
 from repro.core.allocator import Allocator
 from repro.core.config import ArgusConfig
-from repro.models.gpus import gpu_by_name
 from repro.models.zoo import ModelZoo, Strategy
 from repro.runtime.base import Runtime, as_runtime
 from repro.simulation.engine import SimulationEngine
-
-
-@dataclass(frozen=True)
-class ScaleRequest:
-    """One brokered-mode autoscaler ask, shipped to the budget broker.
-
-    ``seq`` is the shard-local emission sequence; the broker grants in
-    (shard id, seq) order, which is what makes N-shard autoscaled runs
-    reproducible regardless of process timing.
-    """
-
-    seq: int
-    action: str  # "scale_out" | "scale_in"
-    time_s: float
-    #: Workers asked for (scale_out) or offered back (scale_in, always 1).
-    count: int
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class ScaleOutcome:
-    """The budget broker's answer to one :class:`ScaleRequest`."""
-
-    seq: int
-    action: str
-    #: Workers granted (0 = denied outright).
-    granted: int
-    #: GPU types for granted scale-out workers, assigned from the *global*
-    #: ``gpu_mix`` cycle so the fleet mix matches a sequential deployment.
-    gpus: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -98,34 +58,16 @@ class Autoscaler:
     #: Callable returning the active strategy (it switches at runtime).
     active_strategy: Callable[[], Strategy]
     events: list[ScalingEvent] = field(default_factory=list)
-    #: Brokered mode (sharded runs): emit ScaleRequests instead of acting;
-    #: the coordinator's budget broker grants, :meth:`apply_outcomes` acts.
-    brokered: bool = False
 
     def __post_init__(self) -> None:
         self.min_workers = self.config.effective_min_workers
         self.max_workers = self.config.effective_max_workers
-        self._mix = self.config.effective_gpu_mix
-        self._mix_index = 0
         self._overload_streak = 0
         self._underload_streak = 0
         self._last_scale_out_s = -math.inf
         self._last_scale_in_s = -math.inf
         #: Ids of autoscaler-added workers still in the fleet (LIFO pool).
         self._added_ids: list[int] = []
-        #: Brokered-mode request bookkeeping: emitted-but-unshipped asks,
-        #: shipped-awaiting-grant asks, the emission sequence, denial count.
-        self._pending: list[ScaleRequest] = []
-        self._awaiting: dict[int, ScaleRequest] = {}
-        self._request_seq = 0
-        self.denied_requests = 0
-        #: Pre-emission (cooldown stamp, streak) per in-flight request seq,
-        #: restored on denial so a denied ask does not consume the cooldown.
-        self._denial_restore: dict[int, tuple[float, int]] = {}
-        #: Scale-in grants skipped at apply time (candidate failed meanwhile);
-        #: the shard ships this to the coordinator so the broker ledger can
-        #: be reconciled at the next barrier.
-        self.unapplied_scale_ins = 0
 
     # ------------------------------------------------------------------ #
     # Wiring
@@ -144,12 +86,6 @@ class Autoscaler:
     # ------------------------------------------------------------------ #
     def tick(self, now: float) -> None:
         """Evaluate the scaling signals once."""
-        if self.brokered and (self._pending or self._awaiting):
-            # A request is still in flight to the broker: neither direction
-            # moves until it is answered (the brokered analogue of "never
-            # shrink while growth is in flight").
-            self._underload_streak = 0
-            return
         strategy = self.active_strategy()
         demand_qpm = self.allocator.load_estimator.estimated_qpm(now)
         ceiling = self.cluster.fleet_ceiling_qpm(strategy)
@@ -186,51 +122,36 @@ class Autoscaler:
     # ------------------------------------------------------------------ #
     # Scale-out
     # ------------------------------------------------------------------ #
-    def _next_gpu(self) -> str:
-        gpu = self._mix[self._mix_index % len(self._mix)]
-        self._mix_index += 1
-        return gpu
-
     def _scale_out(
         self, now: float, demand_qpm: float, projected_qpm: float, strategy: Strategy
     ) -> bool:
         in_fleet = self.cluster.fleet_size + len(self.cluster.provisioning_workers)
         fastest = self.zoo.fastest_level(strategy)
+        # New workers run the deployment's GPU, the one the zoo's levels are
+        # priced on, so each adds its level's full peak throughput.
         peak = fastest.peak_throughput_qpm
-        reference_speed = self.zoo.latency_model.gpu.relative_speed
         added = 0
         # Add workers until the projected ceiling clears demand (with the
         # scale-up threshold as headroom), the step cap, or the fleet cap.
-        # Brokered mode sizes the ask with the same loop (the local mix
-        # cycle projects speeds) but defers provisioning to the grant.
         while (
             added < self.config.max_scale_step
             and in_fleet + added < self.max_workers
             and (added == 0 or projected_qpm * self.config.scale_up_threshold < demand_qpm)
         ):
-            gpu_name = self._next_gpu()
-            speed = gpu_by_name(gpu_name).relative_speed / reference_speed
-            if not self.brokered:
-                worker = self.cluster.provision_worker(
-                    gpu=gpu_name,
-                    level=fastest,
-                    provision_delay_s=self.config.provision_delay_s,
-                    on_ready=self._on_worker_ready,
-                )
-                self._added_ids.append(worker.worker_id)
-            projected_qpm += peak * speed
+            worker = self.cluster.provision_worker(
+                gpu=self.config.gpu,
+                level=fastest,
+                provision_delay_s=self.config.provision_delay_s,
+                on_ready=self._on_worker_ready,
+            )
+            self._added_ids.append(worker.worker_id)
+            projected_qpm += peak
             added += 1
         if added == 0:
             return False
-        reason = f"demand {demand_qpm:.0f} QPM above fleet ceiling (saturation/backlog)"
-        if self.brokered:
-            seq = self._emit_request("scale_out", now, added, reason)
-            self._denial_restore[seq] = (self._last_scale_out_s, self._overload_streak)
-            self._overload_streak = 0
-            self._last_scale_out_s = now
-            return True
         self._overload_streak = 0
         self._last_scale_out_s = now
+        reason = f"demand {demand_qpm:.0f} QPM above fleet ceiling (saturation/backlog)"
         self.events.append(
             ScalingEvent(
                 time_s=now,
@@ -292,17 +213,6 @@ class Autoscaler:
             return
         if now - self._last_scale_in_s < self.config.scale_in_cooldown_s:
             return
-        if self.brokered:
-            seq = self._emit_request(
-                "scale_in",
-                now,
-                1,
-                f"demand {demand_qpm:.0f} QPM fits the smaller fleet",
-            )
-            self._denial_restore[seq] = (self._last_scale_in_s, self._underload_streak)
-            self._underload_streak = 0
-            self._last_scale_in_s = now
-            return
         self.cluster.drain_worker(candidate.worker_id)
         if candidate.worker_id in self._added_ids:
             self._added_ids.remove(candidate.worker_id)
@@ -318,104 +228,6 @@ class Autoscaler:
             )
         )
         self.allocator.recalibrate(now, strategy)
-
-    # ------------------------------------------------------------------ #
-    # Brokered mode (sharded runs)
-    # ------------------------------------------------------------------ #
-    def _emit_request(self, action: str, now: float, count: int, reason: str) -> int:
-        self._request_seq += 1
-        self._pending.append(
-            ScaleRequest(
-                seq=self._request_seq, action=action, time_s=now, count=count, reason=reason
-            )
-        )
-        return self._request_seq
-
-    def take_requests(self) -> tuple:
-        """Pending :class:`ScaleRequest`s, in emission order, moved to the
-        awaiting-grant set.  The shard calls this when building its
-        epoch-boundary barrier reply."""
-        requests = tuple(self._pending)
-        for request in requests:
-            self._awaiting[request.seq] = request
-        self._pending.clear()
-        return requests
-
-    def take_unapplied_scale_ins(self) -> int:
-        """Scale-in grants skipped since the last barrier (and reset).
-
-        The shard ships this count in its next barrier reply; the
-        coordinator adds it back to the broker's committed ledger, which
-        otherwise runs one worker low per skipped drain."""
-        count = self.unapplied_scale_ins
-        self.unapplied_scale_ins = 0
-        return count
-
-    def apply_outcomes(self, now: float, outcomes) -> None:
-        """Apply the broker's grants at the epoch boundary (clock == now).
-
-        Granted scale-outs provision with the broker-assigned GPU types
-        (the *global* mix cycle); granted scale-ins re-pick the LIFO drain
-        candidate at apply time — if faults removed it meanwhile the grant
-        is skipped rather than draining an arbitrary worker, and the skip
-        is counted in :attr:`unapplied_scale_ins` so the coordinator can
-        reconcile the broker ledger at the next barrier.  A denial restores
-        the pre-emission cooldown stamp and streak, so a denied ask retries
-        on the next eligible tick instead of waiting out a cooldown it
-        never earned.
-        """
-        for outcome in outcomes:
-            request = self._awaiting.pop(outcome.seq, None)
-            if request is None:
-                continue
-            if outcome.granted <= 0:
-                self.denied_requests += 1
-                restore = self._denial_restore.pop(outcome.seq, None)
-                if restore is not None:
-                    if outcome.action == "scale_out":
-                        self._last_scale_out_s, self._overload_streak = restore
-                    else:
-                        self._last_scale_in_s, self._underload_streak = restore
-                continue
-            self._denial_restore.pop(outcome.seq, None)
-            if outcome.action == "scale_out":
-                fastest = self.zoo.fastest_level(self.active_strategy())
-                for gpu_name in outcome.gpus[: outcome.granted]:
-                    worker = self.cluster.provision_worker(
-                        gpu=gpu_name,
-                        level=fastest,
-                        provision_delay_s=self.config.provision_delay_s,
-                        on_ready=self._on_worker_ready,
-                    )
-                    self._added_ids.append(worker.worker_id)
-                self.events.append(
-                    ScalingEvent(
-                        time_s=now,
-                        action="scale_out",
-                        delta=outcome.granted,
-                        fleet_size=self.cluster.fleet_size
-                        + len(self.cluster.provisioning_workers),
-                        reason=f"{request.reason} [broker grant]",
-                    )
-                )
-            else:
-                candidate = self._scale_in_candidate()
-                if candidate is None or self.cluster.fleet_size <= 1:
-                    self.unapplied_scale_ins += 1
-                    continue
-                self.cluster.drain_worker(candidate.worker_id)
-                if candidate.worker_id in self._added_ids:
-                    self._added_ids.remove(candidate.worker_id)
-                self.events.append(
-                    ScalingEvent(
-                        time_s=now,
-                        action="scale_in",
-                        delta=-1,
-                        fleet_size=self.cluster.fleet_size,
-                        reason=f"{request.reason} [broker grant]",
-                    )
-                )
-                self.allocator.recalibrate(now, self.active_strategy())
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -105,7 +105,7 @@ class BaseServingSystem(ABC):
             else None,
         )
         #: Weighted fair-share admission controller; None admits everything
-        #: immediately (single-tenant, or fair_share_admission=False).
+        #: immediately (fewer than two tenants).
         self.admission: FairShareAdmission | None = None
         if self.config.admission_enabled:
             self.admission = FairShareAdmission(

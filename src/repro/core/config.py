@@ -58,8 +58,6 @@ class ArgusConfig:
     min_workers: int | None = None
     #: Fleet-size ceiling for scale-out (None = 4x the initial fleet).
     max_workers: int | None = None
-    #: GPU types added on scale-out, cycled round-robin (empty = ``gpu``).
-    gpu_mix: tuple[str, ...] = ()
     #: Node provisioning delay before a new worker's model warm-up begins.
     provision_delay_s: float = 90.0
     #: How often the autoscaler evaluates its signals.
@@ -99,12 +97,6 @@ class ArgusConfig:
     #: behaviour; dict entries (e.g. from a scenario JSON round-trip) are
     #: coerced to :class:`~repro.workloads.tenants.TenantSpec`.
     tenants: tuple[TenantSpec, ...] = ()
-    #: Enable the weighted fair-share admission controller (token buckets +
-    #: deficit round-robin) in front of the scheduler.  Only engages with
-    #: two or more tenants — fairness needs competing parties; False keeps
-    #: tenant tagging/accounting but admits everything immediately (the
-    #: no-isolation baseline the noisy-neighbor scenario compares against).
-    fair_share_admission: bool = True
     #: Aggregate admission rate as a multiple of the fleet's current
     #: throughput ceiling.  1.0 keeps total admitted inflow at what the
     #: fleet can actually serve, so an overloading tenant queues at
@@ -129,10 +121,6 @@ class ArgusConfig:
     #: N > 1 splits the arrival stream and the fleet into N slices, each on
     #: its own event loop: N isolated sub-fleets (see simulation/shard.py).
     shards: int = 1
-    #: Fixed simulated-time grid on which sharded autoscaled runs barrier
-    #: and exchange scale requests and grants with the coordinator's budget
-    #: broker.  A fixed-fleet sharded run barriers only at its end.
-    autoscale_epoch_s: float = 60.0
     # ----------------------------------------------------------------- #
     # Distributed cache tier (cache/tier.py)
     # ----------------------------------------------------------------- #
@@ -180,9 +168,6 @@ class ArgusConfig:
             raise ValueError("backlog_recalibration_min_gap_s must be non-negative")
         self.default_strategy = Strategy(self.default_strategy)
         gpu_by_name(self.gpu)  # raises KeyError for unknown GPU types
-        self.gpu_mix = tuple(self.gpu_mix)
-        for name in self.gpu_mix:
-            gpu_by_name(name)  # raises KeyError for unknown GPU types
         if self.min_workers is not None and not 1 <= self.min_workers <= self.num_workers:
             raise ValueError("min_workers must be in [1, num_workers]")
         if self.max_workers is not None and self.max_workers < self.num_workers:
@@ -227,8 +212,6 @@ class ArgusConfig:
             raise ValueError("admission_burst_s must be non-negative")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
-        if self.autoscale_epoch_s <= 0:
-            raise ValueError("autoscale_epoch_s must be positive")
         if self.cache_shards < 1:
             raise ValueError("cache_shards must be >= 1")
         if not 0 <= self.cache_replication < self.cache_shards:
@@ -272,8 +255,8 @@ class ArgusConfig:
         """JSON-safe dict of every field.
 
         Round-trips through :meth:`from_dict` bit-exactly: enums flatten to
-        their values, the SLO policy and tenant specs to plain dicts,
-        tuples to lists.
+        their values, the SLO policy and tenant specs to plain dicts (a
+        spec's tuples to lists).
         """
         payload: dict[str, Any] = {}
         for spec in fields(self):
@@ -290,8 +273,6 @@ class ArgusConfig:
                     {k: (list(v) if isinstance(v, tuple) else v) for k, v in asdict(t).items()}
                     for t in value
                 ]
-            elif isinstance(value, tuple):
-                value = list(value)
             payload[spec.name] = value
         return payload
 
@@ -314,8 +295,7 @@ class ArgusConfig:
         slo = overrides.get("slo")
         if isinstance(slo, Mapping):
             overrides["slo"] = SloPolicy(**slo)
-        # __post_init__ coerces the rest: strategy strings, tenant dicts,
-        # gpu_mix lists.
+        # __post_init__ coerces the rest: strategy strings, tenant dicts.
         return cls(**overrides)
 
     @property
@@ -325,12 +305,13 @@ class ArgusConfig:
 
     @property
     def admission_enabled(self) -> bool:
-        """Whether the fair-share admission controller engages.
+        """Whether the weighted fair-share admission controller (token
+        buckets + deficit round-robin) runs in front of the scheduler.
 
         Fairness needs at least two competing tenants; a lone tenant (or the
         anonymous workload) is never delayed at admission.
         """
-        return self.fair_share_admission and len(self.tenants) >= 2
+        return len(self.tenants) >= 2
 
     @property
     def priority_queues_enabled(self) -> bool:
@@ -350,8 +331,3 @@ class ArgusConfig:
     def effective_max_workers(self) -> int:
         """Scale-out ceiling (defaults to 4x the initial fleet size)."""
         return self.max_workers if self.max_workers is not None else 4 * self.num_workers
-
-    @property
-    def effective_gpu_mix(self) -> tuple[str, ...]:
-        """GPU types cycled on scale-out (defaults to the fleet's GPU)."""
-        return self.gpu_mix or (self.gpu,)

@@ -162,11 +162,6 @@ class PromptScheduler:
         self._strategy = Strategy(strategy)
 
     @property
-    def strategy(self) -> Strategy:
-        """The strategy new requests will be tagged with."""
-        return self._strategy
-
-    @property
     def shift_map(self) -> ShiftMap:
         """The PASM currently in force."""
         return self._shift_map

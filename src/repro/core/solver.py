@@ -132,10 +132,6 @@ class AllocationSolver:
         self.cache_hits = 0
         self.cache_misses = 0
 
-    def clear_cache(self) -> None:
-        """Drop all memoised plans (profiling / test hook)."""
-        self._cache.clear()
-
     # ------------------------------------------------------------------ #
     # Default solver: exact enumeration with greedy fallback
     # ------------------------------------------------------------------ #

@@ -116,20 +116,6 @@ class ExperimentRunner:
             count=self.dataset_size, seed=self.seed + 1, complexity_bias=complexity_bias
         )
 
-    def run_scenario(self, scenario, preset: str = "full", system: str | None = None):
-        """Run a declarative :class:`~repro.scenarios.spec.Scenario`.
-
-        ``scenario`` is a Scenario instance or registered name.  The
-        runner's ``seed`` is used for the whole run (dataset, arrivals and
-        every system component); ``dataset_size`` and ``drain_s`` follow the
-        preset, not this runner.  Returns a
-        :class:`~repro.scenarios.runtime.ScenarioRun`.
-        """
-        # Local import: the scenario runtime drives this module, not vice versa.
-        from repro.scenarios.runtime import run_scenario
-
-        return run_scenario(scenario, preset=preset, seed=self.seed, system=system)
-
     def run(
         self,
         system: BaseServingSystem,

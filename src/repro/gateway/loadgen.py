@@ -22,7 +22,7 @@ from urllib.parse import urlencode, urlsplit
 
 from repro.core.config import ArgusConfig
 from repro.gateway.server import Gateway
-from repro.scenarios.contracts import ContractResult, verify_report, violations
+from repro.scenarios.contracts import ContractResult, verify_report
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.runtime import build_config, build_stream
 from repro.scenarios.spec import Scenario
@@ -44,10 +44,6 @@ class LoadgenResult:
     requests_dropped: int
     #: Contract verdicts (empty unless ``check_contracts=True``).
     contract_results: list[ContractResult] = field(default_factory=list)
-
-    @property
-    def contracts_passed(self) -> bool:
-        return not violations(self.contract_results)
 
 
 # --------------------------------------------------------------------------- #

@@ -65,7 +65,6 @@ from repro.prompts.generator import Prompt
 from repro.quality.pickscore import PickScoreModel
 from repro.runtime.wall import WallClockRuntime
 from repro.simulation.randomness import stable_hash
-from repro.workloads.tenants import build_runtimes
 
 
 def prompt_from_payload(payload: Mapping) -> Prompt:
@@ -167,7 +166,6 @@ class Gateway:
         )
         #: Shard-aware routing over a cache tier (None for the flat cache).
         self._prefers = getattr(self.cache, "worker_prefers", None)
-        self.tenant_runtimes = build_runtimes(self.config.tenants, self.config.slo)
         self.collector = MetricsCollector(slo=self.config.slo)
         self.strategy = self.config.default_strategy
         level = self.zoo.fastest_level(self.strategy)

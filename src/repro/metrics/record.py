@@ -74,8 +74,8 @@ class RunRecord:
     #: shard's figure by its initial ``workers``.
     cluster_utilization: float = _field(WORKER_WEIGHTED, default=0.0, summary=True)
     model_loads: int = _field(SUM, default=0, summary=True)
-    #: Shards' peaks are summed even where they did not coincide; the
-    #: ``sharding`` block carries the barrier-aligned global peak.
+    #: Shards' peaks are summed even where they did not coincide, so the
+    #: sum bounds any fleet the shards held at one instant.
     fleet_peak_workers: int = _field(SUM, default=0, summary=True)
     fleet_mean_workers: float = _field(SUM, default=0.0, summary=True)
     workers_added: int = _field(SUM, default=0, summary=True)

@@ -82,25 +82,6 @@ class LatencyModel:
         retrieval = retrieval_latency_s if level.skip_steps > 0 else 0.0
         return fixed + unet + retrieval
 
-    def ac_breakdown(
-        self,
-        level: AcLevel,
-        base_variant: ModelVariant,
-        retrieval_latency_s: float = 0.0,
-    ) -> LatencyBreakdown:
-        """Component breakdown for an AC generation."""
-        full = self.variant_latency(base_variant)
-        unet_full = full * _UNET_TIME_FRACTION
-        fixed = full - unet_full
-        unet = unet_full * level.kept_steps / TOTAL_DIFFUSION_STEPS
-        retrieval = retrieval_latency_s if level.skip_steps > 0 else 0.0
-        return LatencyBreakdown(
-            text_encoder_s=fixed * 0.3,
-            unet_s=unet,
-            vae_decoder_s=fixed * 0.7,
-            retrieval_s=retrieval,
-        )
-
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #

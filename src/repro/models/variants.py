@@ -60,11 +60,6 @@ class AcLevel:
         """Number of denoising steps actually executed."""
         return TOTAL_DIFFUSION_STEPS - self.skip_steps
 
-    @property
-    def peak_throughput_qpm(self) -> float:
-        """Images per minute a single dedicated worker can sustain."""
-        return 60.0 / self.latency_a100_s
-
     def __str__(self) -> str:
         return self.name
 

@@ -34,11 +34,6 @@ class OptimalChoice:
         """Best PickScore across all levels."""
         return max(self.scores)
 
-    @property
-    def optimal_score(self) -> float:
-        """PickScore at the optimal level."""
-        return self.scores[self.optimal_rank]
-
 
 class OptimalModelSelector:
     """Finds the optimal (fastest acceptable) level for prompts."""

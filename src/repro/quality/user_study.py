@@ -25,10 +25,6 @@ class StudyResult:
     overall_quality_rate: float
     num_votes: int
 
-    def as_tuple(self) -> tuple[float, float]:
-        """(relevance, quality) pair, convenient for ranking assertions."""
-        return (self.prompt_relevance_rate, self.overall_quality_rate)
-
 
 class UserStudySimulator:
     """Simulates suitability votes from relative-quality samples."""

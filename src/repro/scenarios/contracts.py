@@ -23,14 +23,12 @@ Vocabulary (``Scenario.contracts`` entries; ``fairness`` takes an optional
   tighter class is graded against a tighter budget: near-zero ratios can
   invert by sampling noise without any routing misbehaviour.
 - ``cache-quota`` — no tenant's cache namespace ever reports more entries
-  than its configured quota.
+  than its configured quota.  A report in which no namespace has a quota
+  passes vacuously.
 - ``fleet-budget`` — the fleet never exceeds the autoscaler's max budget
-  and no scale-in leaves it below the min budget.
-- ``ledger-matches-fleet`` — in brokered sharded runs the coordinator's
-  committed-worker ledger, reconciled and read before the broker grants,
-  equals active + provisioning + failed workers at every barrier, and the
-  post-grant ledger stays inside the global budget.  A report whose
-  barriers carry no pre-grant ledger passes vacuously.
+  and no scale-in leaves it below the min budget.  A sharded report's
+  fleet peak is the sum of its shards' peaks, which bounds any fleet the
+  shards held at one instant.
 - ``cache-tier`` — the distributed cache tier's per-shard accounting is
   conserved: shard lookups never exceed retrieval attempts, shard hits
   equal the retrieval hits, and the per-shard entry counts sum to the
@@ -41,7 +39,7 @@ Vocabulary (``Scenario.contracts`` entries; ``fairness`` takes an optional
   was detected and dropped.
 
 A contract whose inputs are absent from the report (e.g. ``fairness`` on
-a single-tenant run, ``ledger-matches-fleet`` sequentially) passes
+a single-tenant run, ``fleet-budget`` without autoscaling) passes
 *vacuously* — composition stays cheap, and :class:`ContractResult` keeps
 the distinction visible.
 
@@ -162,37 +160,20 @@ def _check_cache_quota(contract: str, report: dict, param: float | None) -> Cont
                 over[label] = (entries, quota)
     if over:
         return _fail(contract, f"namespaces over quota: {over}")
+    if not bounded:
+        return _vacuous(contract, f"none of {len(cache_tenants)} namespaces has a quota")
     return _ok(contract, f"{len(cache_tenants)} namespaces within quota ({bounded} bounded)")
 
 
 def _check_fleet_budget(contract: str, report: dict, param: float | None) -> ContractResult:
     extras = report.get("extras", {})
-    sharded = "sharding" in extras
-    budget = extras.get("fleet_budget") or extras.get("sharding", {}).get("autoscale")
+    budget = extras.get("fleet_budget")
     if budget is None:
         return _vacuous(contract, "no fleet budget in the report (autoscaling off)")
     low, high = budget["min_workers"], budget["max_workers"]
     problems: list[str] = []
     peak = report["summary"]["fleet_peak_workers"]
-    if sharded:
-        # A sharded merge sums per-shard peaks, which need not be
-        # simultaneous; the global bound applies to the barrier-aligned
-        # fleet samples the shard merge emits (global in-fleet counts
-        # observed at each synchronized barrier).
-        sharding = extras["sharding"]
-        aligned = sharding.get("fleet_peak_barrier_aligned")
-        if aligned is None:
-            samples = [
-                entry["in_fleet"]
-                for entry in sharding.get("barriers", ())
-                if "in_fleet" in entry
-            ]
-            aligned = max(samples) if samples else None
-        if aligned is not None:
-            peak = aligned
-            if aligned > high:
-                problems.append(f"barrier-aligned fleet peak {aligned} > max {high}")
-    elif peak > high:
+    if peak > high:
         problems.append(f"fleet peak {peak} > max {high}")
     for row in report.get("minutes", ()):
         if row["fleet_workers"] > high + 1e-6:
@@ -210,40 +191,6 @@ def _check_fleet_budget(contract: str, report: dict, param: float | None) -> Con
     if problems:
         return _fail(contract, "; ".join(problems))
     return _ok(contract, f"fleet stayed within [{low}, {high}] (peak {peak})")
-
-
-def _check_ledger_matches_fleet(
-    contract: str, report: dict, param: float | None
-) -> ContractResult:
-    sharding = report.get("extras", {}).get("sharding")
-    autoscale = (sharding or {}).get("autoscale")
-    if autoscale is None:
-        return _vacuous(contract, "no budget-broker ledger in the report")
-    low, high = autoscale["min_workers"], autoscale["max_workers"]
-    checked = 0
-    for entry in sharding.get("barriers", ()):
-        committed = entry.get("committed_workers")
-        if committed is not None and not low <= committed <= high:
-            return _fail(
-                contract,
-                f"barrier {entry['window_end_s']:.0f}s: ledger {committed}"
-                f" outside budget [{low}, {high}]",
-            )
-        before = entry.get("committed_before_grant")
-        if before is None:
-            continue
-        live = entry["in_fleet"] + entry["failed_workers"]
-        if before != live:
-            return _fail(
-                contract,
-                f"barrier {entry['window_end_s']:.0f}s: pre-grant ledger {before}"
-                f" != live fleet {live}"
-                f" ({entry['in_fleet']} in fleet + {entry['failed_workers']} failed)",
-            )
-        checked += 1
-    if not checked:
-        return _vacuous(contract, "no barrier carried a pre-grant ledger")
-    return _ok(contract, f"ledger matched the live fleet at {checked} barriers")
 
 
 def _check_cache_tier(contract: str, report: dict, param: float | None) -> ContractResult:
@@ -305,7 +252,6 @@ _CHECKS = {
     "slo-ordering": _check_slo_ordering,
     "cache-quota": _check_cache_quota,
     "fleet-budget": _check_fleet_budget,
-    "ledger-matches-fleet": _check_ledger_matches_fleet,
     "cache-tier": _check_cache_tier,
     "cache-poison": _check_cache_poison,
 }

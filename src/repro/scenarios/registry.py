@@ -491,18 +491,17 @@ register(
         name="sharded-autoscale",
         description=(
             "The Fig. 17-style elastic fleet run in sharded mode: each shard "
-            "runs its own autoscaler over its fleet partition and the "
-            "coordinator's budget broker grants scale requests against the "
-            "global min/max worker budget at fixed autoscale epochs.  "
-            "Sequential (shards=1) runs exercise the same scenario on the "
-            "classic global autoscaler; `--shards 4` exercises the broker."
+            "runs its own autoscaler over its fleet partition, inside a "
+            "static share of the global min/max worker budget fixed when the "
+            "run is planned.  Sequential (shards=1) runs exercise the same "
+            "scenario on one global autoscaler; `--shards 4` splits the "
+            "budget four ways."
         ),
-        exercises=("sharded execution", "autoscaler", "budget broker", "elastic fleet"),
-        contracts=("conservation", "fleet-budget", "ledger-matches-fleet"),
+        exercises=("sharded execution", "autoscaler", "shard budgets", "elastic fleet"),
+        contracts=("conservation", "fleet-budget"),
         trace=TraceSpec(source="library", name="twitter"),
         config={
             "autoscale_enabled": True,
-            "autoscale_epoch_s": 60.0,
             "provision_delay_s": 30.0,
         },
         presets={

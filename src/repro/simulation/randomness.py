@@ -497,11 +497,6 @@ class RandomStreams:
         self._seed = int(seed)
         self._streams: dict[str, np.random.Generator] = {}
 
-    @property
-    def seed(self) -> int:
-        """Base seed from which every named stream is derived."""
-        return self._seed
-
     def stream(self, name: str) -> np.random.Generator:
         """Return (creating on first use) the generator for ``name``."""
         if name not in self._streams:
@@ -513,10 +508,6 @@ class RandomStreams:
         """Derive an independent child registry, e.g. per simulation run."""
         derived = (self._seed * 0x9E3779B97F4A7C15 + stable_hash(name)) % (1 << 63)
         return RandomStreams(seed=derived)
-
-    def reset(self) -> None:
-        """Drop all streams so they are re-created from the base seed."""
-        self._streams.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RandomStreams(seed={self._seed}, streams={sorted(self._streams)})"

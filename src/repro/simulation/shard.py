@@ -24,29 +24,19 @@ Partitioning
     arrival sequence.
 
 Protocol
-    The coordinator and the shards share no objects; the pipes between them
-    carry pickled records.  A *run-window* (:class:`_RunWindow`) makes every
-    shard run its loop up to the window end and answer with a *barrier
-    reply* (:class:`_BarrierReply`): the window's arrival and completion
-    counts, the shard's fleet counts and, at an autoscale epoch, its pending
-    scale requests.  At an epoch the coordinator then sends each shard the
-    budget broker's *grants* (a tuple of
-    :class:`~repro.core.autoscaler.ScaleOutcome`), applied at exactly the
-    epoch time.  *Finalize* (``None``) ends the run: each shard answers with
-    its :class:`_ShardResult` (collector snapshot, run record and the facts
-    only the ``sharding`` block shows).
-
-    Barriers sit only where the broker needs them: an autoscaled run
-    barriers on the ``autoscale_epoch_s`` grid and at its end; a fixed-fleet
-    run has nothing to exchange mid-run and barriers once, at its end.
+    The coordinator and the shards share no objects.  Each shard process
+    starts with one payload (its :class:`ShardSpec`, arrival slice and
+    fault list), runs its system to the end of the trace and drain, and
+    sends one pickled :class:`_ShardResult` (collector snapshot, run record
+    and the facts only the ``sharding`` block shows) back over its pipe.
+    Nothing crosses between shards mid-run.
 
 Control plane
-    Autoscaled sharded runs put a budget broker on the coordinator: each
-    shard runs its own :class:`~repro.core.autoscaler.Autoscaler` over its
-    fleet partition in *brokered* mode, and the broker grants the shipped
-    requests in (shard id, request seq) order against the global
-    ``min_workers``/``max_workers``/``gpu_mix`` budget — a pure function of
-    the simulated runs, never of process timing.
+    An autoscaled shard runs its own
+    :class:`~repro.core.autoscaler.Autoscaler` over its fleet partition,
+    inside a static share of the global ``min_workers``/``max_workers``
+    budget that :func:`plan_shards` fixes before the run.  The shares' maxes
+    sum to the global max, so the shards' fleets together stay within it.
 
 Merging
     The coordinator absorbs the shards' collector snapshots (in shard order,
@@ -68,7 +58,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.autoscaler import ScaleOutcome, ScaleRequest
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.record import RunRecord, build_report, merge_records
 from repro.metrics.report import summarize
@@ -85,6 +74,10 @@ class ShardSpec:
     num_workers: int
     #: Tenants this shard serves, or None for hash-of-prompt partitioning.
     tenant_names: tuple[str, ...] | None = None
+    #: This shard's share of the global autoscaling budget (None when
+    #: autoscaling is off): it scales within ``[min_workers, max_workers]``.
+    min_workers: int | None = None
+    max_workers: int | None = None
 
     def accepts(self, prompt) -> bool:
         """Whether a prompt belongs to this shard's stream slice."""
@@ -101,25 +94,44 @@ class ShardPlan:
     shards: tuple[ShardSpec, ...]
 
 
+def _largest_remainder(total: int, weights: list[float]) -> list[int]:
+    """Split ``total`` in proportion to ``weights`` by largest remainder
+    (ties to the lower index); equal weights when they sum to zero."""
+    n = len(weights)
+    if sum(weights) <= 0:
+        weights = [1.0] * n
+    weight_sum = sum(weights)
+    raw = [total * w / weight_sum for w in weights]
+    counts = [int(r) for r in raw]
+    order = sorted(range(n), key=lambda i: (-(raw[i] - counts[i]), i))
+    for i in order[: total - sum(counts)]:
+        counts[i] += 1
+    return counts
+
+
 def _split_workers(total: int, weights: list[float]) -> list[int]:
     """Largest-remainder proportional split with a floor of 1 worker/shard."""
     n = len(weights)
     if total < n:
         raise ValueError(f"cannot split {total} workers across {n} shards")
-    if sum(weights) <= 0:
-        weights = [1.0] * n
-    weight_sum = sum(weights)
-    counts = [1] * n
-    remaining = total - n
-    raw = [remaining * w / weight_sum for w in weights]
-    floors = [int(r) for r in raw]
-    for i in range(n):
-        counts[i] += floors[i]
-    leftover = remaining - sum(floors)
-    order = sorted(range(n), key=lambda i: (-(raw[i] - floors[i]), i))
-    for i in order[:leftover]:
-        counts[i] += 1
-    return counts
+    return [1 + share for share in _largest_remainder(total - n, weights)]
+
+
+def _autoscale_budgets(workers: list[int], low: int, high: int) -> list[tuple[int, int]]:
+    """Each shard's static ``(min_workers, max_workers)`` share of the
+    global autoscaling budget ``[low, high]``.
+
+    A shard with ``n_i`` of the ``N`` initial workers may grow by its
+    largest-remainder share of the headroom ``high - N``, split in
+    proportion to ``n_i``, and shrink by its share of ``N - max(low,
+    shards)``, split in proportion to ``n_i - 1``.  So the maxes sum to
+    ``high``, the mins to ``max(low, shards)``, and every shard keeps
+    ``1 <= min_i <= n_i <= max_i``.
+    """
+    total = sum(workers)
+    growth = _largest_remainder(high - total, workers)
+    shrink = _largest_remainder(total - max(low, len(workers)), [n - 1 for n in workers])
+    return [(n - down, n + up) for n, up, down in zip(workers, growth, shrink)]
 
 
 def plan_shards(config, trace=None) -> ShardPlan:
@@ -129,11 +141,14 @@ def plan_shards(config, trace=None) -> ShardPlan:
     load, heaviest first, onto the lightest shard); single-tenant workloads
     fall back to hashing the prompt content.  Workers are split across
     shards by largest-remainder proportional to each shard's load, with at
-    least one worker per shard.  ``trace`` sharpens the tenant load estimate
-    with each tenant's ``extra_qpm`` series; without it the bin-pack uses
-    base-trace shares alone.
+    least one worker per shard; with autoscaling on, each shard also gets
+    its static share of the global worker budget (:func:`_autoscale_budgets`).
+    ``trace`` sharpens the tenant load estimate with each tenant's
+    ``extra_qpm`` series; without it the bin-pack uses base-trace shares
+    alone.
     """
     n = int(config.shards)
+    mode, tenant_names = "hash", [None] * n
     if len(config.tenants) >= 2:
         if n > len(config.tenants):
             raise ValueError(
@@ -158,73 +173,41 @@ def plan_shards(config, trace=None) -> ShardPlan:
         # Keep each shard's tenant list in the config's tenant order so the
         # shard config's tenant tuple is a stable subsequence of the full one.
         config_order = {spec.name: i for i, spec in enumerate(config.tenants)}
+        mode = "tenant"
+        tenant_names = [tuple(sorted(names, key=config_order.__getitem__)) for names in bins]
         worker_counts = _split_workers(config.num_workers, bin_loads)
-        specs = tuple(
-            ShardSpec(
-                shard_id=i,
-                num_shards=n,
-                num_workers=worker_counts[i],
-                tenant_names=tuple(sorted(bins[i], key=config_order.__getitem__)),
-            )
-            for i in range(n)
+    else:
+        worker_counts = _split_workers(config.num_workers, [1.0] * n)
+    budgets = [(None, None)] * n
+    if config.autoscale_enabled:
+        budgets = _autoscale_budgets(
+            worker_counts, config.effective_min_workers, config.effective_max_workers
         )
-        return ShardPlan(mode="tenant", shards=specs)
-    worker_counts = _split_workers(config.num_workers, [1.0] * n)
     specs = tuple(
-        ShardSpec(shard_id=i, num_shards=n, num_workers=worker_counts[i])
+        ShardSpec(
+            shard_id=i,
+            num_shards=n,
+            num_workers=worker_counts[i],
+            tenant_names=tenant_names[i],
+            min_workers=budgets[i][0],
+            max_workers=budgets[i][1],
+        )
         for i in range(n)
     )
-    return ShardPlan(mode="hash", shards=specs)
-
-
-# --------------------------------------------------------------------------- #
-# Protocol records
-# --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class _RunWindow:
-    """Coordinator -> shard: run the event loop up to ``end_s``, then reply."""
-
-    end_s: float
-    #: True on the ``autoscale_epoch_s`` grid: the reply carries the shard's
-    #: pending scale requests, and the broker's grants follow it.
-    epoch: bool
-
-
-@dataclass(frozen=True)
-class _BarrierReply:
-    """Shard -> coordinator at a window end: what the barrier log records."""
-
-    shard_id: int
-    #: Arrivals and completions during the window just run.
-    arrivals: int
-    completions: int
-    #: Workers in rotation, provisioning, and failed at the window end.
-    #: Failed workers are still owned by the shard (they may recover), so
-    #: the broker ledger keeps counting them.
-    active_workers: int
-    provisioning_workers: int
-    failed_workers: int
-    #: Pending autoscaler asks, shipped only at epoch windows.
-    scale_requests: tuple[ScaleRequest, ...] = ()
-    #: Scale-in grants the shard skipped at apply time since the last
-    #: barrier (drain candidate failed meanwhile); the coordinator adds the
-    #: count back to the broker's committed ledger.
-    unapplied_scale_ins: int = 0
+    return ShardPlan(mode=mode, shards=specs)
 
 
 @dataclass(frozen=True)
 class _ShardResult:
-    """Shard -> coordinator at finalize: everything the merge reads."""
+    """Shard -> coordinator at its run's end: everything the merge reads."""
 
     shard_id: int
     #: A :meth:`~repro.metrics.collector.MetricsCollector.export_state` snapshot.
     collector_state: dict
     record: RunRecord
     #: What only the ``sharding`` block shows of this shard: its
-    #: ``arrivals``, ``requests_served``, ``outstanding_requests`` (healthy
-    #: workers' queues) and the autoscaler's ``denied_requests``.
+    #: ``arrivals``, ``requests_served`` and ``outstanding_requests``
+    #: (healthy workers' queues).
     facts: dict
 
 
@@ -256,17 +239,11 @@ def _build_shard_system(payload: dict):
         extra["tenants"] = tuple(
             t for t in full_config.tenants if t.name in set(spec.tenant_names)
         )
-    if full_config.autoscale_enabled:
-        # The shard autoscaler sizes asks over its partition with the full
-        # global headroom; the coordinator's budget broker is what enforces
-        # the global min/max, so the local bounds must not pre-clamp them.
-        extra["min_workers"] = 1
-        extra["max_workers"] = full_config.effective_max_workers
+    if spec.max_workers is not None:
+        extra["min_workers"] = spec.min_workers
+        extra["max_workers"] = spec.max_workers
     shard_config = build_config(scenario, preset_spec, seed, extra=extra)
     serving = build_system(payload["system"] or scenario.system, config=shard_config)
-    autoscaler = getattr(serving, "autoscaler", None)
-    if autoscaler is not None:
-        autoscaler.brokered = True
     # Network windows and cache events are global timelines, replicated
     # identically on every shard.  Fault schedules arrive pre-mapped to
     # shard-local worker ids (the coordinator splits each fleet-fraction
@@ -298,7 +275,7 @@ def _build_shard_system(payload: dict):
         )
     else:
         serving.schedule_arrivals(_tenant_sliced_stream(stream, arrivals["indices"]))
-    return serving, spec, trace
+    return serving, spec, trace, preset_spec.drain_s
 
 
 def _replay_arrivals(stream, arrivals):
@@ -411,59 +388,12 @@ def _partition_arrivals(stream, plan: ShardPlan):
 
 
 def _shard_main(payload: dict, conn) -> None:
-    """Shard process entry point: the barrier loop over the connection.
-
-    A :class:`_RunWindow` advances the shard to the window end and is
-    answered with a :class:`_BarrierReply`; a grants tuple (sent after an
-    epoch reply) is applied at exactly the epoch time, where the clock sits;
-    ``None`` is answered with the shard's :class:`_ShardResult` and ends the
-    loop.
-    """
-    serving, spec, trace = _build_shard_system(payload)
-    serving.start()
-    collector = serving.collector
-    cluster = serving.cluster
-    autoscaler = getattr(serving, "autoscaler", None)
-    last_arrivals = last_completions = 0
-    window_end_s = 0.0
+    """Shard process entry point: run the shard's slice through the trace
+    and its drain, then send the coordinator its :class:`_ShardResult`."""
     try:
-        while True:
-            message = conn.recv()
-            if message is None:
-                conn.send(_finalize(serving, spec, trace))
-                return
-            if isinstance(message, _RunWindow):
-                window_end_s = message.end_s
-                serving.engine.run(until=window_end_s)
-                # The reply counts the collector's completions.
-                serving.settle()
-                scale_requests: tuple = ()
-                unapplied_scale_ins = 0
-                if autoscaler is not None:
-                    if message.epoch:
-                        scale_requests = autoscaler.take_requests()
-                    # Shipped every barrier (not just epochs) so the broker
-                    # ledger reconciles at the first opportunity after a
-                    # skipped drain.
-                    unapplied_scale_ins = autoscaler.take_unapplied_scale_ins()
-                arrivals = collector.total_arrivals
-                completions = collector.total_completions
-                conn.send(
-                    _BarrierReply(
-                        shard_id=spec.shard_id,
-                        arrivals=arrivals - last_arrivals,
-                        completions=completions - last_completions,
-                        active_workers=cluster.fleet_size,
-                        provisioning_workers=len(cluster.provisioning_workers),
-                        failed_workers=sum(1 for w in cluster.workers if w.is_failed),
-                        scale_requests=scale_requests,
-                        unapplied_scale_ins=unapplied_scale_ins,
-                    )
-                )
-                last_arrivals, last_completions = arrivals, completions
-            elif autoscaler is not None:
-                # The broker's grants for the epoch window just reached.
-                autoscaler.apply_outcomes(window_end_s, message)
+        serving, spec, trace, drain_s = _build_shard_system(payload)
+        serving.run(trace.duration_minutes * 60.0, drain_s)
+        conn.send(_finalize(serving, spec, trace))
     finally:
         conn.close()
 
@@ -472,7 +402,6 @@ def _finalize(serving, spec: ShardSpec, trace) -> _ShardResult:
     """Assemble the shard's closing :class:`_ShardResult`."""
     record = serving.record(trace.duration_minutes)  # settles the collector
     cluster = serving.cluster
-    autoscaler = getattr(serving, "autoscaler", None)
     return _ShardResult(
         shard_id=spec.shard_id,
         collector_state=serving.collector.export_state(),
@@ -481,7 +410,6 @@ def _finalize(serving, spec: ShardSpec, trace) -> _ShardResult:
             "arrivals": serving.collector.total_arrivals,
             "requests_served": cluster.total_requests_served(),
             "outstanding_requests": cluster.total_queue_length(),
-            "denied_requests": 0 if autoscaler is None else int(autoscaler.denied_requests),
         },
     )
 
@@ -489,107 +417,6 @@ def _finalize(serving, spec: ShardSpec, trace) -> _ShardResult:
 # --------------------------------------------------------------------------- #
 # Coordinator
 # --------------------------------------------------------------------------- #
-
-
-def _window_boundaries(total_s: float, epoch_s: float | None) -> list[tuple[float, bool]]:
-    """Barrier times covering (0, total_s], ending exactly at ``total_s``.
-
-    Returns ``(time, epoch)`` pairs.  A fixed-fleet run (``epoch_s`` None)
-    has one barrier, at its end.  An autoscaled run barriers on the
-    ``autoscale_epoch_s`` grid and at its end; the flag marks the grid
-    points, the only places scale requests and grants cross.  Grid points
-    are exact multiples, not accumulated sums.
-    """
-    if epoch_s is None:
-        return [(total_s, False)]
-    tol = 1e-6
-    boundaries: list[tuple[float, bool]] = []
-    k = 1
-    while k * epoch_s < total_s - tol:
-        boundaries.append((k * epoch_s, True))
-        k += 1
-    boundaries.append((total_s, abs(total_s - round(total_s / epoch_s) * epoch_s) <= tol))
-    return boundaries
-
-
-class _BudgetBroker:
-    """Coordinator-side grant authority for brokered per-shard autoscaling.
-
-    Keeps a committed-workers ledger per shard (seeded with the plan's
-    initial partitions) and answers the shards'
-    :class:`~repro.core.autoscaler.ScaleRequest`s against the *global*
-    budget: scale-outs are
-    clamped to the ``max_workers`` headroom and draw GPU types from the
-    global ``gpu_mix`` cycle (so the fleet mix matches a sequential
-    deployment); scale-ins are granted only while the global fleet stays at
-    or above ``min_workers`` and the shard keeps at least one worker.
-    Requests are processed in (shard id, seq) order — a pure function of
-    the simulated runs, never of process timing — which is what makes
-    autoscaled N-shard runs reproducible.
-    """
-
-    def __init__(self, config, plan: ShardPlan) -> None:
-        self.min_workers = int(config.effective_min_workers)
-        self.max_workers = int(config.effective_max_workers)
-        self._mix = tuple(config.effective_gpu_mix)
-        self._mix_index = 0
-        self.committed: dict[int, int] = {
-            spec.shard_id: spec.num_workers for spec in plan.shards
-        }
-        self.grant_log: list[dict] = []
-
-    @property
-    def total_committed(self) -> int:
-        return sum(self.committed.values())
-
-    def _next_gpu(self) -> str:
-        gpu = self._mix[self._mix_index % len(self._mix)]
-        self._mix_index += 1
-        return gpu
-
-    def grant(self, window_end_s: float, replies) -> dict[int, tuple[ScaleOutcome, ...]]:
-        """Decide every shard's asks for one epoch boundary.
-
-        Returns a grants tuple per shard — for *all* shards, empty or not,
-        so the reply fan-out stays lockstep with the barrier.
-        """
-        outcomes: dict[int, list] = {reply.shard_id: [] for reply in replies}
-        asks = [
-            (reply.shard_id, request)
-            for reply in replies
-            for request in reply.scale_requests
-        ]
-        asks.sort(key=lambda item: (item[0], item[1].seq))
-        for shard_id, request in asks:
-            if request.action == "scale_out":
-                headroom = self.max_workers - self.total_committed
-                granted = max(0, min(int(request.count), headroom))
-                gpus = tuple(self._next_gpu() for _ in range(granted))
-                self.committed[shard_id] += granted
-                outcome = ScaleOutcome(
-                    seq=request.seq, action="scale_out", granted=granted, gpus=gpus
-                )
-            else:
-                allowed = (
-                    self.total_committed - 1 >= self.min_workers
-                    and self.committed[shard_id] > 1
-                )
-                granted = 1 if allowed else 0
-                self.committed[shard_id] -= granted
-                outcome = ScaleOutcome(seq=request.seq, action="scale_in", granted=granted)
-            outcomes[shard_id].append(outcome)
-            self.grant_log.append(
-                {
-                    "window_end_s": window_end_s,
-                    "shard": shard_id,
-                    "seq": request.seq,
-                    "action": request.action,
-                    "requested": int(request.count),
-                    "granted": granted,
-                    "committed_total": self.total_committed,
-                }
-            )
-        return {shard_id: tuple(decided) for shard_id, decided in outcomes.items()}
 
 
 def _map_faults(faults, plan: ShardPlan, num_workers: int) -> dict[int, list]:
@@ -654,7 +481,6 @@ def run_sharded(scenario, preset_name: str, seed: int, system: str | None, confi
     trace = scenario.trace.build(seed=seed, **preset_spec.trace_params)
     plan = plan_shards(config, trace=trace)
     fault_map = _map_faults(faults, plan, config.num_workers)
-    autoscale = bool(config.autoscale_enabled)
     scenario_dict = scenario.to_dict()
     # Built once: partitioning reads the stream without consuming it, and
     # the merge below reads its offered load.
@@ -687,48 +513,6 @@ def run_sharded(scenario, preset_name: str, seed: int, system: str | None, confi
             processes.append(process)
             conns.append(parent_conn)
 
-        duration_s = trace.duration_minutes * 60.0
-        boundaries = _window_boundaries(
-            duration_s + preset_spec.drain_s,
-            config.autoscale_epoch_s if autoscale else None,
-        )
-        broker = _BudgetBroker(config, plan) if autoscale else None
-        barrier_log: list[dict] = []
-        for end, epoch in boundaries:
-            window = _RunWindow(end_s=end, epoch=epoch)
-            for conn in conns:
-                conn.send(window)
-            # The recv below is the barrier: the window's merged counts exist
-            # only once every shard has reached the boundary.
-            replies = [conn.recv() for conn in conns]
-            entry = {
-                "window_end_s": end,
-                "epoch": epoch,
-                "completions": sum(r.completions for r in replies),
-                "arrivals": sum(r.arrivals for r in replies),
-                "active_workers": sum(r.active_workers for r in replies),
-                "failed_workers": sum(r.failed_workers for r in replies),
-                "in_fleet": sum(r.active_workers + r.provisioning_workers for r in replies),
-            }
-            if broker is not None:
-                # Reconcile before granting: a scale-in grant the shard could
-                # not apply (candidate failed meanwhile) left the ledger one
-                # worker low per skip; the worker it would have drained is
-                # still in the fleet, so hand the budget back.
-                for reply in replies:
-                    broker.committed[reply.shard_id] += reply.unapplied_scale_ins
-                # Every earlier grant has been applied by now and this
-                # barrier's grants have not, so the reconciled ledger must
-                # equal the live fleet (the ledger-matches-fleet contract).
-                entry["committed_before_grant"] = broker.total_committed
-                if epoch:
-                    grants = broker.grant(end, replies)
-                    for spec, conn in zip(plan.shards, conns):
-                        conn.send(grants[spec.shard_id])
-                entry["committed_workers"] = broker.total_committed
-            barrier_log.append(entry)
-        for conn in conns:
-            conn.send(None)  # finalize
         results = sorted((conn.recv() for conn in conns), key=lambda r: r.shard_id)
         for process in processes:
             process.join(timeout=60.0)
@@ -754,7 +538,32 @@ def run_sharded(scenario, preset_name: str, seed: int, system: str | None, confi
     offered = {minute: stream.offered_qpm(minute) for minute in range(trace.duration_minutes)}
     minute_series = merged.minute_series(offered=offered, fleet=record.fleet_minutes)
 
-    sharding: dict = {
+    plan_rows = []
+    for spec, result in zip(plan.shards, results):
+        row = {
+            "shard": spec.shard_id,
+            "workers": spec.num_workers,
+            "tenants": list(spec.tenant_names) if spec.tenant_names else None,
+            # Fair-share admission needs two tenants on the shard.
+            "admission": result.record.admission is not None,
+        }
+        if spec.max_workers is not None:
+            row["min_workers"] = spec.min_workers
+            row["max_workers"] = spec.max_workers
+        plan_rows.append(row)
+    per_shard = []
+    for r in results:
+        row = {
+            "shard": r.shard_id,
+            "arrivals": r.facts["arrivals"],
+            "requests_served": r.facts["requests_served"],
+            "outstanding_requests": r.facts["outstanding_requests"],
+            "gpu_hours": r.record.gpu_hours,
+        }
+        if r.record.autoscale_events is not None:
+            row["autoscale_events"] = r.record.autoscale_events
+        per_shard.append(row)
+    extras["sharding"] = {
         "shards": config.shards,
         # The merged summary reads like a sequential run's; it is not one.
         "simulated": (
@@ -762,44 +571,9 @@ def run_sharded(scenario, preset_name: str, seed: int, system: str | None, confi
             "no request was routed or queued across shards"
         ),
         "mode": plan.mode,
-        "windows": len(boundaries),
-        "plan": [
-            {
-                "shard": spec.shard_id,
-                "workers": spec.num_workers,
-                "tenants": list(spec.tenant_names) if spec.tenant_names else None,
-                # Fair-share admission needs two tenants on the shard.
-                "admission": result.record.admission is not None,
-            }
-            for spec, result in zip(plan.shards, results)
-        ],
-        "per_shard": [
-            {
-                "shard": r.shard_id,
-                "arrivals": r.facts["arrivals"],
-                "requests_served": r.facts["requests_served"],
-                "outstanding_requests": r.facts["outstanding_requests"],
-                "gpu_hours": r.record.gpu_hours,
-            }
-            for r in results
-        ],
-        "barriers": barrier_log,
-        # The summed per-shard peaks in the summary need not be simultaneous;
-        # every barrier counts the global in-fleet workers at one instant,
-        # and the fleet-budget contract bounds the peak over those samples.
-        "fleet_peak_barrier_aligned": max(entry["in_fleet"] for entry in barrier_log),
+        "plan": plan_rows,
+        "per_shard": per_shard,
     }
-    if broker is not None:
-        sharding["autoscale"] = {
-            "epoch_s": config.autoscale_epoch_s,
-            "min_workers": broker.min_workers,
-            "max_workers": broker.max_workers,
-            "committed": dict(broker.committed),
-            "grants": broker.grant_log,
-            "denied_requests": sum(r.facts["denied_requests"] for r in results),
-            "events": record.autoscale_events,
-        }
-    extras["sharding"] = sharding
     experiment = ExperimentResult(
         system=record.system,
         workload=trace.name,

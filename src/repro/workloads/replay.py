@@ -84,11 +84,6 @@ class RequestStream:
         """Length of the stream in simulated seconds (trace duration)."""
         return self.trace.duration_minutes * 60.0
 
-    @property
-    def arrivals(self) -> list[float]:
-        """All arrival timestamps, sorted."""
-        return [tp.arrival_time_s for tp in self._timed]
-
     def offered_qpm(self, minute: int) -> float:
         """Offered load during a given minute, from the underlying trace."""
         return self.trace.qpm_at(minute)
@@ -132,15 +127,6 @@ class PhasedRequestStream(RequestStream):
         for _, dataset in self.phases:
             if len(dataset) == 0:
                 raise ValueError("phase datasets must not be empty")
-
-    def dataset_at(self, time_s: float) -> PromptDataset:
-        """The prompt dataset in force at ``time_s``."""
-        active = self.phases[0][1]
-        for start, dataset in self.phases:
-            if time_s < start:
-                break
-            active = dataset
-        return active
 
     def _iter_lazy(self) -> Iterator[TimedPrompt]:
         process = ArrivalProcess(seed=self.seed)

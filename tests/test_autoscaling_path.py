@@ -18,7 +18,7 @@ from repro.cluster.cluster import GpuCluster
 from repro.cluster.requests import Request
 from repro.cluster.worker import Worker
 from repro.core.allocator import Allocator
-from repro.core.autoscaler import Autoscaler, ScaleOutcome
+from repro.core.autoscaler import Autoscaler
 from repro.core.config import ArgusConfig
 from repro.core.scheduler import PromptScheduler, WorkerSelector
 from repro.core.solver import AllocationSolver
@@ -563,17 +563,6 @@ class TestAutoscalerDecisions:
         scaler.tick(90.0)
         assert len(cluster.workers) == 3
 
-    def test_gpu_mix_cycles_on_scale_out(self, engine, zoo):
-        config, cluster, allocator, scaler = self.make_stack(
-            engine, zoo, gpu_mix=("A10G", "V100"), max_scale_step=2
-        )
-        ceiling = cluster.fleet_ceiling_qpm(Strategy.AC)
-        self.saturate(zoo, cluster, allocator, ceiling * 3, now=60.0)
-        scaler.tick(60.0)
-        scaler.tick(70.0)
-        added = cluster.provisioning_workers
-        assert [w.gpu.name for w in added] == ["A10G", "V100"]
-
     def test_scale_in_after_load_subsides(self, engine, zoo):
         config, cluster, allocator, scaler = self.make_stack(engine, zoo)
         ceiling = cluster.fleet_ceiling_qpm(Strategy.AC)
@@ -616,118 +605,6 @@ class TestAutoscalerDecisions:
         assert cluster.fleet_size == 2
 
 
-class TestBrokeredControl:
-    """Brokered-mode (sharded) request/grant bookkeeping on the autoscaler."""
-
-    def make_stack(self, engine, zoo, **config_overrides):
-        defaults = dict(
-            num_workers=2,
-            autoscale_enabled=True,
-            max_workers=6,
-            provision_delay_s=10.0,
-            autoscale_interval_s=10.0,
-            scale_out_consecutive_ticks=2,
-            scale_in_consecutive_ticks=2,
-            # Long cooldowns: a denied ask must NOT have to wait these out.
-            scale_out_cooldown_s=300.0,
-            scale_in_cooldown_s=300.0,
-        )
-        defaults.update(config_overrides)
-        config = ArgusConfig(**defaults)
-        cluster = GpuCluster(engine, zoo, num_workers=config.num_workers)
-        allocator = make_allocator(engine, zoo, cluster, config)
-        scaler = Autoscaler(
-            config=config,
-            zoo=zoo,
-            cluster=cluster,
-            allocator=allocator,
-            active_strategy=lambda: Strategy.AC,
-            brokered=True,
-        )
-        return config, cluster, allocator, scaler
-
-    def saturate(self, zoo, cluster, allocator, qpm, now):
-        fastest = zoo.fastest_level(Strategy.AC)
-        for worker in cluster.healthy_workers:
-            worker.set_level(fastest)
-        for i in range(int(qpm)):
-            allocator.observe_arrival(max(0.0, now - 60.0) + 60.0 * i / qpm)
-
-    def test_denied_scale_out_does_not_consume_cooldown(self, engine, zoo):
-        config, cluster, allocator, scaler = self.make_stack(engine, zoo)
-        ceiling = cluster.fleet_ceiling_qpm(Strategy.AC)
-        self.saturate(zoo, cluster, allocator, ceiling * 1.5, now=60.0)
-        scaler.tick(60.0)
-        scaler.tick(70.0)
-        first = scaler.take_requests()
-        assert [r.action for r in first] == ["scale_out"]
-        scaler.apply_outcomes(
-            70.0,
-            [ScaleOutcome(seq=first[0].seq, action="scale_out", granted=0)],
-        )
-        assert scaler.denied_requests == 1
-        assert scaler.events == []  # a denial is not a scaling action
-        # Back-to-back: still overloaded on the very next tick.  The denial
-        # restored the pre-emission cooldown stamp and streak, so the re-ask
-        # fires immediately instead of after scale_out_cooldown_s.
-        self.saturate(zoo, cluster, allocator, ceiling * 1.5, now=80.0)
-        scaler.tick(80.0)
-        second = scaler.take_requests()
-        assert [r.action for r in second] == ["scale_out"]
-        assert second[0].time_s == 80.0
-        # ... and the eventual grant applies normally.
-        scaler.apply_outcomes(
-            80.0,
-            [
-                ScaleOutcome(
-                    seq=second[0].seq,
-                    action="scale_out",
-                    granted=second[0].count,
-                    gpus=("A100",) * second[0].count,
-                )
-            ],
-        )
-        assert cluster.provisioning_workers
-        assert scaler.num_scale_outs == 1
-
-    def test_denied_scale_in_does_not_consume_cooldown(self, engine, zoo):
-        config, cluster, allocator, scaler = self.make_stack(engine, zoo, min_workers=1)
-        # No arrivals: demand is zero, the fleet is underloaded.
-        scaler.tick(60.0)
-        scaler.tick(70.0)
-        first = scaler.take_requests()
-        assert [r.action for r in first] == ["scale_in"]
-        scaler.apply_outcomes(
-            70.0,
-            [ScaleOutcome(seq=first[0].seq, action="scale_in", granted=0)],
-        )
-        assert scaler.denied_requests == 1
-        scaler.tick(80.0)
-        second = scaler.take_requests()
-        assert [r.action for r in second] == ["scale_in"]
-        assert second[0].time_s == 80.0  # next eligible tick, not 70 + 300s
-
-    def test_skipped_scale_in_grant_is_counted_for_reconciliation(self, engine, zoo):
-        config, cluster, allocator, scaler = self.make_stack(engine, zoo, min_workers=1)
-        scaler.tick(60.0)
-        scaler.tick(70.0)
-        first = scaler.take_requests()
-        assert [r.action for r in first] == ["scale_in"]
-        # Every worker fails before the grant lands: the LIFO candidate
-        # re-pick finds nobody to drain, so the grant must be skipped and
-        # counted (the broker already decremented its ledger for it).
-        cluster.schedule_failure(0, fail_at_s=75.0, recover_at_s=1000.0)
-        cluster.schedule_failure(1, fail_at_s=75.0, recover_at_s=1000.0)
-        engine.run(until=80.0)
-        scaler.apply_outcomes(
-            80.0,
-            [ScaleOutcome(seq=first[0].seq, action="scale_in", granted=1)],
-        )
-        assert scaler.events == []  # nothing drained
-        assert scaler.take_unapplied_scale_ins() == 1
-        assert scaler.take_unapplied_scale_ins() == 0  # take resets the counter
-
-
 class TestConfigKnobs:
     def test_autoscale_validation(self):
         with pytest.raises(ValueError):
@@ -741,13 +618,12 @@ class TestConfigKnobs:
         with pytest.raises(ValueError):
             ArgusConfig(scale_up_threshold=0.5, scale_down_threshold=0.6)
         with pytest.raises(KeyError):
-            ArgusConfig(gpu_mix=("H100",))
+            ArgusConfig(gpu="H100")
 
     def test_effective_defaults(self):
         config = ArgusConfig(num_workers=8)
         assert config.effective_min_workers == 8
         assert config.effective_max_workers == 32
-        assert config.effective_gpu_mix == ("A100",)
         assert not config.autoscale_enabled
 
 

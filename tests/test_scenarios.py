@@ -471,7 +471,6 @@ class TestContracts:
             "conservation",
             "fairness",
             "fleet-budget",
-            "ledger-matches-fleet",
             "slo-ordering",
         ]
 
@@ -542,8 +541,18 @@ class TestContracts:
         assert _one(_contract_report(extras=within), "cache-quota").passed
         over = {"cache_tenants": {"a": {"entries": 11, "quota": 10}}}
         assert not _one(_contract_report(extras=over), "cache-quota").passed
+        # No namespace has a quota: nothing was bounded, so the pass is vacuous.
         unbounded = {"cache_tenants": {"a": {"entries": 999, "quota": None}}}
-        assert _one(_contract_report(extras=unbounded), "cache-quota").passed
+        result = _one(_contract_report(extras=unbounded), "cache-quota")
+        assert result.passed and result.vacuous
+        mixed = {
+            "cache_tenants": {
+                "a": {"entries": 999, "quota": None},
+                "b": {"entries": 5, "quota": 10},
+            }
+        }
+        result = _one(_contract_report(extras=mixed), "cache-quota")
+        assert result.passed and not result.vacuous and "1 bounded" in result.detail
         assert _one(_contract_report(), "cache-quota").vacuous
 
     def test_fleet_budget(self):
@@ -567,53 +576,18 @@ class TestContracts:
         assert not _one(under_min, "fleet-budget").passed
         assert _one(_contract_report(), "fleet-budget").vacuous
 
-    def test_fleet_budget_sharded_peak_exemption(self):
-        # A sharded merge sums per-shard peaks that need not be simultaneous,
-        # so only the sequential peak is held to the global max.
+    def test_fleet_budget_holds_a_sharded_summed_peak(self):
+        # A sharded merge sums its shards' peaks; each shard scales inside
+        # its static budget share, so the sum is held to the global max
+        # like a sequential peak.
         extras = {
-            "sharding": {"autoscale": {"min_workers": 2, "max_workers": 4}},
+            "fleet_budget": {"min_workers": 2, "max_workers": 4},
+            "sharding": {"shards": 2},
         }
-        report = _contract_report(summary={"fleet_peak_workers": 6}, extras=extras)
-        assert _one(report, "fleet-budget").passed
-
-    def test_ledger_matches_fleet(self):
-        def barriers(*entries):
-            return {
-                "sharding": {
-                    "autoscale": {"min_workers": 2, "max_workers": 6},
-                    "barriers": list(entries),
-                }
-            }
-
-        good = barriers(
-            {"window_end_s": 60.0, "epoch": True, "committed_before_grant": 4,
-             "committed_workers": 4, "in_fleet": 3, "failed_workers": 1},
-            # The pre-grant ledger is compared with the live fleet; the
-            # post-grant ledger (grants not yet applied) only with the budget.
-            {"window_end_s": 120.0, "epoch": True, "committed_before_grant": 4,
-             "committed_workers": 6, "in_fleet": 3, "failed_workers": 1},
-        )
-        result = _one(_contract_report(extras=good), "ledger-matches-fleet")
-        assert result.passed and not result.vacuous
-        assert "at 2 barriers" in result.detail
-        drifted = barriers(
-            {"window_end_s": 60.0, "epoch": True, "committed_before_grant": 5,
-             "committed_workers": 5, "in_fleet": 3, "failed_workers": 1},
-        )
-        result = _one(_contract_report(extras=drifted), "ledger-matches-fleet")
-        assert not result.passed and "live fleet" in result.detail
-        out_of_budget = barriers(
-            {"window_end_s": 60.0, "epoch": True, "committed_before_grant": 7,
-             "committed_workers": 7, "in_fleet": 7, "failed_workers": 0},
-        )
-        assert not _one(_contract_report(extras=out_of_budget), "ledger-matches-fleet").passed
-        # Barriers without a pre-grant ledger compare nothing: vacuous.
-        uncompared = barriers(
-            {"window_end_s": 60.0, "epoch": True, "committed_workers": 4,
-             "in_fleet": 3, "failed_workers": 1},
-        )
-        assert _one(_contract_report(extras=uncompared), "ledger-matches-fleet").vacuous
-        assert _one(_contract_report(), "ledger-matches-fleet").vacuous
+        within = _contract_report(summary={"fleet_peak_workers": 4}, extras=extras)
+        assert _one(within, "fleet-budget").passed
+        over = _contract_report(summary={"fleet_peak_workers": 6}, extras=extras)
+        assert not _one(over, "fleet-budget").passed
 
     def test_verify_report_accepts_report_objects(self):
         class Boxed:

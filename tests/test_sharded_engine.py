@@ -1,4 +1,4 @@
-"""Sharded parallel execution: partitioning, barriers, brokering, parity.
+"""Sharded parallel execution: partitioning, budget shares, parity.
 
 The load-bearing guarantees under test:
 
@@ -9,7 +9,9 @@ The load-bearing guarantees under test:
 * The union of the shard arrival slices is exactly the sequential arrival
   sequence, whichever filtering path produced them (coordinator-partitioned
   fast path or shard-side stream filtering).
-* The budget broker's ledger matches the live fleet at every barrier.
+* Autoscaled shards scale inside static shares of the global worker
+  budget: the shares sum to the global bounds, and the summed per-shard
+  fleet peak stays within the global max.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
-import re
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.scenarios.runtime import build_config, build_stream, run_scenario
 from repro.simulation import shard as shard_mod
 from repro.simulation.shard import (
     ShardSpec,
+    _autoscale_budgets,
     _map_faults,
     _partition_arrivals,
     _split_workers,
@@ -81,7 +83,7 @@ def _digest(run) -> str:
 
 
 def _report(run) -> str:
-    """Full deterministic report: summary + extras (barrier log included)."""
+    """Full deterministic report: summary + extras."""
     return json.dumps(
         {"summary": run.summary.as_dict(), "extras": run.extras},
         sort_keys=True,
@@ -107,6 +109,54 @@ class TestPlanning:
     def test_split_workers_rejects_too_few(self):
         with pytest.raises(ValueError, match="cannot split"):
             _split_workers(2, [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        ("num_workers", "shards", "min_workers", "max_workers", "tenants", "expected"),
+        [
+            (4, 2, 2, 10, None, [(1, 5), (1, 5)]),
+            # min_workers < shards: every shard still keeps one worker.
+            (4, 4, 2, 10, None, [(1, 3), (1, 3), (1, 2), (1, 2)]),
+            (16, 4, 8, 40, None, [(2, 10)] * 4),
+            (8, 2, None, 16, None, [(4, 8), (4, 8)]),
+            # An uneven tenant partition (5 + 1 workers): splitting the max
+            # alone would cap the large shard below its own size.
+            (6, 2, 2, 6, (0.9, 0.1), [(1, 5), (1, 1)]),
+            (6, 2, 3, 9, (0.9, 0.1), [(2, 8), (1, 1)]),
+        ],
+    )
+    def test_autoscale_budgets_partition_the_global_bounds(
+        self, num_workers, shards, min_workers, max_workers, tenants, expected
+    ):
+        config = ArgusConfig(
+            num_workers=num_workers,
+            shards=shards,
+            autoscale_enabled=True,
+            min_workers=min_workers,
+            max_workers=max_workers,
+            tenants=[
+                {"name": f"t{i}", "traffic_share": share}
+                for i, share in enumerate(tenants or ())
+            ],
+        )
+        plan = plan_shards(config)
+        budgets = [(spec.min_workers, spec.max_workers) for spec in plan.shards]
+        assert budgets == expected
+        for spec in plan.shards:
+            assert 1 <= spec.min_workers <= spec.num_workers <= spec.max_workers
+        low = max(config.effective_min_workers, shards)
+        assert sum(spec.min_workers for spec in plan.shards) == low
+        assert sum(spec.max_workers for spec in plan.shards) == max_workers
+
+    def test_autoscale_budgets_bound_every_split(self):
+        for workers in ([1], [3, 1], [5, 1], [2, 2, 1], [7, 1, 1, 1]):
+            total = sum(workers)
+            for low in range(1, total + 1):
+                for high in (total, total + 1, 2 * total + 3):
+                    budgets = _autoscale_budgets(workers, low, high)
+                    assert sum(b[0] for b in budgets) == max(low, len(workers))
+                    assert sum(b[1] for b in budgets) == high
+                    for n, (lo, hi) in zip(workers, budgets):
+                        assert 1 <= lo <= n <= hi
 
     def test_hash_mode_for_single_tenant(self):
         config = ArgusConfig(num_workers=8, shards=4)
@@ -146,14 +196,9 @@ class TestConfigValidation:
             ArgusConfig(num_workers=8, shards=3, tenants=_TENANTS[:2])
 
     def test_accepts_autoscaling_with_shards(self):
-        # PR 7 lifted the shards × autoscale rejection: per-shard loops run
-        # in brokered mode under the coordinator's global budget.
+        # Each shard autoscales inside its share of the global budget.
         config = ArgusConfig(num_workers=8, shards=2, autoscale_enabled=True)
         assert config.autoscale_enabled and config.shards == 2
-
-    def test_rejects_nonpositive_autoscale_epoch(self):
-        with pytest.raises(ValueError, match="autoscale_epoch_s"):
-            ArgusConfig(num_workers=4, autoscale_epoch_s=0.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -260,8 +305,12 @@ class TestShardedRuns:
         # moves a sharded result fails here.  The digest recorded in
         # benchmarks/perf/baseline_shard_small.json predates the removal of
         # mean_batch_occupancy from the summary, and no check reads it.
+        # The run synchronises once, at its end: each shard sends one
+        # result, and nothing else is exchanged.
         run = run_scenario("fig16-xl", preset="small", seed=0, shards=2)
-        assert run.extras["sharding"]["windows"] == 1
+        sharding = run.extras["sharding"]
+        assert [row["shard"] for row in sharding["per_shard"]] == [0, 1]
+        assert not {"windows", "barriers"} & set(sharding)
         assert _digest(run) == (
             "6c89f272cca4a7f6afce555c65ac1c610c45f70c34495a45b35a7aba8739aa04"
         )
@@ -336,9 +385,9 @@ class TestShardedRuns:
         assert sharding["mode"] == "hash"
         assert len(sharding["plan"]) == 2
         assert sum(p["workers"] for p in sharding["plan"]) == 8
-        assert sharding["barriers"][-1]["window_end_s"] >= 8 * 60.0
-        # knobs-off runs carry no control-plane blocks (pinned no-op)
-        assert "autoscale" not in sharding
+        # knobs-off runs carry no budgets or scale events (pinned no-op)
+        assert all("max_workers" not in p for p in sharding["plan"])
+        assert all("autoscale_events" not in r for r in sharding["per_shard"])
 
 
 # --------------------------------------------------------------------------- #
@@ -451,13 +500,13 @@ class TestShardedFaults:
 
 
 # --------------------------------------------------------------------------- #
-# Brokered autoscaling
+# Sharded autoscaling under static budget shares
 # --------------------------------------------------------------------------- #
 
 
 def _autoscaled_scenario():
     """A fig16-xl-class overload: demand far above the initial fleet, so the
-    per-shard loops must ask the broker for workers to keep up."""
+    per-shard loops must scale out to keep up."""
     return _scenario(
         num_workers=4,
         base_qpm=60.0,
@@ -467,104 +516,34 @@ def _autoscaled_scenario():
         min_workers=2,
         max_workers=10,
         provision_delay_s=30.0,
-        autoscale_epoch_s=60.0,
     )
 
 
 class TestBrokeredAutoscaling:
+    """Each shard's autoscaler scales inside the budget share its plan gave
+    it; no scale decision crosses a shard boundary."""
+
     def test_autoscaled_run_is_deterministic(self):
         scenario = _autoscaled_scenario()
         for shards in (2, 4):
             first = run_scenario(scenario, preset="full", seed=3, shards=shards)
             repeat = run_scenario(scenario, preset="full", seed=3, shards=shards)
             assert _report(first) == _report(repeat)
-            # Barriers sit on the autoscale epoch grid (plus the run's end).
-            barriers = first.extras["sharding"]["barriers"]
-            assert all(b["epoch"] for b in barriers[:-1])
-            assert [b["window_end_s"] for b in barriers[:-1]] == [
-                60.0 * k for k in range(1, len(barriers))
-            ]
 
     def test_autoscaled_run_never_exceeds_the_global_budget(self):
         scenario = _autoscaled_scenario()
         run = run_scenario(scenario, preset="full", seed=3, shards=4)
-        auto = run.extras["sharding"]["autoscale"]
-        granted = [g for g in auto["grants"] if g["granted"] > 0]
-        assert granted, "overload scenario must produce at least one grant"
-        assert auto["max_workers"] == 10
-        for barrier in run.extras["sharding"]["barriers"]:
-            assert barrier["in_fleet"] <= auto["max_workers"]
-            assert barrier["committed_workers"] <= auto["max_workers"]
-            assert barrier["committed_workers"] >= 0
-        assert sum(auto["committed"].values()) <= auto["max_workers"]
-
-    def test_broker_ledger_matches_fleet_under_fault_storm(self):
-        # Under overload and overlapping fleet faults, the ledger read
-        # before each barrier's grants == active + provisioning + failed
-        # workers at every barrier; the post-grant ledger stays inside the
-        # budget.
-        scenario = _scenario(
-            num_workers=4,
-            base_qpm=60.0,
-            peak_qpm=240.0,
-            duration=8,
-            autoscale_enabled=True,
-            min_workers=2,
-            max_workers=10,
-            provision_delay_s=30.0,
-            autoscale_epoch_s=60.0,
-            faults=(
-                FaultEvent(fail_at_minute=2.0, recover_at_minute=5.0, fleet_fraction=0.5),
-                FaultEvent(fail_at_minute=3.0, recover_at_minute=6.0, fleet_fraction=0.25),
-            ),
-        )
-        run = run_scenario(scenario, preset="full", seed=3, shards=2)
-        barriers = run.extras["sharding"]["barriers"]
-        assert any(b["failed_workers"] for b in barriers)
-        assert any(b["committed_workers"] != b["committed_before_grant"] for b in barriers)
-        for barrier in barriers:
-            assert (
-                barrier["committed_before_grant"]
-                == barrier["in_fleet"] + barrier["failed_workers"]
-            ), f"ledger drift at t={barrier['window_end_s']}"
-        max_workers = run.extras["sharding"]["autoscale"]["max_workers"]
-        for barrier in barriers:
-            assert barrier["in_fleet"] <= max_workers
-            assert barrier["committed_workers"] <= max_workers
-
-    def test_skipped_scale_in_grant_is_handed_back_to_the_ledger(self):
-        # A light load earns a scale-in grant at the 240 s epoch, but the
-        # whole fleet fails at 210 s: the shard finds no worker to drain and
-        # skips the grant.  Unless the coordinator hands that worker back to
-        # the broker ledger, the ledger runs one worker low from then on.
-        scenario = _scenario(
-            num_workers=4,
-            base_qpm=4.0,
-            peak_qpm=6.0,
-            duration=8,
-            autoscale_enabled=True,
-            min_workers=2,
-            max_workers=4,
-            autoscale_interval_s=25.0,
-            faults=(
-                FaultEvent(fail_at_minute=3.5, recover_at_minute=6.0, fleet_fraction=1.0),
-            ),
-        )
-        run = run_scenario(scenario, preset="full", seed=3, shards=2)
-        auto = run.extras["sharding"]["autoscale"]
-        granted = sum(g["granted"] for g in auto["grants"] if g["action"] == "scale_in")
-        applied = sum(
-            1
-            for events in auto["events"].values()
-            for event in events
-            if event["action"] == "scale_in"
-        )
-        assert applied < granted, "the scenario must skip a granted scale-in"
-        for barrier in run.extras["sharding"]["barriers"]:
-            assert (
-                barrier["committed_before_grant"]
-                == barrier["in_fleet"] + barrier["failed_workers"]
-            ), f"ledger drift at t={barrier['window_end_s']}"
+        plan = run.extras["sharding"]["plan"]
+        assert sum(row["max_workers"] for row in plan) == 10
+        scaled_out = False
+        for row, per_shard in zip(plan, run.extras["sharding"]["per_shard"]):
+            for event in per_shard["autoscale_events"]:
+                assert row["min_workers"] <= event["fleet_size"] <= row["max_workers"]
+                scaled_out |= event["action"] == "scale_out"
+        assert scaled_out, "overload scenario must scale out"
+        assert run.summary.fleet_peak_workers <= 10
+        for minute in run.result.minute_series:
+            assert minute.fleet_workers <= 10 + 1e-9
 
     def test_scaled_fleet_serves_more_than_the_static_fleet(self):
         scenario = _autoscaled_scenario()
@@ -576,6 +555,18 @@ class TestBrokeredAutoscaling:
         assert scaled_run.summary.fleet_peak_workers > static_run.summary.fleet_peak_workers
         assert scaled_run.summary.total_completions >= static_run.summary.total_completions
 
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_sharded_autoscale_scenario_certifies_its_budget(self, shards):
+        from repro.scenarios.contracts import verify_report, violations
+
+        run = run_scenario("sharded-autoscale", preset="small", seed=0, shards=shards)
+        results = verify_report(run.report(), ("conservation", "fleet-budget"))
+        assert not violations(results), [str(r) for r in results]
+        assert all(not r.vacuous for r in results), [str(r) for r in results]
+        assert run.summary.fleet_peak_workers <= run.config.effective_max_workers
+        repeat = run_scenario("sharded-autoscale", preset="small", seed=0, shards=shards)
+        assert _report(repeat) == _report(run)
+
 
 # --------------------------------------------------------------------------- #
 # Contract verification over sharded merges
@@ -586,15 +577,11 @@ class TestShardedContracts:
     def test_sharded_report_satisfies_contracts_non_vacuously(self):
         # The contracts are functions of the report dict, so the sharded
         # merge must carry enough accounting (outstanding queues, admission
-        # backlog, broker budget, barrier ledger) for conservation,
-        # fleet-budget and ledger-matches-fleet to engage for real.
+        # backlog, the fleet budget) for conservation and fleet-budget to
+        # engage for real.
         from repro.scenarios.contracts import verify_report, violations
 
         run = run_scenario(_autoscaled_scenario(), preset="full", seed=3, shards=2)
-        contracts = ("conservation", "fleet-budget", "ledger-matches-fleet")
-        results = verify_report(run.report(), contracts)
+        results = verify_report(run.report(), ("conservation", "fleet-budget"))
         assert not violations(results), [str(r) for r in results]
         assert all(not r.vacuous for r in results), [str(r) for r in results]
-        ledger = next(r for r in results if r.contract == "ledger-matches-fleet")
-        compared = int(re.search(r"at (\d+) barriers", ledger.detail).group(1))
-        assert compared == len(run.extras["sharding"]["barriers"]) > 0
