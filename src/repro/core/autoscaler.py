@@ -42,7 +42,9 @@ class ScalingEvent:
     time_s: float
     action: str  # "scale_out" | "scale_in"
     delta: int
-    #: Workers in rotation or provisioning right after the action.
+    #: Workers right after the action: in rotation, provisioning or
+    #: failed for a scale-out (the count its cap bounds), in rotation for a
+    #: scale-in.
     fleet_size: int
     reason: str
 
@@ -125,7 +127,13 @@ class Autoscaler:
     def _scale_out(
         self, now: float, demand_qpm: float, projected_qpm: float, strategy: Strategy
     ) -> bool:
-        in_fleet = self.cluster.fleet_size + len(self.cluster.provisioning_workers)
+        # Failed workers count against the cap: they rejoin the rotation
+        # when they recover, which must not carry the fleet past its max.
+        in_fleet = (
+            self.cluster.fleet_size
+            + len(self.cluster.provisioning_workers)
+            + sum(1 for w in self.cluster.workers if w.is_failed)
+        )
         fastest = self.zoo.fastest_level(strategy)
         # New workers run the deployment's GPU, the one the zoo's levels are
         # priced on, so each adds its level's full peak throughput.

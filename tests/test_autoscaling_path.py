@@ -563,6 +563,22 @@ class TestAutoscalerDecisions:
         scaler.tick(90.0)
         assert len(cluster.workers) == 3
 
+    def test_failed_workers_count_against_max_workers(self, engine, zoo):
+        config, cluster, allocator, scaler = self.make_stack(
+            engine, zoo, max_workers=3, max_scale_step=4
+        )
+        cluster.fail_worker(1)
+        ceiling = cluster.fleet_ceiling_qpm(Strategy.AC)
+        self.saturate(zoo, cluster, allocator, ceiling * 10, now=60.0)
+        scaler.tick(60.0)
+        scaler.tick(70.0)
+        # One worker in rotation and one failed: room for one more.
+        assert len(cluster.provisioning_workers) == 1
+        assert scaler.events[0].fleet_size == 3
+        engine.run(until=120.0)
+        cluster.recover_worker(1)
+        assert cluster.fleet_size == 3
+
     def test_scale_in_after_load_subsides(self, engine, zoo):
         config, cluster, allocator, scaler = self.make_stack(engine, zoo)
         ceiling = cluster.fleet_ceiling_qpm(Strategy.AC)

@@ -11,7 +11,7 @@ The load-bearing guarantees under test:
   fast path or shard-side stream filtering).
 * Autoscaled shards scale inside static shares of the global worker
   budget: the shares sum to the global bounds, and the summed per-shard
-  fleet peak stays within the global max.
+  fleet peak stays within the global max, under fleet faults too.
 """
 
 from __future__ import annotations
@@ -110,6 +110,15 @@ class TestPlanning:
         with pytest.raises(ValueError, match="cannot split"):
             _split_workers(2, [1.0, 1.0, 1.0])
 
+    @staticmethod
+    def assert_budgets_bound(workers, low, high, budgets):
+        """Every share holds its shard's initial workers, the mins (each at
+        least 1) sum to ``max(low, shards)`` and the maxes to ``high``."""
+        assert sum(lo for lo, _hi in budgets) == max(low, len(workers))
+        assert sum(hi for _lo, hi in budgets) == high
+        for n, (lo, hi) in zip(workers, budgets):
+            assert 1 <= lo <= n <= hi
+
     @pytest.mark.parametrize(
         ("num_workers", "shards", "min_workers", "max_workers", "tenants", "expected"),
         [
@@ -141,11 +150,12 @@ class TestPlanning:
         plan = plan_shards(config)
         budgets = [(spec.min_workers, spec.max_workers) for spec in plan.shards]
         assert budgets == expected
-        for spec in plan.shards:
-            assert 1 <= spec.min_workers <= spec.num_workers <= spec.max_workers
-        low = max(config.effective_min_workers, shards)
-        assert sum(spec.min_workers for spec in plan.shards) == low
-        assert sum(spec.max_workers for spec in plan.shards) == max_workers
+        self.assert_budgets_bound(
+            [spec.num_workers for spec in plan.shards],
+            config.effective_min_workers,
+            max_workers,
+            budgets,
+        )
 
     def test_autoscale_budgets_bound_every_split(self):
         for workers in ([1], [3, 1], [5, 1], [2, 2, 1], [7, 1, 1, 1]):
@@ -153,10 +163,7 @@ class TestPlanning:
             for low in range(1, total + 1):
                 for high in (total, total + 1, 2 * total + 3):
                     budgets = _autoscale_budgets(workers, low, high)
-                    assert sum(b[0] for b in budgets) == max(low, len(workers))
-                    assert sum(b[1] for b in budgets) == high
-                    for n, (lo, hi) in zip(workers, budgets):
-                        assert 1 <= lo <= n <= hi
+                    self.assert_budgets_bound(workers, low, high, budgets)
 
     def test_hash_mode_for_single_tenant(self):
         config = ArgusConfig(num_workers=8, shards=4)
@@ -300,17 +307,13 @@ class TestShardedRuns:
         second = run_scenario(scenario, preset="full", seed=3, shards=3)
         assert _report(first) == _report(second)
 
-    def test_fixed_fleet_run_barriers_once_and_keeps_its_pinned_digest(self):
+    def test_fixed_fleet_run_keeps_its_pinned_digest(self):
         # The fig16-xl small leg (2 shards, seed 0).  A protocol change that
         # moves a sharded result fails here.  The digest recorded in
         # benchmarks/perf/baseline_shard_small.json predates the removal of
         # mean_batch_occupancy from the summary, and no check reads it.
-        # The run synchronises once, at its end: each shard sends one
-        # result, and nothing else is exchanged.
         run = run_scenario("fig16-xl", preset="small", seed=0, shards=2)
-        sharding = run.extras["sharding"]
-        assert [row["shard"] for row in sharding["per_shard"]] == [0, 1]
-        assert not {"windows", "barriers"} & set(sharding)
+        assert [row["shard"] for row in run.extras["sharding"]["per_shard"]] == [0, 1]
         assert _digest(run) == (
             "6c89f272cca4a7f6afce555c65ac1c610c45f70c34495a45b35a7aba8739aa04"
         )
@@ -504,7 +507,7 @@ class TestShardedFaults:
 # --------------------------------------------------------------------------- #
 
 
-def _autoscaled_scenario():
+def _autoscaled_scenario(faults=()):
     """A fig16-xl-class overload: demand far above the initial fleet, so the
     per-shard loops must scale out to keep up."""
     return _scenario(
@@ -512,6 +515,7 @@ def _autoscaled_scenario():
         base_qpm=60.0,
         peak_qpm=240.0,
         duration=8,
+        faults=faults,
         autoscale_enabled=True,
         min_workers=2,
         max_workers=10,
@@ -544,6 +548,31 @@ class TestBrokeredAutoscaling:
         assert run.summary.fleet_peak_workers <= 10
         for minute in run.result.minute_series:
             assert minute.fleet_workers <= 10 + 1e-9
+
+    def test_fault_storm_keeps_each_shard_within_its_budget(self):
+        # Overlapping fleet faults under overload take down one, then both
+        # of shard 0's initial workers while it scales out.  Failed workers
+        # count against its max, so their recovery carries neither the shard
+        # nor the summed fleet past the budget.
+        from repro.scenarios.contracts import verify_report, violations
+
+        scenario = _autoscaled_scenario(
+            faults=(
+                FaultEvent(fail_at_minute=1.0, recover_at_minute=6.0, fleet_fraction=0.25),
+                FaultEvent(fail_at_minute=2.0, recover_at_minute=6.5, fleet_fraction=0.5),
+            )
+        )
+        run = run_scenario(scenario, preset="full", seed=3, shards=2)
+        sharding = run.extras["sharding"]
+        for row, per_shard in zip(sharding["plan"], sharding["per_shard"]):
+            for event in per_shard["autoscale_events"]:
+                assert row["min_workers"] <= event["fleet_size"] <= row["max_workers"]
+        # The shards scale out to the global max, and no further.
+        assert run.summary.fleet_peak_workers == 10
+        for minute in run.result.minute_series:
+            assert minute.fleet_workers <= 10 + 1e-9
+        results = verify_report(run.report(), ("fleet-budget",))
+        assert not violations(results) and not results[0].vacuous, str(results[0])
 
     def test_scaled_fleet_serves_more_than_the_static_fleet(self):
         scenario = _autoscaled_scenario()
